@@ -299,7 +299,7 @@ struct SlimPool final : LayerImpl {
   Tensor forward(const Tensor& x, int, bool) override {
     in_shape = x.shape();
     Tensor y;
-    maxpool_forward(x, k, y, argmax);
+    maxpool_forward(x, k, y, &argmax);
     return y;
   }
   Tensor backward(const Tensor& grad_y, int) override {

@@ -48,22 +48,23 @@ std::uint64_t fnv1a_bytes(const Tensor& x) {
 
 Tensor ladder_step(Network& net, const Tensor& x,
                    std::vector<Tensor>& layer_outputs, int from, int to) {
-  assert(to >= 1 && from >= 0 && from < to);
+  assert(to >= 1 && from >= 0 && from <= to);
   SubnetContext ctx;
   ctx.subnet_id = to;
   ctx.training = false;
 
   const auto& layers = net.layers();
+  if (layers.empty()) return x;
   layer_outputs.resize(layers.size());
-  Tensor cur = x;
+  // Each layer reads its input in place from the previous layer's stored
+  // output, and its own output is stored once (moved in, never copied).
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    Tensor out = from == 0
-                     ? layers[i]->forward(cur, ctx)
-                     : layers[i]->forward_step(cur, layer_outputs[i], from, ctx);
-    layer_outputs[i] = out;
-    cur = std::move(out);
+    const Tensor& in = i == 0 ? x : layer_outputs[i - 1];
+    layer_outputs[i] =
+        from == 0 ? layers[i]->forward(in, ctx)
+                  : layers[i]->forward_step(in, layer_outputs[i], from, ctx);
   }
-  return cur;
+  return layer_outputs.back();
 }
 
 std::int64_t ladder_step_macs(Network& net, int from, int to) {
@@ -142,20 +143,16 @@ Tensor IncrementalExecutor::step_down(const Tensor& x, int subnet_id) {
 
   const auto& layers = net_.layers();
   MaskedLayer* head = net_.masked_layers().back();
-  Tensor head_input = x;
   for (std::size_t i = 0; i < layers.size(); ++i) {
     if (layers[i].get() == static_cast<Layer*>(head)) {
-      layer_outputs_[i] = head->forward(head_input, ctx);
+      layer_outputs_[i] = head->forward(i == 0 ? x : layer_outputs_[i - 1], ctx);
     } else {
-      Tensor masked = layer_outputs_[i];
       const IOSpec& spec = layers[i]->out_spec();
       if (spec.assignment) {
-        mask_inactive_units(masked, *spec.assignment, spec.features_per_unit,
-                            subnet_id);
+        mask_inactive_units(layer_outputs_[i], *spec.assignment,
+                            spec.features_per_unit, subnet_id);
       }
-      layer_outputs_[i] = std::move(masked);
     }
-    head_input = layer_outputs_[i];
   }
   cached_subnet_ = subnet_id;
   return layer_outputs_.back();

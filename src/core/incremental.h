@@ -15,7 +15,9 @@ namespace stepping {
 /// stacked input `x` (B, C, H, W), given `layer_outputs` — one cached
 /// post-activation tensor per layer, all B rows at subnet `from` — and
 /// overwrite `layer_outputs` with the subnet-`to` state. `from == 0` is a
-/// cold start (layer_outputs is resized and filled from scratch).
+/// cold start (layer_outputs is resized and filled from scratch); `from ==
+/// to` adds no unit and recomputes only the head (IncrementalExecutor's
+/// repeated run at one level).
 ///
 /// Because every batched kernel computes each output row independently and
 /// in serial order (the PR 1 thread-pool invariant), a row's values depend

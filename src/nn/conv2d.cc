@@ -54,13 +54,43 @@ Tensor Conv2d::forward_relu(const Tensor& x, const SubnetContext& ctx) {
   return forward_impl(x, ctx, /*relu=*/true);
 }
 
+void Conv2d::lowered_gemm(const Tensor& x, const unsigned char* rows,
+                          int subnet_id, const SpatialRegion& region, bool relu,
+                          float* out) {
+  const int n = x.dim(0);
+  const std::vector<int>& channels = readable_in_units(subnet_id);
+  const int k = static_cast<int>(channels.size()) * kernel_ * kernel_;
+  const std::int64_t area = region.area();
+  const bool full = region.covers(geom_.out_h(), geom_.out_w());
+  // Workspaces come from the per-thread arena: reused across calls (zero
+  // heap allocations once warmed up — asserted by the conv arena test).
+  ArenaScope ws;
+  float* a = ws.alloc_floats(static_cast<std::size_t>(units_) * k);
+  float* cols = ws.alloc_floats(static_cast<std::size_t>(k) * area);
+  gather_weights(rows, &channels, a);
+  const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) * geom_.in_h *
+                              geom_.in_w;
+  const std::int64_t out_img = static_cast<std::int64_t>(units_) * area;
+  for (int i = 0; i < n; ++i) {
+    const float* xi = x.data() + i * in_img;
+    if (full) {
+      im2col(xi, geom_, cols, &channels);
+    } else {
+      im2col_region(xi, geom_, region, cols, &channels);
+    }
+    // out_i (U x area) += a (U x K) * cols (K x area) + bias, flagged rows
+    // only, with the bias add (and optional ReLU) fused into the
+    // micro-kernel store.
+    gemm_rows_bias(a, cols, out + i * out_img, units_, k,
+                   static_cast<int>(area), rows, bias_.value.data(), relu);
+  }
+}
+
 Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
                             bool relu) {
   assert(x.rank() == 4 && x.dim(1) == geom_.in_c);
   const int n = x.dim(0);
   const int oh = geom_.out_h(), ow = geom_.out_w();
-  const int spatial = oh * ow;
-  const Tensor& w = effective_weights();
   const auto& active = active_flags(ctx.subnet_id);
 
   if (ctx.calib_record != nullptr && !ctx.training) {
@@ -79,15 +109,15 @@ Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
   }
 
   Tensor y({n, units_, oh, ow});  // zero-filled; inactive units stay zero
-  // Workspaces come from the per-thread arena: reused across calls (zero
-  // heap allocations once warmed up — asserted by the conv arena test).
-  ArenaScope ws;
-  const std::int64_t patch = geom_.patch();
-  float* cols = ws.alloc_floats(static_cast<std::size_t>(patch) * spatial);
-  const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) * geom_.in_h *
-                              geom_.in_w;
-  const std::int64_t out_img = static_cast<std::int64_t>(units_) * spatial;
   if (calib != nullptr) {
+    const Tensor& w = effective_weights();
+    const int spatial = oh * ow;
+    const std::int64_t patch = geom_.patch();
+    ArenaScope ws;
+    float* cols = ws.alloc_floats(static_cast<std::size_t>(patch) * spatial);
+    const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) *
+                                geom_.in_h * geom_.in_w;
+    const std::int64_t out_img = static_cast<std::int64_t>(units_) * spatial;
     const quant::PreparedInt8 pw = quant::prepare_int8_weights(
         pack_id(), w.data(), units_, static_cast<int>(patch));
     const quant::ActQuant aq = ctx.calibration->params(*calib);
@@ -99,16 +129,8 @@ Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
     }
     return y;
   }
-  for (int i = 0; i < n; ++i) {
-    im2col(x.data() + i * in_img, geom_, cols);
-    // y_i (U x S) = w (U x P) * cols (P x S) + bias, active rows only, with
-    // the bias add (and optional ReLU) fused into the micro-kernel store —
-    // results land straight in y, skipping the former yi staging buffer and
-    // its copy-out pass.
-    gemm_rows_bias(w.data(), cols, y.data() + i * out_img, units_,
-                   static_cast<int>(patch), spatial, active.data(),
-                   bias_.value.data(), relu);
-  }
+  lowered_gemm(x, active.data(), ctx.subnet_id, SpatialRegion::full(oh, ow),
+               relu, y.data());
 
   if (ctx.training) {
     x_cache_ = x;
@@ -189,35 +211,26 @@ Tensor Conv2d::forward_delta(const Tensor& x, const Tensor& cached_y,
   Tensor y = cached_y;  // splice target: clean positions keep frame t's bits
   if (reg.empty()) return y;  // nothing dirty reaches this layer
   const int n = x.dim(0);
-  const Tensor& w = effective_weights();
   const auto& active = active_flags(ctx.subnet_id);
   const int rw = reg.width();
   const std::int64_t area = reg.area();
+  const std::int64_t part_img = static_cast<std::int64_t>(units_) * area;
+  // Lower only the dirty output positions; the resulting columns are
+  // byte-identical to the corresponding columns of the full im2col, and
+  // each GEMM output element's FP sequence depends only on its own column
+  // (tensor/gemm_kernel.h), so `part` carries exactly the bits a full
+  // forward would put at those positions. The kernel accumulates into C
+  // (the full path hands it a zero-filled tensor), so `part` starts zeroed.
   ArenaScope ws;
-  const std::int64_t patch = geom_.patch();
-  float* cols = ws.alloc_floats(static_cast<std::size_t>(patch) * area);
-  float* part = ws.alloc_floats(static_cast<std::size_t>(units_) * area);
-  const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) * geom_.in_h *
-                              geom_.in_w;
+  float* part = ws.alloc_floats(static_cast<std::size_t>(n * part_img));
+  std::memset(part, 0, sizeof(float) * static_cast<std::size_t>(n * part_img));
+  lowered_gemm(x, active.data(), ctx.subnet_id, reg, /*relu=*/false, part);
   const std::int64_t out_img = static_cast<std::int64_t>(units_) * oh * ow;
   for (int i = 0; i < n; ++i) {
-    // Lower only the dirty output positions; the resulting columns are
-    // byte-identical to the corresponding columns of the full im2col, and
-    // each GEMM output element's FP sequence depends only on its own column
-    // (tensor/gemm_kernel.h), so `part` carries exactly the bits a full
-    // forward would put at those positions.
-    im2col_region(x.data() + i * in_img, geom_, reg, cols);
-    // The kernel accumulates into C (the full path hands it a zero-filled
-    // tensor); arena scratch must be zeroed the same way each image.
-    std::memset(part, 0,
-                sizeof(float) * static_cast<std::size_t>(units_) * area);
-    gemm_rows_bias(w.data(), cols, part, units_, static_cast<int>(patch),
-                   static_cast<int>(area), active.data(), bias_.value.data(),
-                   /*relu=*/false);
     float* yi = y.data() + i * out_img;
     for (int u = 0; u < units_; ++u) {
       if (!active[static_cast<std::size_t>(u)]) continue;  // stays zero
-      const float* prow = part + static_cast<std::size_t>(u) * area;
+      const float* prow = part + i * part_img + static_cast<std::int64_t>(u) * area;
       float* plane = yi + static_cast<std::int64_t>(u) * oh * ow;
       for (int r = reg.r0; r < reg.r1; ++r) {
         std::memcpy(plane + static_cast<std::size_t>(r) * ow + reg.c0,
@@ -234,14 +247,11 @@ Tensor Conv2d::forward_step(const Tensor& x, const Tensor& cached_y,
   assert(!ctx.training);
   // A head recomputes every unit, which is exactly forward().
   if (cached_y.empty() || is_head_) return forward(x, ctx);
-  const int n = x.dim(0);
-  const int spatial = geom_.out_h() * geom_.out_w();
-  const Tensor& w = effective_weights();
   Tensor y = cached_y;  // reuse results of units evaluated at from_subnet
 
   // Evaluate only the units joining in (from_subnet, subnet_id], through the
-  // SAME dispatcher forward() uses, so step-up follows the active ISA tier's
-  // multiply-add semantics and stays bit-identical to a from-scratch
+  // SAME lowering route forward() uses, so step-up follows the active ISA
+  // tier's multiply-add semantics and stays bit-identical to a from-scratch
   // evaluation. Joining units are zero in cached_y (masked when it was
   // produced), so the kernel's accumulate-into-C is an overwrite for them;
   // reused units are skipped untouched.
@@ -250,19 +260,9 @@ Tensor Conv2d::forward_step(const Tensor& x, const Tensor& cached_y,
     const int sv = (*out_assign_)[static_cast<std::size_t>(u)];
     if (sv > from_subnet && sv <= ctx.subnet_id) fresh[static_cast<std::size_t>(u)] = 1;
   }
-
-  ArenaScope ws;
-  const std::int64_t patch = geom_.patch();
-  float* cols = ws.alloc_floats(static_cast<std::size_t>(patch) * spatial);
-  const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) * geom_.in_h *
-                              geom_.in_w;
-  const std::int64_t out_img = static_cast<std::int64_t>(units_) * spatial;
-  for (int i = 0; i < n; ++i) {
-    im2col(x.data() + i * in_img, geom_, cols);
-    gemm_rows_bias(w.data(), cols, y.data() + i * out_img, units_,
-                   static_cast<int>(patch), spatial, fresh.data(),
-                   bias_.value.data(), /*relu=*/false);
-  }
+  lowered_gemm(x, fresh.data(), ctx.subnet_id,
+               SpatialRegion::full(geom_.out_h(), geom_.out_w()),
+               /*relu=*/false, y.data());
   mask_inactive_units(y, *out_assign_, 1, ctx.subnet_id);
   return y;
 }

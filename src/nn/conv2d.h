@@ -2,6 +2,15 @@
 //
 // Each output filter is a "unit" in the paper's sense; the structural rule
 // s(in) <= s(out) gates whole kernel-column groups of the weight matrix.
+// A unit of subnet l therefore reads only input channels with s(in) <= l,
+// and the fp32 forward, forward_step and forward_delta all take one
+// lowering route (lowered_gemm) that costs what the step computes: it
+// lowers only those channels, gathers the weights of only the computed
+// units and channels, and runs gemm_rows_bias over that compacted
+// contraction. Every dropped term has a structurally zero weight, which
+// every GEMM route on every ISA tier skips, so the output bits equal a
+// full-width lowering's. Heads read every channel; the int8 path and
+// backward keep the full effective weight matrix.
 #pragma once
 
 #include <vector>
@@ -42,6 +51,13 @@ class Conv2d final : public MaskedLayer {
 
  private:
   Tensor forward_impl(const Tensor& x, const SubnetContext& ctx, bool relu);
+  /// The fp32 lowering route: for each image i, out + i * units * area
+  /// (area = region.area()) += W * cols (+ bias, + ReLU if `relu`) over the
+  /// rows flagged in `rows` and the input channels subnet `subnet_id` can
+  /// read, at the output positions of `region` (clipped, non-empty). Rows
+  /// not flagged are untouched; callers pass zeroed flagged rows.
+  void lowered_gemm(const Tensor& x, const unsigned char* rows, int subnet_id,
+                    const SpatialRegion& region, bool relu, float* out);
 
   std::string name_;
   int out_channels_;

@@ -32,7 +32,6 @@ IOSpec DepthwiseConv2d::wire(const IOSpec& in, Rng& rng) {
   // A depthwise unit lives and dies with its producer: share the assignment
   // storage so moves propagate automatically.
   out_assign_ = in_assign_;
-  weights_dirty_ = true;
 
   IOSpec out;
   out.units = in.units;

@@ -6,6 +6,7 @@
 
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
+#include "util/arena.h"
 
 namespace stepping {
 
@@ -24,7 +25,6 @@ MaskedLayer::MaskedLayer(const MaskedLayer& other)
       in_assign_(other.in_assign_),  // re-linked by Network::wire()
       prune_mask_(other.prune_mask_),
       w_eff_(other.w_eff_),
-      weights_dirty_(true),
       imp_acc_(other.imp_acc_) {
   // LR-scale caches point into the layer; rebuild on demand in the clone.
   weight_.elem_lr_scale = nullptr;
@@ -54,13 +54,11 @@ void MaskedLayer::init_structure(int units, int cols, int col_group,
     // Re-wire (e.g. after clone): shapes must match.
     assert(weight_.value.dim(0) == units && weight_.value.dim(1) == cols);
   }
-  weights_dirty_ = true;
 }
 
 void MaskedLayer::set_unit_subnet(int unit, int subnet) {
   assert(unit >= 0 && unit < units_ && subnet >= 1);
   (*out_assign_)[static_cast<std::size_t>(unit)] = subnet;
-  weights_dirty_ = true;
 }
 
 bool MaskedLayer::structurally_active(int unit, int col) const {
@@ -76,14 +74,12 @@ void MaskedLayer::apply_magnitude_prune(float threshold) {
   for (std::size_t i = 0; i < n; ++i) {
     prune_mask_[i] = std::fabs(w[i]) >= threshold ? 1 : 0;
   }
-  weights_dirty_ = true;
 }
 
 void MaskedLayer::revive_unit_row(int unit) {
   assert(unit >= 0 && unit < units_);
   std::memset(prune_mask_.data() + static_cast<std::size_t>(unit) * cols_, 1,
               static_cast<std::size_t>(cols_));
-  weights_dirty_ = true;
 }
 
 void MaskedLayer::revive_in_unit_cols(int in_unit) {
@@ -94,18 +90,15 @@ void MaskedLayer::revive_in_unit_cols(int in_unit) {
     std::uint8_t* row = prune_mask_.data() + static_cast<std::size_t>(u) * cols_;
     std::memset(row + lo, 1, static_cast<std::size_t>(hi - lo));
   }
-  weights_dirty_ = true;
 }
 
 void MaskedLayer::clear_prune_mask() {
   std::fill(prune_mask_.begin(), prune_mask_.end(), std::uint8_t{1});
-  weights_dirty_ = true;
 }
 
 void MaskedLayer::set_prune_mask(const std::vector<std::uint8_t>& mask) {
   assert(mask.size() == prune_mask_.size());
   prune_mask_ = mask;
-  weights_dirty_ = true;
 }
 
 std::int64_t MaskedLayer::active_weights(int subnet_id) const {
@@ -208,45 +201,68 @@ void MaskedLayer::activate_lr_scale(int k) {
   bias_.elem_lr_scale = &bias_lr_scale_[static_cast<std::size_t>(k - 1)];
 }
 
-const Tensor& MaskedLayer::effective_weights() {
-  // Recomputed on every call: weight values change on every optimizer step
-  // and masks change during construction, and neither path can be trusted to
-  // invalidate a cache; one masked copy per forward is cheap at these sizes.
-  //
-  // The pack-cache identity, by contrast, must only change when the bytes
-  // do: while rewriting we bit-compare old vs new (memcpy through uint32 so
-  // ±0 and NaN payloads count as changes — exactly what a packed-byte cache
-  // cares about) and draw a fresh pack_id when anything differed. (The ISA
-  // tier is NOT part of this identity — panel layout varies with the tier's
-  // NR, so the pack cache folds the active tier into its own key and
-  // flushes on set_isa_tier; pack_id only names the weight bytes.) The
-  // per-Param version counter (SGD::step, deserialization) and the dirty
-  // flag are folded in as belt-and-braces for writers that mutate the value
-  // tensor in place without changing any bit we could see mid-race.
-  const bool shape_change = w_eff_.shape() != weight_.value.shape();
-  if (shape_change) w_eff_ = Tensor(weight_.value.shape());
+void MaskedLayer::gather_weights(const unsigned char* rows,
+                                 const std::vector<int>* groups,
+                                 float* dst) const {
+  const int num_groups =
+      groups != nullptr ? static_cast<int>(groups->size()) : cols_ / col_group_;
+  const std::size_t ld = static_cast<std::size_t>(num_groups) * col_group_;
   const float* w = weight_.value.data();
-  float* we = w_eff_.data();
-  std::uint32_t diff = 0;
   for (int u = 0; u < units_; ++u) {
-    const std::size_t base = static_cast<std::size_t>(u) * cols_;
-    for (int c = 0; c < cols_; ++c) {
-      const bool keep = prune_mask_[base + c] && structurally_active(u, c);
-      const float nv = keep ? w[base + c] : 0.0f;
-      std::uint32_t ob, nb;
-      std::memcpy(&ob, &we[base + c], sizeof ob);
-      std::memcpy(&nb, &nv, sizeof nb);
-      diff |= ob ^ nb;
-      we[base + c] = nv;
+    if (rows != nullptr && rows[u] == 0) continue;
+    const int sv = (*out_assign_)[static_cast<std::size_t>(u)];
+    const std::size_t row = static_cast<std::size_t>(u) * cols_;
+    float* d = dst + static_cast<std::size_t>(u) * ld;
+    for (int j = 0; j < num_groups; ++j, d += col_group_) {
+      const int c0 =
+          (groups != nullptr ? (*groups)[static_cast<std::size_t>(j)] : j) *
+          col_group_;
+      if (!is_head_ &&
+          (*in_assign_)[static_cast<std::size_t>(in_unit_of(u, c0))] > sv) {
+        std::fill(d, d + col_group_, 0.0f);  // structural rule: s(in) > s(v)
+        continue;
+      }
+      const float* src = w + row + c0;
+      const std::uint8_t* keep = prune_mask_.data() + row + c0;
+      for (int t = 0; t < col_group_; ++t) d[t] = keep[t] ? src[t] : 0.0f;
     }
   }
-  if (shape_change || diff != 0 || pack_id_ == 0 ||
+}
+
+const Tensor& MaskedLayer::effective_weights() {
+  // The pack-cache identity must only change when the bytes do: the fresh
+  // matrix is gathered into scratch and byte-compared with the previous one
+  // (so ±0 and NaN payloads count as changes — exactly what a packed-byte
+  // cache cares about), and a fresh pack_id is drawn when anything differed.
+  // (The ISA tier is NOT part of this identity — panel layout varies with
+  // the tier's NR, so the pack cache folds the active tier into its own key
+  // and flushes on set_isa_tier; pack_id only names the weight bytes.) The
+  // per-Param version counter (SGD::step, deserialization) is folded in as
+  // belt-and-braces for writers that mutate the value tensor in place
+  // without changing any bit we could see mid-race.
+  const bool shape_change = w_eff_.shape() != weight_.value.shape();
+  if (shape_change) w_eff_ = Tensor(weight_.value.shape());
+  const std::size_t bytes = sizeof(float) * static_cast<std::size_t>(w_eff_.numel());
+  ArenaScope ws;
+  float* fresh = ws.alloc_floats(static_cast<std::size_t>(w_eff_.numel()));
+  gather_weights(nullptr, nullptr, fresh);
+  const bool changed = std::memcmp(fresh, w_eff_.data(), bytes) != 0;
+  if (changed) std::memcpy(w_eff_.data(), fresh, bytes);
+  if (shape_change || changed || pack_id_ == 0 ||
       seen_weight_version_ != weight_.version) {
     pack_id_ = new_pack_id();
   }
   seen_weight_version_ = weight_.version;
-  weights_dirty_ = false;
   return w_eff_;
+}
+
+const std::vector<int>& MaskedLayer::readable_in_units(int subnet_id) {
+  readable_.clear();
+  const Assignment& in = *in_assign_;
+  for (std::size_t c = 0; c < in.size(); ++c) {
+    if (is_head_ || in[c] <= subnet_id) readable_.push_back(static_cast<int>(c));
+  }
+  return readable_;
 }
 
 const std::vector<std::uint8_t>& MaskedLayer::active_flags(int subnet_id) {

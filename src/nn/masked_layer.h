@@ -12,9 +12,10 @@
 //  * prune mask       — unstructured magnitude pruning, non-permanent: the
 //    underlying weight keeps receiving gradient updates and revives when its
 //    unit moves (paper §III-A1);
-//  * subnet selection — units with s(v) > subnet_id are zeroed post-forward
-//    (their weights stay in the effective buffer; zeroing the output row is
-//    equivalent and cheaper).
+//  * subnet selection — units with s(v) > subnet_id are not computed (their
+//    output rows stay zero).
+// gather_weights() applies the first two for any subset of rows and input
+// units; effective_weights() is its full-matrix, cached form.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +40,8 @@ class MaskedLayer : public Layer {
   AssignmentPtr unit_subnet_ptr() { return out_assign_; }
   const Assignment& in_subnet() const { return *in_assign_; }
 
-  /// Move a unit to another subnet (construction only). Marks the effective
-  /// weights dirty; synapse revival is handled by the caller (core::Mover).
+  /// Move a unit to another subnet (construction only); synapse revival is
+  /// handled by the caller (core::Mover).
   void set_unit_subnet(int unit, int subnet);
 
   /// Subnet id of the input unit feeding weight column `col`.
@@ -60,10 +61,7 @@ class MaskedLayer : public Layer {
   /// Head layers (the final classifier) are exempt from the structural rule
   /// and recomputed for every subnet.
   bool is_head() const { return is_head_; }
-  void set_head(bool head) {
-    is_head_ = head;
-    weights_dirty_ = true;
-  }
+  void set_head(bool head) { is_head_ = head; }
 
   /// True iff weight (unit, col) is allowed by the structural rule.
   bool structurally_active(int unit, int col) const;
@@ -125,11 +123,36 @@ class MaskedLayer : public Layer {
   Param& bias() { return bias_; }
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
 
+  /// Effective weights (value x structural mask x prune mask), the full
+  /// units x cols matrix, rewritten from the live weights on every call:
+  /// weight values change on every optimizer step and masks during
+  /// construction, and neither path can be trusted to invalidate a cache.
+  /// The Dense forward, the int8 providers and every backward read it; the
+  /// fp32 conv forwards gather only the rows and input units they compute
+  /// (gather_weights) instead.
+  const Tensor& effective_weights();
+
   /// Pack-cache identity of the current effective weights (see
   /// tensor/gemm_kernel.h). Valid after the last effective_weights() call;
   /// refreshed whenever the effective bytes change, so inference paths can
   /// key the persistent packed-weight cache on it. 0 until first use.
   std::uint64_t pack_id() const { return pack_id_; }
+
+  /// Write the effective weights of the rows with rows[u] != 0 (every row if
+  /// null), restricted to the column groups `groups` (ascending; every group
+  /// if null), densely: row u lands at dst + u * ld, ld = number of groups x
+  /// col_group(), its groups back to back in list order; other rows are not
+  /// written. Group g holds columns [g, g + 1) x col_group(), so for Conv2d
+  /// and Dense it is input unit g. The structural rule is applied once per
+  /// (unit, group) and the prune mask per element.
+  void gather_weights(const unsigned char* rows, const std::vector<int>* groups,
+                      float* dst) const;
+
+  /// Input units the executing subnet can read, ascending: those with
+  /// s(in) <= subnet_id, or every input unit for a head. A unit of the
+  /// subnet reads no other input unit (structural rule). Returns a scratch
+  /// buffer valid until the next call.
+  const std::vector<int>& readable_in_units(int subnet_id);
 
  protected:
   /// Called by subclasses from wire(): sizes all masks/accumulators.
@@ -138,15 +161,10 @@ class MaskedLayer : public Layer {
                       std::int64_t macs_per_weight, AssignmentPtr in_assign,
                       Rng& rng, int fan_in);
 
-  /// Effective weights (value * structural mask * prune mask); refreshed
-  /// lazily. Subclasses use this in forward.
-  const Tensor& effective_weights();
-
   /// Per-unit activity flags for the executing subnet (1 = compute this
   /// unit). Heads are always fully active. Returns a scratch buffer valid
   /// until the next call.
   const std::vector<std::uint8_t>& active_flags(int subnet_id);
-  void mark_weights_dirty() { weights_dirty_ = true; }
 
   /// Zero grad rows of inactive units, mirroring forward's output masking.
   /// `rows_are_units`: grad laid out (units x anything) after reshape.
@@ -174,10 +192,10 @@ class MaskedLayer : public Layer {
 
   std::vector<std::uint8_t> prune_mask_;  // 1 = keep
   Tensor w_eff_;
-  bool weights_dirty_ = true;
   std::uint64_t pack_id_ = 0;  ///< cache identity of w_eff_'s current bytes
   std::uint64_t seen_weight_version_ = 0;  ///< weight_.version at last refresh
   std::vector<std::uint8_t> active_flags_;  // scratch for active_flags()
+  std::vector<int> readable_;               // scratch for readable_in_units()
 
   std::vector<std::vector<double>> imp_acc_;
 

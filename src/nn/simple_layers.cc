@@ -17,13 +17,10 @@ IOSpec ReLU::wire(const IOSpec& in, Rng& rng) {
 }
 
 Tensor ReLU::forward(const Tensor& x, const SubnetContext& ctx) {
+  // Only training records the backward mask: an inference forward between a
+  // training forward and its backward must not overwrite it.
   Tensor y;
-  if (ctx.training) {
-    relu_forward(x, y, mask_);
-  } else {
-    std::vector<unsigned char> scratch;
-    relu_forward(x, y, scratch);
-  }
+  relu_forward(x, y, ctx.training ? &mask_ : nullptr);
   return y;
 }
 
@@ -51,16 +48,18 @@ IOSpec MaxPool2d::wire(const IOSpec& in, Rng& rng) {
 }
 
 Tensor MaxPool2d::forward(const Tensor& x, const SubnetContext& ctx) {
-  (void)ctx;
-  in_shape_ = x.shape();
+  // The argmax is backward state: training-only, like ReLU's mask.
   Tensor y;
-  maxpool_forward(x, k_, y, argmax_);
+  maxpool_forward(x, k_, y, ctx.training ? &argmax_ : nullptr);
   return y;
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_y, const SubnetContext& ctx) {
   (void)ctx;
-  Tensor grad_x(in_shape_);
+  // wire() requires extents divisible by k, so the input is exactly k x k
+  // times the output plane.
+  Tensor grad_x({grad_y.dim(0), grad_y.dim(1), grad_y.dim(2) * k_,
+                 grad_y.dim(3) * k_});
   maxpool_backward(grad_y, argmax_, grad_x);
   return grad_x;
 }
@@ -72,6 +71,9 @@ Tensor MaxPool2d::backward(const Tensor& grad_y, const SubnetContext& ctx) {
 IOSpec Flatten::wire(const IOSpec& in, Rng& rng) {
   (void)rng;
   if (in.flat) throw std::invalid_argument(name_ + ": input already flat");
+  in_c_ = in.units;
+  in_h_ = in.h;
+  in_w_ = in.w;
   IOSpec out;
   out.units = in.units;
   out.features_per_unit = in.h * in.w;
@@ -82,8 +84,8 @@ IOSpec Flatten::wire(const IOSpec& in, Rng& rng) {
 
 Tensor Flatten::forward(const Tensor& x, const SubnetContext& ctx) {
   (void)ctx;
-  assert(x.rank() == 4);
-  in_shape_ = x.shape();
+  assert(x.rank() == 4 && x.dim(1) == in_c_ && x.dim(2) == in_h_ &&
+         x.dim(3) == in_w_);
   const int n = x.dim(0);
   const int f = static_cast<int>(x.numel() / n);
   return x.reshaped({n, f});
@@ -91,7 +93,9 @@ Tensor Flatten::forward(const Tensor& x, const SubnetContext& ctx) {
 
 Tensor Flatten::backward(const Tensor& grad_y, const SubnetContext& ctx) {
   (void)ctx;
-  return grad_y.reshaped(in_shape_);
+  // The input shape is fixed at wire time, so no forward (training or not)
+  // has to leave state behind for this pass.
+  return grad_y.reshaped({grad_y.dim(0), in_c_, in_h_, in_w_});
 }
 
 }  // namespace stepping

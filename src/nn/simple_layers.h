@@ -57,7 +57,6 @@ class MaxPool2d final : public Layer {
   std::string name_;
   int k_;
   std::vector<int> argmax_;
-  std::vector<int> in_shape_;
 };
 
 class Flatten final : public Layer {
@@ -73,7 +72,7 @@ class Flatten final : public Layer {
 
  private:
   std::string name_;
-  std::vector<int> in_shape_;
+  int in_c_ = 0, in_h_ = 0, in_w_ = 0;  ///< wired input extents
 };
 
 }  // namespace stepping

@@ -24,6 +24,15 @@ bool get(const std::vector<std::uint8_t>& in, std::size_t& at, T& v) {
   return true;
 }
 
+/// Appends the bytes of `v` (none for an empty vector, whose data() may be
+/// null, which memcpy must not be passed even for zero bytes).
+void append_floats(std::vector<std::uint8_t>& out, const std::vector<float>& v) {
+  if (v.empty()) return;
+  const std::size_t at = out.size();
+  out.resize(at + v.size() * sizeof(float));
+  std::memcpy(out.data() + at, v.data(), v.size() * sizeof(float));
+}
+
 bool send_all(int fd, const std::uint8_t* data, std::size_t len) {
   while (len > 0) {
     const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
@@ -55,10 +64,7 @@ std::vector<std::uint8_t> encode_request(const WireRequest& req) {
   put(out, req.c);
   put(out, req.h);
   put(out, req.w);
-  const std::size_t at = out.size();
-  out.resize(at + req.data.size() * sizeof(float));
-  std::memcpy(out.data() + at, req.data.data(),
-              req.data.size() * sizeof(float));
+  append_floats(out, req.data);
   return out;
 }
 
@@ -78,8 +84,18 @@ bool decode_request(const std::vector<std::uint8_t>& payload,
       !get(payload, at, req.w)) {
     return false;
   }
+  // Bound every extent by what the payload can hold BEFORE multiplying: an
+  // unchecked c*h*w can wrap (c=27905, h=429509837, w=384773 gives 2^62+1,
+  // whose byte count wraps to 4), pass the size check and then fail to
+  // allocate.
+  const std::uint64_t max_numel = (payload.size() - at) / sizeof(float);
+  if (req.c == 0 || req.h == 0 || req.w == 0 || req.c > max_numel ||
+      req.h > max_numel / req.c ||
+      req.w > max_numel / (static_cast<std::uint64_t>(req.c) * req.h)) {
+    return false;
+  }
   const std::uint64_t numel = static_cast<std::uint64_t>(req.c) * req.h * req.w;
-  if (numel == 0 || payload.size() - at != numel * sizeof(float)) return false;
+  if (payload.size() - at != numel * sizeof(float)) return false;
   req.data.resize(static_cast<std::size_t>(numel));
   std::memcpy(req.data.data(), payload.data() + at, numel * sizeof(float));
   return true;
@@ -94,10 +110,7 @@ std::vector<std::uint8_t> encode_reply(const WireReply& reply) {
   put(out, reply.first_result_ms);
   put(out, reply.final_ms);
   put(out, static_cast<std::uint32_t>(reply.logits.size()));
-  const std::size_t at = out.size();
-  out.resize(at + reply.logits.size() * sizeof(float));
-  std::memcpy(out.data() + at, reply.logits.data(),
-              reply.logits.size() * sizeof(float));
+  append_floats(out, reply.logits);
   return out;
 }
 
@@ -114,8 +127,12 @@ bool decode_reply(const std::vector<std::uint8_t>& payload, WireReply& reply) {
   }
   if (payload.size() - at != num_logits * sizeof(float)) return false;
   reply.logits.resize(num_logits);
-  std::memcpy(reply.logits.data(), payload.data() + at,
-              num_logits * sizeof(float));
+  // memcpy's pointers must be valid even for zero bytes, and an empty
+  // vector's data() may be null.
+  if (num_logits != 0) {
+    std::memcpy(reply.logits.data(), payload.data() + at,
+                num_logits * sizeof(float));
+  }
   return true;
 }
 

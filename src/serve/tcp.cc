@@ -84,34 +84,37 @@ void TcpServer::handle_connection(int fd) {
   std::vector<std::uint8_t> payload;
   WireRequest req;
   while (!stop_.load() && read_frame(fd, payload)) {
-    if (!decode_request(payload, req)) break;  // malformed: drop connection
-    if (req.opcode == Opcode::kShutdown) {
-      write_frame(fd, {});  // ack before tearing the listener down
-      stop();
-      break;
-    }
-    if (req.opcode == Opcode::kStats || req.opcode == Opcode::kStatsProm ||
-        req.opcode == Opcode::kTimeline) {
-      const std::string text = req.opcode == Opcode::kStats
-                                   ? server_.metrics_json()
-                               : req.opcode == Opcode::kStatsProm
-                                   ? server_.metrics_prometheus()
-                                   : server_.postmortems_json();
-      if (!write_frame(fd, std::vector<std::uint8_t>(text.begin(),
-                                                     text.end()))) {
+    WireReply reply;
+    // Decoding and tensor construction sit inside the try too: this is the
+    // connection thread's entry, and an exception escaping it would
+    // terminate the whole server.
+    try {
+      if (!decode_request(payload, req)) break;  // malformed: drop connection
+      if (req.opcode == Opcode::kShutdown) {
+        write_frame(fd, {});  // ack before tearing the listener down
+        stop();
         break;
       }
-      continue;
-    }
-    Request request;
-    request.input =
-        Tensor({1, static_cast<int>(req.c), static_cast<int>(req.h),
-                static_cast<int>(req.w)},
-               std::move(req.data));
-    request.deadline_ms = req.deadline_ms;
-    request.mac_budget = req.mac_budget;
-    WireReply reply;
-    try {
+      if (req.opcode == Opcode::kStats || req.opcode == Opcode::kStatsProm ||
+          req.opcode == Opcode::kTimeline) {
+        const std::string text = req.opcode == Opcode::kStats
+                                     ? server_.metrics_json()
+                                 : req.opcode == Opcode::kStatsProm
+                                     ? server_.metrics_prometheus()
+                                     : server_.postmortems_json();
+        if (!write_frame(fd, std::vector<std::uint8_t>(text.begin(),
+                                                       text.end()))) {
+          break;
+        }
+        continue;
+      }
+      Request request;
+      request.input =
+          Tensor({1, static_cast<int>(req.c), static_cast<int>(req.h),
+                  static_cast<int>(req.w)},
+                 std::move(req.data));
+      request.deadline_ms = req.deadline_ms;
+      request.mac_budget = req.mac_budget;
       ServedResult res = server_.serve(std::move(request));
       reply.exit_subnet = static_cast<std::uint32_t>(res.exit_subnet);
       reply.confidence = res.confidence;
@@ -122,7 +125,8 @@ void TcpServer::handle_connection(int fd) {
       reply.logits.assign(res.logits.data(),
                           res.logits.data() + res.logits.numel());
     } catch (const std::exception&) {
-      // Rejected (bad shape / queue full): reply with exit_subnet == 0.
+      // Rejected (bad shape / queue full / allocation failure): reply with
+      // exit_subnet == 0.
     }
     if (!write_frame(fd, encode_reply(reply))) break;
   }

@@ -190,8 +190,14 @@ void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
                        const float* bias, bool relu, std::uint64_t pack_id);
 
 /// gemm_rows, then per active row i: C(i,j) += bias[i] for every j, plus the
-/// optional ReLU — the Conv2d forward epilogue (bias per output unit). The
-/// B operand (im2col patches) is transient, so there is no pack_id here.
+/// optional ReLU — the Conv2d forward epilogue (bias per output unit).
+/// Conv2d calls it on a compacted contraction: A holds the weights of only
+/// the input channels the executing subnet can read (gathered per call, so
+/// rows it does not flag may be garbage — flagged-off rows are never read)
+/// and B the im2col rows of only those channels. The terms this drops have
+/// structurally zero A operands, which every route skips (av == 0), so C's
+/// bits equal a full-width call's. Both operands are transient, so there is
+/// no pack_id here.
 void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,
                     int n, const unsigned char* row_active, const float* bias,
                     bool relu);

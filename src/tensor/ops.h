@@ -122,8 +122,14 @@ struct Conv2dGeometry {
 };
 
 /// im2col for one image: x is (C, H, W) flattened within a batch tensor;
-/// writes a (patch, out_h*out_w) column matrix.
-void im2col(const float* x, const Conv2dGeometry& g, float* cols);
+/// writes a (patch, out_h*out_w) column matrix. With `channels` (ascending
+/// input channel ids) only those channels are lowered: the result has
+/// channels->size() * k * k rows, the full matrix's row blocks of the listed
+/// channels in list order — what a conv needs when its executing subnet
+/// reads only some input channels (the rest would meet structurally zero
+/// weights, which every GEMM route skips).
+void im2col(const float* x, const Conv2dGeometry& g, float* cols,
+            const std::vector<int>* channels = nullptr);
 
 /// Half-open spatial rectangle [r0, r1) x [c0, c1) over one H x W plane —
 /// the dirty-region currency of the streaming delta path (ISSUE 10).
@@ -169,8 +175,10 @@ SpatialRegion conv_dirty_out_region(const Conv2dGeometry& g,
 /// path: a GEMM over these columns reproduces the full pass's bits for the
 /// region because every output element's FP sequence depends only on its own
 /// column (see tensor/gemm_kernel.h's determinism contract).
+/// `channels` compacts the rows exactly as in im2col.
 void im2col_region(const float* x, const Conv2dGeometry& g,
-                   const SpatialRegion& region, float* cols);
+                   const SpatialRegion& region, float* cols,
+                   const std::vector<int>* channels = nullptr);
 
 /// col2im scatter-add, inverse of im2col (for input gradients).
 void col2im(const float* cols, const Conv2dGeometry& g, float* x);
@@ -179,9 +187,11 @@ void col2im(const float* cols, const Conv2dGeometry& g, float* x);
 // Pooling.
 // ---------------------------------------------------------------------------
 
-/// 2x2 (or kxk) max pooling, stride == k. Records argmax indices for the
-/// backward pass (same shape as output).
-void maxpool_forward(const Tensor& x, int k, Tensor& y, std::vector<int>& argmax);
+/// 2x2 (or kxk) max pooling, stride == k. When `argmax` is non-null it also
+/// records the argmax indices for the backward pass (same shape as output);
+/// inference passes null and skips that work — y is the same either way.
+void maxpool_forward(const Tensor& x, int k, Tensor& y,
+                     std::vector<int>* argmax = nullptr);
 void maxpool_backward(const Tensor& grad_y, const std::vector<int>& argmax,
                       Tensor& grad_x);
 
@@ -197,8 +207,11 @@ void global_avgpool_backward(const Tensor& grad_y, int h, int w, Tensor& grad_x)
 /// stabilized by max subtraction.
 void softmax_rows(const Tensor& logits, Tensor& probs);
 
-/// y = max(x, 0); mask records x > 0 for the backward pass.
-void relu_forward(const Tensor& x, Tensor& y, std::vector<unsigned char>& mask);
+/// y = x where x > 0, else +0 (NaN and -0 map to +0). When `mask` is
+/// non-null it also records x > 0 for the backward pass; inference passes
+/// null and skips that work — y is the same either way.
+void relu_forward(const Tensor& x, Tensor& y,
+                  std::vector<unsigned char>* mask = nullptr);
 void relu_backward(const Tensor& grad_y, const std::vector<unsigned char>& mask,
                    Tensor& grad_x);
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <functional>
 #include <memory>
 
@@ -477,6 +479,104 @@ TEST(ReLULayerTest, GradientBlockedAtNegative) {
   EXPECT_EQ(gx[1], 1.0f);
   EXPECT_EQ(gx[2], 0.0f);
   EXPECT_EQ(gx[3], 1.0f);
+}
+
+// Bug pin: an inference forward between a training forward and its backward
+// used to overwrite MaxPool2d's argmax and input shape, routing gradients
+// through the eval input's maxima.
+TEST(MaxPoolLayerTest, InferenceForwardKeepsTrainingBackwardState) {
+  Rng rng(23);
+  Tensor x1({2, 3, 4, 6});
+  Tensor x2({2, 3, 4, 6});
+  fill_normal(x1, 0.0f, 1.0f, rng);
+  fill_normal(x2, 0.0f, 1.0f, rng);
+  Tensor g({2, 3, 2, 3});
+  fill_normal(g, 0.0f, 1.0f, rng);
+  SubnetContext train;
+  train.training = true;
+  SubnetContext eval;
+
+  MaxPool2d ref("p", 2);
+  ref.wire(image_spec(3, 4, 6), rng);
+  ref.forward(x1, train);
+  const Tensor want = ref.backward(g, train);
+
+  MaxPool2d pool("p", 2);
+  pool.wire(image_spec(3, 4, 6), rng);
+  pool.forward(x1, train);
+  pool.forward(x2, eval);
+  const Tensor got = pool.backward(g, train);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<std::size_t>(want.numel())),
+            0);
+}
+
+/// NaN, both zeros and both infinities in every pooling-window position.
+Tensor special_values() {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  return Tensor({1, 2, 4, 4},
+                {nan, 1.0f, -0.0f, 0.0f,   -inf, nan, inf, -1.0f,
+                 0.0f, -0.0f, nan, nan,    -0.0f, 0.0f, nan, -inf,
+                 inf, nan, -inf, -inf,     -2.0f, nan, -0.0f, -inf,
+                 nan, nan, nan, nan,       0.0f, -0.0f, -0.0f, 0.0f});
+}
+
+TEST(ReLULayerTest, InferenceOutputBitwiseEqualsTrainingOnSpecialValues) {
+  Rng rng(24);
+  ReLU relu("r");
+  relu.wire(image_spec(2, 4, 4), rng);
+  const Tensor x = special_values();
+  SubnetContext train;
+  train.training = true;
+  const Tensor a = relu.forward(x, train);
+  const Tensor b = relu.forward(x, SubnetContext{});
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        sizeof(float) * static_cast<std::size_t>(a.numel())),
+            0);
+  // NaN and -0 both map to +0.
+  for (std::int64_t i = 0; i < b.numel(); ++i) {
+    EXPECT_FALSE(std::isnan(b[i]));
+    EXPECT_FALSE(std::signbit(b[i]));
+  }
+}
+
+TEST(MaxPoolLayerTest, InferenceOutputBitwiseEqualsTrainingOnSpecialValues) {
+  Rng rng(25);
+  // 2x2 windows over every special value, then 3x3 windows over random
+  // values salted with the specials.
+  Tensor mixed({2, 3, 6, 6});
+  fill_normal(mixed, 0.0f, 1.0f, rng);
+  const Tensor specials = special_values();
+  for (std::int64_t i = 0; i < mixed.numel(); i += 3) {
+    mixed[i] = specials[(i / 3) % specials.numel()];
+  }
+  for (const int k : {2, 3}) {
+    const Tensor& x = k == 2 ? specials : mixed;
+    MaxPool2d pool("p", k);
+    pool.wire(image_spec(x.dim(1), x.dim(2), x.dim(3)), rng);
+    SubnetContext train;
+    train.training = true;
+    const Tensor a = pool.forward(x, train);
+    const Tensor b = pool.forward(x, SubnetContext{});
+    ASSERT_EQ(a.shape(), b.shape());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          sizeof(float) * static_cast<std::size_t>(a.numel())),
+              0)
+        << "k=" << k;
+    if (k == 2) {
+      // Each window's first strict maximum in (dy, dx) order, from -inf:
+      // NaN is never taken, a -0 ahead of +0 stays -0, and an all-NaN (or
+      // all -inf) window gives -inf.
+      const float inf = std::numeric_limits<float>::infinity();
+      const Tensor want({1, 2, 2, 2},
+                        {1.0f, inf, 0.0f, -inf, inf, -0.0f, 0.0f, -0.0f});
+      ASSERT_EQ(b.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(b.data(), want.data(), sizeof(float) * 8), 0);
+    }
+  }
 }
 
 }  // namespace

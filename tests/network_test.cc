@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "nn/batchnorm.h"
@@ -90,6 +91,45 @@ TEST(Network, TrainingReducesLoss) {
     last = s.loss;
   }
   EXPECT_LT(last, first * 0.5);  // memorizes a fixed batch quickly
+}
+
+// An eval forward between a training forward and its backward (e.g. an
+// evaluation in the middle of a step) must leave the training pass's
+// backward state alone: the gradients equal an uninterrupted pass's.
+TEST(Network, EvalForwardBetweenTrainingForwardAndBackwardKeepsGradients) {
+  Network net = tiny_net();
+  Network ref = net.clone();
+  Rng rng(17);
+  Tensor x1({2, 3, 8, 8});
+  Tensor x2({3, 3, 8, 8});
+  fill_normal(x1, 0.0f, 1.0f, rng);
+  fill_normal(x2, 0.0f, 1.0f, rng);
+  Tensor g({2, 4});
+  fill_normal(g, 0.0f, 1.0f, rng);
+  SubnetContext train;
+  train.training = true;
+  SubnetContext eval;
+
+  for (Param* p : ref.params()) p->zero_grad();
+  ref.forward(x1, train);
+  ref.backward(g, train);
+
+  for (Param* p : net.params()) p->zero_grad();
+  net.forward(x1, train);
+  net.forward(x2, eval);
+  net.backward(g, train);
+
+  const auto want = ref.params();
+  const auto got = net.params();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i]->grad.shape(), got[i]->grad.shape()) << want[i]->name;
+    EXPECT_EQ(std::memcmp(want[i]->grad.data(), got[i]->grad.data(),
+                          sizeof(float) * static_cast<std::size_t>(
+                                              want[i]->grad.numel())),
+              0)
+        << want[i]->name;
+  }
 }
 
 TEST(Network, CloneIsIndependentDeepCopy) {

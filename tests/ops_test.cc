@@ -178,7 +178,7 @@ TEST(MaxPool, ForwardPicksMaxima) {
   for (int i = 0; i < 16; ++i) x[i] = static_cast<float>(i);
   Tensor y;
   std::vector<int> argmax;
-  maxpool_forward(x, 2, y, argmax);
+  maxpool_forward(x, 2, y, &argmax);
   EXPECT_EQ(y.shape(), (std::vector<int>{1, 1, 2, 2}));
   EXPECT_EQ(y[0], 5.0f);
   EXPECT_EQ(y[1], 7.0f);
@@ -191,7 +191,7 @@ TEST(MaxPool, BackwardRoutesToArgmax) {
   for (int i = 0; i < 16; ++i) x[i] = static_cast<float>(i);
   Tensor y;
   std::vector<int> argmax;
-  maxpool_forward(x, 2, y, argmax);
+  maxpool_forward(x, 2, y, &argmax);
   Tensor gy({1, 1, 2, 2});
   gy.fill(1.0f);
   Tensor gx({1, 1, 4, 4});
@@ -210,7 +210,7 @@ TEST(MaxPool, NegativeValuesHandled) {
   x[3] = -2.0f;
   Tensor y;
   std::vector<int> argmax;
-  maxpool_forward(x, 2, y, argmax);
+  maxpool_forward(x, 2, y, &argmax);
   EXPECT_EQ(y[0], -1.0f);
 }
 
@@ -239,7 +239,7 @@ TEST(Relu, ForwardBackwardConsistent) {
   Tensor x({4}, {-1.0f, 0.0f, 2.0f, -3.0f});
   Tensor y;
   std::vector<unsigned char> mask;
-  relu_forward(x, y, mask);
+  relu_forward(x, y, &mask);
   EXPECT_EQ(y[0], 0.0f);
   EXPECT_EQ(y[2], 2.0f);
   Tensor gy({4}, {1.0f, 1.0f, 1.0f, 1.0f});

@@ -1,6 +1,11 @@
 // Loopback TCP front end tests (ISSUE 2): wire-format round trips and a
 // multi-client smoke test against an in-process server — replies must carry
 // logits bitwise-identical to a direct forward of the exit subnet.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -92,6 +97,63 @@ TEST(ServeProtocol, DecodeRejectsTruncatedPayloads) {
   EXPECT_FALSE(decode_request(bytes, out));
   WireReply reply_out;
   EXPECT_FALSE(decode_reply({0x01, 0x02}, reply_out));
+}
+
+/// A kInfer payload declaring extents (c, h, w) followed by `floats` data
+/// values, whatever the extents claim.
+std::vector<std::uint8_t> infer_frame(std::uint32_t c, std::uint32_t h,
+                                      std::uint32_t w, std::size_t floats) {
+  WireRequest req;
+  req.opcode = Opcode::kInfer;
+  req.c = c;
+  req.h = h;
+  req.w = w;
+  req.data.assign(floats, 0.5f);
+  return encode_request(req);
+}
+
+/// 27905 * 429509837 * 384773 = 2^62 + 1, so numel * 4 wraps to 4 bytes:
+/// exactly the one float this 33-byte frame carries.
+std::vector<std::uint8_t> wrapping_frame() {
+  return infer_frame(27905u, 429509837u, 384773u, 1);
+}
+
+TEST(ServeProtocol, DecodeRejectsFrameWhoseByteCountWraps) {
+  const std::vector<std::uint8_t> frame = wrapping_frame();
+  ASSERT_EQ(frame.size(), 33u);
+  WireRequest out;
+  EXPECT_FALSE(decode_request(frame, out));
+  EXPECT_TRUE(out.data.empty());
+}
+
+TEST(ServeProtocol, DecodeBoundsEveryExtentBeforeMultiplying) {
+  struct Case {
+    std::uint32_t c, h, w;
+    std::size_t floats;
+    bool ok;
+  };
+  const std::uint32_t big = 1u << 31;
+  const Case cases[] = {
+      {3, 4, 1, 12, true},   {12, 1, 1, 12, true},  {1, 12, 1, 12, true},
+      {1, 1, 12, 12, true},  {2, 2, 3, 12, true},   {13, 1, 1, 12, false},
+      {1, 13, 1, 12, false}, {1, 1, 13, 12, false}, {3, 4, 2, 12, false},
+      {3, 4, 1, 13, false},  {0, 4, 3, 12, false},  {4, 0, 3, 12, false},
+      {4, 3, 0, 12, false},
+      // c*h*w = 2^62 and 2^63: numel * 4 wraps to 0 bytes.
+      {big, big, 1, 0, false}, {big, big, 2, 0, false},
+      // Each extent alone exceeds what 4 floats can hold.
+      {0xffffffffu, 1, 1, 4, false}, {1, 0xffffffffu, 1, 4, false},
+      {1, 1, 0xffffffffu, 4, false},
+      {0xffffffffu, 0xffffffffu, 0xffffffffu, 4, false},
+  };
+  for (const Case& k : cases) {
+    WireRequest out;
+    EXPECT_EQ(decode_request(infer_frame(k.c, k.h, k.w, k.floats), out), k.ok)
+        << k.c << "x" << k.h << "x" << k.w << " with " << k.floats << " floats";
+    if (k.ok) {
+      EXPECT_EQ(out.data.size(), k.floats);
+    }
+  }
 }
 
 TEST(ServeTcp, MultiClientSmokeWithBitwiseParity) {
@@ -282,6 +344,46 @@ TEST(ServeTcp, TimelineOpcodeReturnsPostmortemBytes) {
 
   {
     TcpClient client(tcp.port());
+    EXPECT_TRUE(client.shutdown_server());
+  }
+  loop.join();
+  server.shutdown();
+}
+
+// Bug pin: the wrapping frame used to throw from vector::resize on the
+// connection thread, outside any try, which terminated the server process.
+// Now the frame is rejected, that connection dropped, and the server keeps
+// serving other clients.
+TEST(ServeTcp, HostileFrameDropsConnectionServerKeepsServing) {
+  Network net = nested_net();
+  ServeConfig cfg;
+  cfg.max_subnet = 3;
+  cfg.num_workers = 1;
+  Server server(net, cfg);
+  TcpServer tcp(server, /*port=*/0);
+  ASSERT_GT(tcp.port(), 0);
+  std::thread loop([&] { tcp.run(); });
+
+  {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(tcp.port()));
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ASSERT_TRUE(write_frame(fd, wrapping_frame()));
+    std::vector<std::uint8_t> reply;
+    EXPECT_FALSE(read_frame(fd, reply));  // connection dropped, no reply
+    ::close(fd);
+  }
+  {
+    TcpClient client(tcp.port());
+    WireReply reply;
+    ASSERT_TRUE(client.infer(random_input(3), /*deadline_ms=*/0.0,
+                             /*mac_budget=*/0, reply));
+    EXPECT_GT(reply.exit_subnet, 0u);
     EXPECT_TRUE(client.shutdown_server());
   }
   loop.join();

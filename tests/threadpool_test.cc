@@ -280,11 +280,11 @@ TEST_F(ParallelKernelParity, SoftmaxAndReluMatchSerialBitwise) {
   const Tensor x = random_tensor({2, 16, 32, 32}, rng);
   check_parity("relu_forward", Tensor(x.shape()), [&](Tensor& y) {
     std::vector<unsigned char> mask;
-    relu_forward(x, y, mask);
+    relu_forward(x, y, &mask);
   });
   std::vector<unsigned char> mask;
   Tensor y0(x.shape());
-  relu_forward(x, y0, mask);
+  relu_forward(x, y0, &mask);
   check_parity("relu_backward", Tensor(x.shape()),
                [&](Tensor& gx) { relu_backward(x, mask, gx); });
 }
