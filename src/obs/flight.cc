@@ -53,6 +53,7 @@ const char* halt_reason_name(HaltReason r) {
     case HaltReason::kShutdown: return "shutdown";
     case HaltReason::kRejected: return "rejected";
     case HaltReason::kAdmitRejected: return "admit_rejected";
+    case HaltReason::kFailed: return "failed";
   }
   return "unknown";
 }

@@ -83,6 +83,7 @@ enum class HaltReason : int {
   /// planner predicted even the smallest subnet would finish past the
   /// deadline at the current queue depth, so no GEMM was spent on it.
   kAdmitRejected = 8,
+  kFailed = 9,  ///< a throw inside its serve pass; the future holds the error
 };
 
 const char* flight_event_name(FlightEventKind k);

@@ -4,56 +4,6 @@
 
 namespace stepping::serve {
 
-RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {}
-
-RequestQueue::Key RequestQueue::key_of(const Job& job) {
-  // No deadline sorts after every real deadline; ties resolve FIFO by seq.
-  const double sort_deadline = job.deadline_abs_ms > 0.0
-                                   ? job.deadline_abs_ms
-                                   : std::numeric_limits<double>::infinity();
-  return {sort_deadline, job.seq};
-}
-
-bool RequestQueue::push(Job&& job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || jobs_.size() >= capacity_) return false;
-    jobs_.emplace(key_of(job), std::move(job));
-  }
-  cv_.notify_one();
-  return true;
-}
-
-bool RequestQueue::pop_batch(int max_batch, std::vector<Job>& out) {
-  out.clear();
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return closed_ || !jobs_.empty(); });
-  if (jobs_.empty()) return false;  // closed and drained
-  while (!jobs_.empty() && static_cast<int>(out.size()) < max_batch) {
-    auto it = jobs_.begin();
-    out.push_back(std::move(it->second));
-    jobs_.erase(it);
-  }
-  return true;
-}
-
-void RequestQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
-  cv_.notify_all();
-}
-
-std::size_t RequestQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return jobs_.size();
-}
-
-// ---------------------------------------------------------------------------
-// LevelRunQueue (batch re-formation, ISSUE 9)
-// ---------------------------------------------------------------------------
-
 LevelRunQueue::LevelRunQueue(std::size_t capacity, int max_level)
     : buckets_(static_cast<std::size_t>(max_level < 1 ? 1 : max_level)),
       capacity_(capacity) {}

@@ -1,5 +1,4 @@
-// Thread-safe earliest-deadline-first request queue with micro-batch pops,
-// plus the level-indexed run-queue of the batch re-formation path (ISSUE 9).
+// The serve job and the level-indexed run queue the workers share.
 #pragma once
 
 #include <condition_variable>
@@ -21,11 +20,11 @@ namespace stepping::serve {
 /// server's monotonic clock (Server start = 0) so the queue itself never
 /// reads a clock — tests drive it with synthetic values.
 ///
-/// Under batch re-formation (ISSUE 9) a Job is additionally the MIGRATABLE
-/// per-request ladder state: after each batched step the survivors go back
-/// into the level-indexed run-queue carrying their cached activations, MAC
-/// spend and flight handle, so the next pass may re-merge them with
-/// survivors of *other* micro-batches (or another worker may pick them up).
+/// A Job is also the MIGRATABLE per-request ladder state: after each batched
+/// step the survivors go back into the run queue carrying their cached
+/// activations, MAC spend and flight handle, so the next pass may re-merge
+/// them with survivors of *other* batches (or another worker may pick them
+/// up).
 struct Job {
   std::uint64_t seq = 0;        ///< admission order, the EDF tie-breaker
   Tensor input;                 ///< (1, C, H, W)
@@ -37,7 +36,7 @@ struct Job {
   std::function<void(const StepUpdate&)> on_step;
   std::promise<ServedResult> promise;
 
-  // -- Migratable ladder state (batch re-formation only) -------------------
+  // -- Migratable ladder state ---------------------------------------------
   int level = 0;         ///< cached subnet level (0 = not yet executed)
   int target = 0;        ///< planned target level (0 = not yet planned)
   int admit_target = 0;  ///< admission-control degrade cap; 0 = uncapped
@@ -54,47 +53,13 @@ struct Job {
   int acts_row = 0;
 };
 
-/// Bounded MPMC queue ordered by (deadline, admission order): the request
-/// whose deadline expires first is served first; requests without a deadline
-/// sort after all deadlined ones, FIFO among themselves. pop_batch() hands a
-/// worker up to `max_batch` jobs at once — the micro-batch that is then
-/// stepped through the subnet ladder together.
-class RequestQueue {
- public:
-  explicit RequestQueue(std::size_t capacity);
-
-  /// Admit a job. Returns false (job untouched) when the queue is at
-  /// capacity or closed — the caller owns the rejection path.
-  bool push(Job&& job);
-
-  /// Blocks until at least one job is available (or the queue is closed),
-  /// then moves up to `max_batch` jobs in EDF order into `out` (cleared
-  /// first). Returns false only when closed and drained.
-  bool pop_batch(int max_batch, std::vector<Job>& out);
-
-  /// Close the queue: push() fails from now on; pop_batch() drains what is
-  /// left, then returns false.
-  void close();
-
-  std::size_t depth() const;
-
- private:
-  using Key = std::pair<double, std::uint64_t>;  ///< (deadline sort key, seq)
-  static Key key_of(const Job& job);
-
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::map<Key, Job> jobs_;
-  std::size_t capacity_;
-  bool closed_ = false;
-};
-
-/// Level-indexed run-queue of the batch re-formation path (ISSUE 9): bucket
-/// L holds requests whose cached ladder state is subnet L, waiting to step
-/// to L+1 (bucket 0 = fresh admissions). Each bucket is EDF-ordered like
-/// RequestQueue. pop_batch() hands a worker up to `max_batch` SAME-LEVEL
+/// Level-indexed run-queue: bucket L holds requests whose cached ladder
+/// state is subnet L, waiting to step to L+1 (bucket 0 = fresh admissions).
+/// Each bucket is ordered by (deadline, admission order): the earliest
+/// deadline first, requests without a deadline after every deadlined one,
+/// FIFO on ties. pop_batch() hands a worker up to `max_batch` SAME-LEVEL
 /// jobs — a batched pass shares one subnet, so only same-level rows can ride
-/// one GEMM — re-merging survivors of different earlier micro-batches.
+/// one GEMM — re-merging survivors of different earlier passes.
 ///
 /// Bucket selection keeps the batched GEMMs full: the fullest bucket wins
 /// (capped at max_batch), ties broken by the earliest (deadline, seq) head,
@@ -113,15 +78,18 @@ class RequestQueue {
 /// until the queue is empty and nothing is in flight.
 class LevelRunQueue {
  public:
-  /// `capacity` bounds waiting admissions (like RequestQueue); `max_level`
-  /// sizes the bucket array (levels 0 .. max_level-1 can wait).
+  /// `capacity` bounds push(): it refuses while `capacity` or more jobs
+  /// wait, counting fresh admissions AND survivors waiting for their next
+  /// pass (popped, in-flight jobs do not count). `max_level` sizes the
+  /// bucket array (levels 0 .. max_level-1 can wait).
   LevelRunQueue(std::size_t capacity, int max_level);
 
   /// Admit a fresh request (level 0). Returns false (job untouched) when at
   /// capacity or closed.
   bool push(Job&& job);
 
-  /// Re-enter a stepping survivor (job.level >= 1). Never refused.
+  /// Re-enter a stepping survivor (job.level >= 1). Never refused, even at
+  /// capacity or after close().
   void push_survivor(Job&& job);
 
   /// Blocks until work is available, then moves up to `max_batch` jobs of

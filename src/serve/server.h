@@ -4,17 +4,21 @@
 // decision should be made early and refined further with more computational
 // resources". serve::Server turns that into a multi-request serving layer:
 //
-//  * submit() admits {input, deadline, MAC budget} jobs into a thread-safe
-//    earliest-deadline-first queue (serve/queue.h);
-//  * a pool of workers — one Network replica + one IncrementalExecutor each,
-//    sized like the kernel thread pool via the STEPPING_SERVE_WORKERS env
-//    var — pops micro-batches of up to ServeConfig::max_batch requests;
-//  * each micro-batch runs the smallest subnet first in one batched forward
-//    pass (all rows share the subnet, so the pass rides the parallel GEMM
-//    path), publishes every request's preliminary result, then steps up
-//    through the ladder while slack remains; each step reuses all prior
-//    work (the paper's exact-reuse property), so refinement costs only the
-//    incremental MACs;
+//  * submit() admits {input, deadline, MAC budget} jobs into a level-indexed
+//    run queue (serve/queue.h): bucket L holds requests whose ladder state is
+//    cached through subnet L, bucket 0 the fresh admissions;
+//  * a pool of workers (one Network replica each, sized like the kernel
+//    thread pool via the STEPPING_SERVE_WORKERS env var) pops up to
+//    ServeConfig::max_batch requests of ONE level and steps them together to
+//    the next subnet in one batched pass (all rows share the subnet, so the
+//    pass rides the parallel GEMM path). Level-1 passes publish each
+//    request's preliminary result; each later pass reuses all prior work (the
+//    paper's exact-reuse property), so refinement costs only the incremental
+//    MACs;
+//  * after every pass, halting rows are published and survivors re-enter
+//    the run queue carrying their cached activations, so survivors of
+//    different batches re-merge into full same-level passes and freed slots
+//    refill with fresh admissions;
 //  * a request stops refining when it reaches its planned target level, its
 //    confidence gate fires, its MAC budget would be exceeded, or the next
 //    step no longer fits its remaining deadline (serve/planner.h decides,
@@ -22,14 +26,14 @@
 //
 // Results are bitwise-identical to a direct Network::forward of the exit
 // subnet on the same input (property-tested in tests/serve_test.cc): rows of
-// a batched pass are computed independently and the incremental executor's
-// reuse is exact, so batching and stepping change *when* work happens, never
-// the answer.
+// a batched pass are computed independently and ladder-step reuse is exact,
+// so batching, re-merging and stepping change *when* work happens, never the
+// answer. A throw inside a pass (a callback, an allocation) fails that pass's
+// requests and leaves the server serving.
 //
 // Thread-safety: Server is internally synchronized; submit()/counters()/
 // metrics_json() may be called from any thread. Each worker owns its Network
-// clone and IncrementalExecutor exclusively (see core/incremental.h — the
-// executor is deliberately not thread-safe).
+// clone exclusively; ladder state migrates between workers inside the jobs.
 //
 // Telemetry (ISSUE 3): every server owns an obs::Registry of lock-free
 // counters, gauges and latency histograms (queue wait, first/final result,
@@ -61,7 +65,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/incremental.h"
 #include "core/latency.h"
 #include "nn/network.h"
 #include "obs/flight.h"
@@ -141,15 +144,7 @@ struct ServeConfig {
   /// window it is evaluated over.
   double slo_objective = 0.99;
   double slo_window_sec = 60.0;
-  /// Continuous batch re-formation (ISSUE 9). > 0: workers share one
-  /// level-indexed run-queue (serve/queue.h) — after every ladder step the
-  /// survivors of different micro-batches re-merge into full same-level
-  /// batches and freed slots refill with fresh admissions. 0: the legacy
-  /// path (each popped batch runs its whole ladder on one worker, halted
-  /// rows riding along as dead weight). < 0 resolves from STEPPING_REFORM
-  /// ("off"/"0" disables; default on). Performance-only: per-request logits
-  /// are bitwise identical in both modes (each batched-GEMM output row is
-  /// computed independently in serial order by one thread).
+  /// Has no effect: batch re-formation is the only serve loop.
   int reform = -1;
   /// Predictive admission control (ISSUE 9); kEnv resolves from the
   /// STEPPING_ADMIT env var ("off" / "reject" / "degrade", default off).
@@ -173,13 +168,13 @@ struct CounterSnapshot {
   std::uint64_t submitted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t completed = 0;
+  std::uint64_t failed = 0;  ///< admitted, then failed by a throw in a pass
   std::uint64_t deadline_misses = 0;
   std::uint64_t batches = 0;        ///< admission micro-batches formed
   std::uint64_t batched_inputs = 0; ///< sum of admission micro-batch sizes
-  /// Batched ladder passes actually executed and the live (non-halted) rows
-  /// they carried. Under re-formation every pass is re-stacked from live
-  /// rows only, so pass_rows / passes — pass_occupancy() — is the GEMM
-  /// utilization the re-formation tentpole optimizes.
+  /// Batched ladder passes actually executed and the rows they carried.
+  /// Every pass is stacked from live rows only, so pass_rows / passes —
+  /// pass_occupancy() — is the GEMM utilization re-formation keeps high.
   std::uint64_t passes = 0;
   std::uint64_t pass_rows = 0;
   /// Admission-control verdicts (all zero while STEPPING_ADMIT=off).
@@ -270,28 +265,24 @@ class Server {
   static int default_workers();
 
  private:
+  /// Worker loop: pop one same-level batch from the run queue, step it once,
+  /// publish the halting rows and push the survivors back for re-merging.
   void worker_main(std::size_t worker_id);
-  void process_batch(Network& net, IncrementalExecutor& ex,
-                     std::vector<Job>& jobs, std::size_t worker_id);
-  /// Re-formation worker loop (cfg_.reform): pop one same-level batch from
-  /// the shared run-queue, step it once, publish the halting rows and push
-  /// the survivors back for re-merging.
-  void worker_main_reform(std::size_t worker_id);
   void process_level_batch(Network& net, std::vector<Job>& jobs,
                            std::size_t worker_id);
   /// Streaming path (ISSUE 10): serve one stream frame solo through the
-  /// per-stream delta executor. Called by both worker loops for jobs with
-  /// stream_id != 0 when cfg_.stream is on.
+  /// per-stream delta executor (jobs with stream_id != 0 when cfg_.stream
+  /// is on).
   void process_stream_job(Network& net, Job& job, std::size_t worker_id);
   /// Split a popped batch: stream jobs (when enabled) are served by
   /// process_stream_job and removed from `jobs`; the rest stay for the
   /// batched ladder. Returns the number of stream jobs served.
   std::size_t peel_stream_jobs(Network& net, std::vector<Job>& jobs,
                                std::size_t worker_id);
+  /// Resolve `job`'s future with `err`: a throw inside its pass (kFailed).
+  void fail_job(Job& job, const std::exception_ptr& err);
   /// Ladder execution mode for planner predictions under this config.
   Planner::LadderMode ladder_mode() const;
-  /// Waiting depth of whichever queue this config uses.
-  std::size_t active_queue_depth() const;
   /// Refresh the exposition-time gauges (queue depth, SLO window, flight
   /// counters) before a registry snapshot.
   void refresh_gauges() const;
@@ -303,14 +294,13 @@ class Server {
   /// start.
   std::shared_ptr<const quant::CalibrationTable> calib_;
   std::vector<Network> replicas_;  ///< one per worker
-  RequestQueue queue_;             ///< legacy path (cfg_.reform == 0)
-  std::unique_ptr<LevelRunQueue> runq_;  ///< re-formation path (non-null iff on)
+  LevelRunQueue runq_;
   /// Slack threshold of the run-queue's urgency override: about two level-1
   /// pass times — below that, waiting for a fuller batch risks the deadline.
   double urgent_slack_ms_ = 0.0;
   /// Per-image MACs of one reuse step L -> L+1, index L in
-  /// [0, max_subnet): precomputed so re-formation passes skip the per-pass
-  /// layer walk. Matches IncrementalExecutor::last_step_macs() exactly.
+  /// [0, max_subnet): precomputed so passes skip the per-pass layer walk.
+  /// Matches IncrementalExecutor::last_step_macs() exactly.
   std::vector<std::int64_t> step_macs_;
   Timer clock_;
   std::vector<std::thread> workers_;
@@ -337,6 +327,7 @@ class Server {
     obs::Counter* submitted = nullptr;
     obs::Counter* rejected = nullptr;
     obs::Counter* completed = nullptr;
+    obs::Counter* failed = nullptr;
     obs::Counter* deadline_misses = nullptr;
     obs::Counter* batches = nullptr;
     obs::Counter* batched_inputs = nullptr;

@@ -1,9 +1,9 @@
 // Batch re-formation + predictive admission control tests (ISSUE 9).
 //
-// The tentpole contract: re-formation is performance-only. Each batched-GEMM
-// output row is computed independently in serial order, so per-request logits
-// are bitwise identical no matter how survivors re-merge across micro-batches,
-// worker counts or max_batch settings. Admission decisions are pure functions
+// The contract: re-formation is performance-only. Each batched-GEMM output
+// row is computed independently in serial order, so per-request logits are
+// bitwise identical no matter how survivors re-merge across batches, worker
+// counts or max_batch settings. Admission decisions are pure functions
 // of (deadline, queue depth, workers, max_batch, mode) — tests drive them
 // with synthetic clocks and depths, no timers involved.
 #include <gtest/gtest.h>
@@ -58,12 +58,11 @@ DeviceModel synthetic_device() {
   return dev;
 }
 
-ServeConfig reform_config(int workers, int max_batch, int reform) {
+ServeConfig reform_config(int workers, int max_batch) {
   ServeConfig cfg;
   cfg.max_subnet = 3;
   cfg.num_workers = workers;
   cfg.max_batch = max_batch;
-  cfg.reform = reform;
   cfg.admit = AdmitPolicy::kOff;
   cfg.device = synthetic_device();  // planning only; no deadline = no effect
   return cfg;
@@ -76,8 +75,8 @@ std::int64_t budget_for_exit(const Planner& p, int level) {
 }
 
 // ---------------------------------------------------------------------------
-// LevelRunQueue: bucket selection and the termination protocol, driven with
-// synthetic clocks.
+// LevelRunQueue: ordering inside a bucket, bounded admission, bucket
+// selection and the termination protocol, driven with synthetic clocks.
 // ---------------------------------------------------------------------------
 
 Job make_rjob(std::uint64_t seq, double deadline_abs_ms) {
@@ -85,6 +84,91 @@ Job make_rjob(std::uint64_t seq, double deadline_abs_ms) {
   j.seq = seq;
   j.deadline_abs_ms = deadline_abs_ms;
   return j;
+}
+
+TEST(ReformRunQueue, PopsInDeadlineOrderWithNoDeadlineLast) {
+  LevelRunQueue q(16, 3);
+  ASSERT_TRUE(q.push(make_rjob(0, 30.0)));
+  ASSERT_TRUE(q.push(make_rjob(1, 10.0)));
+  ASSERT_TRUE(q.push(make_rjob(2, 0.0)));  // no deadline: sorts last
+  ASSERT_TRUE(q.push(make_rjob(3, 20.0)));
+  EXPECT_EQ(q.depth(), 4u);
+  std::vector<Job> batch;
+  ASSERT_TRUE(q.pop_batch(4, /*now_ms=*/0.0, /*urgent_slack_ms=*/0.0, batch));
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_EQ(batch[0].seq, 1u);
+  EXPECT_EQ(batch[1].seq, 3u);
+  EXPECT_EQ(batch[2].seq, 0u);
+  EXPECT_EQ(batch[3].seq, 2u);
+}
+
+TEST(ReformRunQueue, FifoAmongEqualDeadlines) {
+  LevelRunQueue q(16, 3);
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    ASSERT_TRUE(q.push(make_rjob(s, 5.0)));
+  }
+  std::vector<Job> batch;
+  ASSERT_TRUE(q.pop_batch(4, 0.0, 0.0, batch));
+  ASSERT_EQ(batch.size(), 4u);
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(batch[static_cast<std::size_t>(s)].seq, s);
+  }
+}
+
+TEST(ReformRunQueue, PopBatchHonoursMaxBatch) {
+  LevelRunQueue q(16, 3);
+  for (std::uint64_t s = 0; s < 5; ++s) {
+    ASSERT_TRUE(q.push(make_rjob(s, 1.0 + static_cast<double>(s))));
+  }
+  std::vector<Job> batch;
+  ASSERT_TRUE(q.pop_batch(2, 0.0, 0.0, batch));
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(q.depth(), 3u);
+  ASSERT_TRUE(q.pop_batch(2, 0.0, 0.0, batch));
+  EXPECT_EQ(batch.size(), 2u);
+  ASSERT_TRUE(q.pop_batch(2, 0.0, 0.0, batch));
+  EXPECT_EQ(batch.size(), 1u);
+  q.retire(5);
+}
+
+TEST(ReformRunQueue, CapacityCountsWaitingJobsAndNeverRefusesSurvivors) {
+  LevelRunQueue q(2, 3);
+  EXPECT_TRUE(q.push(make_rjob(0, 1.0)));
+  EXPECT_TRUE(q.push(make_rjob(1, 2.0)));
+  EXPECT_FALSE(q.push(make_rjob(2, 3.0)));  // two waiting: at capacity
+
+  // A popped (in-flight) job frees its slot.
+  std::vector<Job> batch;
+  ASSERT_TRUE(q.pop_batch(1, 0.0, 0.0, batch));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_TRUE(q.push(make_rjob(3, 4.0)));
+  EXPECT_FALSE(q.push(make_rjob(4, 5.0)));
+
+  // Its survivor re-enters although the queue is full, and then counts
+  // toward capacity like any waiting job.
+  batch[0].level = 1;
+  q.push_survivor(std::move(batch[0]));
+  EXPECT_EQ(q.depth(), 3u);
+  ASSERT_TRUE(q.pop_batch(1, 0.0, 0.0, batch));
+  EXPECT_FALSE(q.push(make_rjob(5, 6.0))) << "two still waiting";
+  q.retire(1);
+  ASSERT_TRUE(q.pop_batch(1, 0.0, 0.0, batch));
+  EXPECT_TRUE(q.push(make_rjob(6, 7.0)));
+  q.retire(1);
+}
+
+TEST(ReformRunQueue, CloseDrainsThenStops) {
+  LevelRunQueue q(8, 3);
+  ASSERT_TRUE(q.push(make_rjob(0, 1.0)));
+  ASSERT_TRUE(q.push(make_rjob(1, 2.0)));
+  q.close();
+  EXPECT_FALSE(q.push(make_rjob(2, 3.0)));
+  std::vector<Job> batch;
+  ASSERT_TRUE(q.pop_batch(8, 0.0, 0.0, batch));  // drains the admitted jobs
+  EXPECT_EQ(batch.size(), 2u);
+  q.retire(batch.size());
+  EXPECT_FALSE(q.pop_batch(8, 0.0, 0.0, batch))
+      << "closed + empty + nothing in flight must return false";
 }
 
 TEST(ReformRunQueue, PopsFullestBucketAndOnlyOneLevel) {
@@ -170,48 +254,45 @@ TEST(ReformRunQueue, CloseRefusesAdmissionsButAcceptsSurvivors) {
 
 // ---------------------------------------------------------------------------
 // Re-formation determinism: logits are bitwise identical to a direct forward
-// of the exit subnet for EVERY batch composition — worker counts, max_batch
-// settings and re-formation on/off only change when work happens.
+// of the exit subnet for EVERY batch composition — worker counts and
+// max_batch settings only change when work happens.
 // ---------------------------------------------------------------------------
 
 TEST(ServeReform, LogitsBitwiseIdenticalAcrossWorkersBatchesAndModes) {
   Network net = nested_net();
   Network ref = net.clone();
   constexpr int kRequests = 12;
-  for (const int reform : {1, 0}) {
-    for (const int workers : {1, 3}) {
-      for (const int max_batch : {1, 2, 5}) {
-        Server server(net, reform_config(workers, max_batch, reform));
-        std::vector<Tensor> inputs;
-        std::vector<int> want(kRequests);
-        std::vector<std::future<ServedResult>> futures;
-        for (int i = 0; i < kRequests; ++i) {
-          inputs.push_back(random_input(900 + static_cast<std::uint64_t>(i)));
-          want[static_cast<std::size_t>(i)] = 1 + (i % 3);
-          Request req;
-          req.input = inputs[static_cast<std::size_t>(i)];
-          req.mac_budget = budget_for_exit(server.planner(),
-                                           want[static_cast<std::size_t>(i)]);
-          futures.push_back(server.submit(std::move(req)));
-        }
-        for (int i = 0; i < kRequests; ++i) {
-          const ServedResult res = futures[static_cast<std::size_t>(i)].get();
-          ASSERT_EQ(res.exit_subnet, want[static_cast<std::size_t>(i)])
-              << "reform=" << reform << " workers=" << workers
-              << " max_batch=" << max_batch << " request " << i;
-          SubnetContext ctx;
-          ctx.subnet_id = res.exit_subnet;
-          const Tensor direct =
-              ref.forward(inputs[static_cast<std::size_t>(i)], ctx);
-          ASSERT_EQ(res.logits.shape(), direct.shape());
-          ASSERT_EQ(0,
-                    std::memcmp(res.logits.data(), direct.data(),
-                                sizeof(float) * static_cast<std::size_t>(
-                                                    direct.numel())))
-              << "re-formation must never change the answer (reform=" << reform
-              << " workers=" << workers << " max_batch=" << max_batch
-              << " request " << i << ")";
-        }
+  for (const int workers : {1, 3}) {
+    for (const int max_batch : {1, 2, 5}) {
+      Server server(net, reform_config(workers, max_batch));
+      std::vector<Tensor> inputs;
+      std::vector<int> want(kRequests);
+      std::vector<std::future<ServedResult>> futures;
+      for (int i = 0; i < kRequests; ++i) {
+        inputs.push_back(random_input(900 + static_cast<std::uint64_t>(i)));
+        want[static_cast<std::size_t>(i)] = 1 + (i % 3);
+        Request req;
+        req.input = inputs[static_cast<std::size_t>(i)];
+        req.mac_budget = budget_for_exit(server.planner(),
+                                         want[static_cast<std::size_t>(i)]);
+        futures.push_back(server.submit(std::move(req)));
+      }
+      for (int i = 0; i < kRequests; ++i) {
+        const ServedResult res = futures[static_cast<std::size_t>(i)].get();
+        ASSERT_EQ(res.exit_subnet, want[static_cast<std::size_t>(i)])
+            << "workers=" << workers << " max_batch=" << max_batch
+            << " request " << i;
+        SubnetContext ctx;
+        ctx.subnet_id = res.exit_subnet;
+        const Tensor direct =
+            ref.forward(inputs[static_cast<std::size_t>(i)], ctx);
+        ASSERT_EQ(res.logits.shape(), direct.shape());
+        ASSERT_EQ(0, std::memcmp(res.logits.data(), direct.data(),
+                                 sizeof(float) * static_cast<std::size_t>(
+                                                     direct.numel())))
+            << "re-formation must never change the answer (workers="
+            << workers << " max_batch=" << max_batch << " request " << i
+            << ")";
       }
     }
   }
@@ -219,8 +300,7 @@ TEST(ServeReform, LogitsBitwiseIdenticalAcrossWorkersBatchesAndModes) {
 
 TEST(ServeReform, PassCountersAttributeEveryLiveRowExactlyOnce) {
   Network net = nested_net();
-  Server server(net, reform_config(/*workers=*/2, /*max_batch=*/4,
-                                   /*reform=*/1));
+  Server server(net, reform_config(/*workers=*/2, /*max_batch=*/4));
   constexpr int kRequests = 16;
   std::vector<std::future<ServedResult>> futures;
   for (int i = 0; i < kRequests; ++i) {
@@ -247,39 +327,15 @@ TEST(ServeReform, PassCountersAttributeEveryLiveRowExactlyOnce) {
 
 TEST(ServeReform, TimelineRecordsBatchRejoinOnlyUnderReformation) {
   Network net = nested_net();
-  for (const int reform : {1, 0}) {
-    Server server(net, reform_config(1, 4, reform));
-    Request req;
-    req.input = random_input(55);
-    const ServedResult res = server.serve(std::move(req));
-    ASSERT_EQ(res.exit_subnet, 3);
-    // The single request is retained as a straggler; under re-formation its
-    // level-2 and level-3 passes are re-stacked pops, stamped batch_rejoin.
-    const std::string pm = server.postmortems_json();
-    if (reform != 0) {
-      EXPECT_NE(pm.find("\"batch_rejoin\""), std::string::npos) << pm;
-    } else {
-      EXPECT_EQ(pm.find("\"batch_rejoin\""), std::string::npos)
-          << "legacy path must not emit rejoin events";
-    }
-  }
-}
-
-TEST(ServeReform, EnvToggleResolvesAtConstruction) {
-  Network net = nested_net();
-  ::setenv("STEPPING_REFORM", "off", 1);
-  {
-    ServeConfig cfg = reform_config(1, 4, /*reform=*/-1);
-    Server server(net, cfg);
-    EXPECT_EQ(server.config().reform, 0);
-  }
-  ::setenv("STEPPING_REFORM", "on", 1);
-  {
-    ServeConfig cfg = reform_config(1, 4, /*reform=*/-1);
-    Server server(net, cfg);
-    EXPECT_EQ(server.config().reform, 1);
-  }
-  ::unsetenv("STEPPING_REFORM");
+  Server server(net, reform_config(1, 4));
+  Request req;
+  req.input = random_input(55);
+  const ServedResult res = server.serve(std::move(req));
+  ASSERT_EQ(res.exit_subnet, 3);
+  // The single request is retained as a straggler; its level-2 and level-3
+  // passes are re-stacked pops, stamped batch_rejoin.
+  const std::string pm = server.postmortems_json();
+  EXPECT_NE(pm.find("\"batch_rejoin\""), std::string::npos) << pm;
 }
 
 // ---------------------------------------------------------------------------
@@ -338,7 +394,7 @@ TEST(ServeAdmit, DecisionIsDeterministicAndMonotonicInDepth) {
 TEST(ServeAdmit, OffPolicyIsAPinnedNoOp) {
   Network net = nested_net();
   ::unsetenv("STEPPING_ADMIT");
-  ServeConfig cfg = reform_config(1, 4, 1);
+  ServeConfig cfg = reform_config(1, 4);
   cfg.admit = AdmitPolicy::kEnv;  // resolves to kOff
   Server server(net, cfg);
   EXPECT_EQ(server.config().admit, AdmitPolicy::kOff);
@@ -357,7 +413,7 @@ TEST(ServeAdmit, OffPolicyIsAPinnedNoOp) {
 
 TEST(ServeAdmit, RejectFailsHopelessRequestsWithoutCountingAMiss) {
   Network net = nested_net();
-  ServeConfig cfg = reform_config(1, 4, 1);
+  ServeConfig cfg = reform_config(1, 4);
   cfg.admit = AdmitPolicy::kReject;
   Server server(net, cfg);
 
@@ -391,7 +447,7 @@ TEST(ServeAdmit, RejectFailsHopelessRequestsWithoutCountingAMiss) {
 
 TEST(ServeAdmit, DegradeCapsTheTargetLevel) {
   Network net = nested_net();
-  ServeConfig cfg = reform_config(1, 4, 1);
+  ServeConfig cfg = reform_config(1, 4);
   cfg.admit = AdmitPolicy::kDegrade;
   Server server(net, cfg);
   const Planner& p = server.planner();
@@ -442,7 +498,7 @@ TEST(ServeAdmit, PolicyNamesParseAndRoundTrip) {
 
   ::setenv("STEPPING_ADMIT", "degrade", 1);
   Network net = nested_net();
-  ServeConfig cfg = reform_config(1, 4, 1);
+  ServeConfig cfg = reform_config(1, 4);
   cfg.admit = AdmitPolicy::kEnv;
   Server server(net, cfg);
   EXPECT_EQ(server.config().admit, AdmitPolicy::kDegrade);

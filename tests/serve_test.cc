@@ -1,8 +1,8 @@
 // Anytime-serving subsystem tests (ISSUE 2): deterministic-clock planner
-// decisions, EDF queue semantics, and the end-to-end property that served
-// logits are bitwise-identical to a direct Network::forward of the exit
-// subnet — batching, stepping and scheduling must change *when* work
-// happens, never the answer.
+// decisions and the end-to-end property that served logits are
+// bitwise-identical to a direct Network::forward of the exit subnet —
+// batching, stepping and scheduling must change *when* work happens, never
+// the answer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +18,6 @@
 #include "core/macs.h"
 #include "models/models.h"
 #include "serve/planner.h"
-#include "serve/queue.h"
 #include "serve/server.h"
 #include "tensor/ops.h"
 
@@ -149,82 +148,6 @@ TEST(ServePlanner, StepFitsBudgetExhaustion) {
   EXPECT_FALSE(p.step_fits(1, 2, 0.0, -1));
   EXPECT_TRUE(p.step_fits(1, 2, p.step_ms(1, 2) + 0.01, -1));
   EXPECT_FALSE(p.step_fits(1, 2, p.step_ms(1, 2, 4) - 0.01, -1, /*batch=*/4));
-}
-
-// ---------------------------------------------------------------------------
-// RequestQueue: EDF ordering, bounded admission, close semantics.
-// ---------------------------------------------------------------------------
-
-Job make_job(std::uint64_t seq, double deadline_abs_ms) {
-  Job j;
-  j.seq = seq;
-  j.deadline_abs_ms = deadline_abs_ms;
-  return j;
-}
-
-TEST(ServeQueue, PopsInDeadlineOrder) {
-  RequestQueue q(16);
-  ASSERT_TRUE(q.push(make_job(0, 30.0)));
-  ASSERT_TRUE(q.push(make_job(1, 10.0)));
-  ASSERT_TRUE(q.push(make_job(2, 0.0)));  // no deadline: sorts last
-  ASSERT_TRUE(q.push(make_job(3, 20.0)));
-  EXPECT_EQ(q.depth(), 4u);
-  std::vector<Job> batch;
-  ASSERT_TRUE(q.pop_batch(4, batch));
-  ASSERT_EQ(batch.size(), 4u);
-  EXPECT_EQ(batch[0].seq, 1u);
-  EXPECT_EQ(batch[1].seq, 3u);
-  EXPECT_EQ(batch[2].seq, 0u);
-  EXPECT_EQ(batch[3].seq, 2u);
-}
-
-TEST(ServeQueue, FifoAmongEqualDeadlines) {
-  RequestQueue q(16);
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    ASSERT_TRUE(q.push(make_job(s, 5.0)));
-  }
-  std::vector<Job> batch;
-  ASSERT_TRUE(q.pop_batch(4, batch));
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(batch[static_cast<std::size_t>(s)].seq, s);
-  }
-}
-
-TEST(ServeQueue, PopBatchHonoursMaxBatch) {
-  RequestQueue q(16);
-  for (std::uint64_t s = 0; s < 5; ++s) {
-    ASSERT_TRUE(q.push(make_job(s, 1.0 + static_cast<double>(s))));
-  }
-  std::vector<Job> batch;
-  ASSERT_TRUE(q.pop_batch(2, batch));
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_EQ(q.depth(), 3u);
-  ASSERT_TRUE(q.pop_batch(2, batch));
-  EXPECT_EQ(batch.size(), 2u);
-  ASSERT_TRUE(q.pop_batch(2, batch));
-  EXPECT_EQ(batch.size(), 1u);
-}
-
-TEST(ServeQueue, CapacityBoundsAdmission) {
-  RequestQueue q(2);
-  EXPECT_TRUE(q.push(make_job(0, 1.0)));
-  EXPECT_TRUE(q.push(make_job(1, 2.0)));
-  EXPECT_FALSE(q.push(make_job(2, 3.0)));
-  std::vector<Job> batch;
-  ASSERT_TRUE(q.pop_batch(1, batch));
-  EXPECT_TRUE(q.push(make_job(3, 4.0)));  // slot freed
-}
-
-TEST(ServeQueue, CloseDrainsThenStops) {
-  RequestQueue q(8);
-  ASSERT_TRUE(q.push(make_job(0, 1.0)));
-  ASSERT_TRUE(q.push(make_job(1, 2.0)));
-  q.close();
-  EXPECT_FALSE(q.push(make_job(2, 3.0)));
-  std::vector<Job> batch;
-  ASSERT_TRUE(q.pop_batch(8, batch));  // drains the two admitted jobs
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_FALSE(q.pop_batch(8, batch)) << "closed + empty must return false";
 }
 
 // ---------------------------------------------------------------------------

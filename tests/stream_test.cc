@@ -327,8 +327,8 @@ TEST(StreamCache, StatesAreIsolatedAcrossStreams) {
 
 // ---------------------------------------------------------------------------
 // Serve integration: streamed requests are bitwise identical to direct
-// forwards across worker counts and re-formation modes; non-stream traffic
-// shares the queue unchanged.
+// forwards across worker counts; non-stream traffic shares the queue
+// unchanged.
 // ---------------------------------------------------------------------------
 
 TEST(ServeStream, FramesBitwiseIdenticalAcrossWorkersAndReform) {
@@ -336,62 +336,58 @@ TEST(ServeStream, FramesBitwiseIdenticalAcrossWorkersAndReform) {
   Network ref = net.clone();
   constexpr int kStreams = 3;
   constexpr int kFrames = 4;
-  for (const int reform : {1, 0}) {
-    for (const int workers : {1, 3}) {
-      serve::ServeConfig cfg;
-      cfg.max_subnet = 3;
-      cfg.num_workers = workers;
-      cfg.max_batch = 4;
-      cfg.reform = reform;
-      cfg.admit = serve::AdmitPolicy::kOff;
-      cfg.stream = 1;
-      serve::Server server(net, cfg);
-      // Per-stream drifting scenes: a patch walks across a fixed base frame.
-      std::vector<Tensor> frames(kStreams);
+  for (const int workers : {1, 3}) {
+    serve::ServeConfig cfg;
+    cfg.max_subnet = 3;
+    cfg.num_workers = workers;
+    cfg.max_batch = 4;
+    cfg.admit = serve::AdmitPolicy::kOff;
+    cfg.stream = 1;
+    serve::Server server(net, cfg);
+    // Per-stream drifting scenes: a patch walks across a fixed base frame.
+    std::vector<Tensor> frames(kStreams);
+    for (int s = 0; s < kStreams; ++s) {
+      frames[static_cast<std::size_t>(s)] =
+          random_frame(300 + static_cast<std::uint64_t>(s));
+    }
+    for (int f = 0; f < kFrames; ++f) {
+      // One frame per stream in flight at a time (frames of one stream are
+      // ordered; distinct streams run concurrently).
+      std::vector<std::future<serve::ServedResult>> futs;
       for (int s = 0; s < kStreams; ++s) {
-        frames[static_cast<std::size_t>(s)] =
-            random_frame(300 + static_cast<std::uint64_t>(s));
-      }
-      for (int f = 0; f < kFrames; ++f) {
-        // One frame per stream in flight at a time (frames of one stream are
-        // ordered; distinct streams run concurrently).
-        std::vector<std::future<serve::ServedResult>> futs;
-        for (int s = 0; s < kStreams; ++s) {
-          if (f > 0) {
-            perturb_patch(frames[static_cast<std::size_t>(s)], 2 + 3 * f,
-                          4 + 2 * f + s, 5, 5, 0.2f);
-          }
-          serve::Request req;
-          req.input = frames[static_cast<std::size_t>(s)];
-          req.stream_id = static_cast<std::uint64_t>(s + 1);
-          futs.push_back(server.submit(std::move(req)));
+        if (f > 0) {
+          perturb_patch(frames[static_cast<std::size_t>(s)], 2 + 3 * f,
+                        4 + 2 * f + s, 5, 5, 0.2f);
         }
-        // A plain (stream_id = 0) request rides the same queue untouched.
-        serve::Request plain;
-        plain.input = random_frame(900 + static_cast<std::uint64_t>(f));
-        const Tensor plain_input = plain.input;
-        futs.push_back(server.submit(std::move(plain)));
+        serve::Request req;
+        req.input = frames[static_cast<std::size_t>(s)];
+        req.stream_id = static_cast<std::uint64_t>(s + 1);
+        futs.push_back(server.submit(std::move(req)));
+      }
+      // A plain (stream_id = 0) request rides the same queue untouched.
+      serve::Request plain;
+      plain.input = random_frame(900 + static_cast<std::uint64_t>(f));
+      const Tensor plain_input = plain.input;
+      futs.push_back(server.submit(std::move(plain)));
 
-        for (int s = 0; s < kStreams; ++s) {
-          const serve::ServedResult res =
-              futs[static_cast<std::size_t>(s)].get();
-          const Tensor direct = direct_forward(
-              ref, frames[static_cast<std::size_t>(s)], res.exit_subnet);
-          ASSERT_EQ(res.logits.shape(), direct.shape());
-          ASSERT_EQ(0, std::memcmp(res.logits.data(), direct.data(),
-                                   sizeof(float) * static_cast<std::size_t>(
-                                                       direct.numel())))
-              << "reform=" << reform << " workers=" << workers << " stream="
-              << s << " frame=" << f;
-        }
-        const serve::ServedResult plain_res = futs.back().get();
-        const Tensor plain_direct =
-            direct_forward(ref, plain_input, plain_res.exit_subnet);
-        ASSERT_EQ(0, std::memcmp(plain_res.logits.data(), plain_direct.data(),
+      for (int s = 0; s < kStreams; ++s) {
+        const serve::ServedResult res =
+            futs[static_cast<std::size_t>(s)].get();
+        const Tensor direct = direct_forward(
+            ref, frames[static_cast<std::size_t>(s)], res.exit_subnet);
+        ASSERT_EQ(res.logits.shape(), direct.shape());
+        ASSERT_EQ(0, std::memcmp(res.logits.data(), direct.data(),
                                  sizeof(float) * static_cast<std::size_t>(
-                                                     plain_direct.numel())))
-            << "non-stream request disturbed by stream traffic";
+                                                     direct.numel())))
+            << "workers=" << workers << " stream=" << s << " frame=" << f;
       }
+      const serve::ServedResult plain_res = futs.back().get();
+      const Tensor plain_direct =
+          direct_forward(ref, plain_input, plain_res.exit_subnet);
+      ASSERT_EQ(0, std::memcmp(plain_res.logits.data(), plain_direct.data(),
+                               sizeof(float) * static_cast<std::size_t>(
+                                                   plain_direct.numel())))
+          << "non-stream request disturbed by stream traffic";
     }
   }
 }

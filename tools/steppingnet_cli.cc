@@ -77,9 +77,6 @@ serve:
   --confidence T      early-exit top-1 gate, 0 = off    (default 0)
   --mac-budget M      default per-request MAC budget, 0 = unlimited
   --no-reuse          disable incremental reuse (baseline mode)
-  --reform M          on | off: continuous batch re-formation — survivors of
-                      different micro-batches re-merge into full same-level
-                      batches each step (default: STEPPING_REFORM, on)
   --admit P           off | reject | degrade: predictive admission control at
                       enqueue (default: STEPPING_ADMIT, off). reject refuses
                       requests whose deadline is already hopeless at the
@@ -359,14 +356,6 @@ int cmd_serve(const CliArgs& args) {
   cfg.default_deadline_ms = args.get_double("deadline-ms", 0.0);
   cfg.reuse = !args.has("no-reuse");
   cfg.slo_objective = args.get_double("slo-objective", 0.99);
-  if (args.has("reform")) {
-    const std::string r = args.get("reform", "on");
-    if (r != "on" && r != "off") {
-      LOG_ERROR << "--reform must be on or off (got \"" << r << "\")";
-      return 2;
-    }
-    cfg.reform = r == "on" ? 1 : 0;
-  }
   if (args.has("admit")) {
     const std::string a = args.get("admit", "off");
     if (!serve::parse_admit_policy(a, &cfg.admit)) {
@@ -395,13 +384,11 @@ int cmd_serve(const CliArgs& args) {
   g_tcp_server = &tcp;
   std::signal(SIGINT, handle_sigint);
   std::printf(
-      "serving %s on 127.0.0.1:%d (%d workers, batch %d, %s, %s, reform %s, "
-      "admit %s)\n",
+      "serving %s on 127.0.0.1:%d (%d workers, batch %d, %s, %s, admit %s)\n",
       args.get("in").c_str(), tcp.port(), server.config().num_workers,
       server.config().max_batch,
       cfg.reuse ? "incremental reuse" : "no-reuse baseline",
       quant::precision_name(cfg.precision),
-      server.config().reform != 0 ? "on" : "off",
       serve::admit_policy_name(server.config().admit));
   std::fflush(stdout);
 
@@ -481,7 +468,7 @@ int main(int argc, char** argv) {
       "deadline-ms", "port",       "workers",         "batch",
       "confidence",  "mac-budget", "no-reuse",        "metrics-dump-sec",
       "precision",   "slo-objective", "postmortem-dump",
-      "reform",      "admit"};
+      "admit"};
   CliArgs args(argc, argv, known);
   if (!args.ok()) {
     for (const auto& e : args.errors()) std::fprintf(stderr, "%s\n", e.c_str());
