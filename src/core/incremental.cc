@@ -9,28 +9,6 @@ namespace stepping {
 
 namespace {
 
-/// MACs a step from `from` to `to` executes in one masked layer: weights of
-/// units newly added in (from, to], plus a full head recompute.
-std::int64_t step_macs(const MaskedLayer& layer, int from, int to) {
-  if (layer.is_head()) return layer.active_weights(to) * layer.macs_per_weight();
-  std::int64_t count = 0;
-  const auto& assign = layer.unit_subnet();
-  const auto& in_assign = layer.in_subnet();
-  const auto& prune = layer.prune_mask();
-  for (int u = 0; u < layer.num_units(); ++u) {
-    const int sv = assign[static_cast<std::size_t>(u)];
-    if (sv <= from || sv > to) continue;
-    const std::uint8_t* prow =
-        prune.data() + static_cast<std::size_t>(u) * layer.num_cols();
-    for (int c = 0; c < layer.num_cols(); ++c) {
-      if (!prow[c]) continue;
-      const int su = in_assign[static_cast<std::size_t>(layer.in_unit_of(u, c))];
-      if (su <= sv) count += layer.macs_per_weight();
-    }
-  }
-  return count;
-}
-
 /// 64-bit FNV-1a over the tensor bytes — the input fingerprint. One linear
 /// pass, no retained copy (cf. the class comment on collision odds).
 std::uint64_t fnv1a_bytes(const Tensor& x) {
@@ -69,7 +47,9 @@ Tensor ladder_step(Network& net, const Tensor& x,
 
 std::int64_t ladder_step_macs(Network& net, int from, int to) {
   std::int64_t total = 0;
-  for (MaskedLayer* m : net.masked_layers()) total += step_macs(*m, from, to);
+  for (MaskedLayer* m : net.masked_layers()) {
+    total += m->step_weights(from, to) * m->macs_per_weight();
+  }
   return total;
 }
 

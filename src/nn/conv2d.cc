@@ -1,7 +1,6 @@
 #include "nn/conv2d.h"
 
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -54,36 +53,19 @@ Tensor Conv2d::forward_relu(const Tensor& x, const SubnetContext& ctx) {
   return forward_impl(x, ctx, /*relu=*/true);
 }
 
-void Conv2d::lowered_gemm(const Tensor& x, const unsigned char* rows,
-                          int subnet_id, const SpatialRegion& region, bool relu,
-                          float* out) {
-  const int n = x.dim(0);
+void Conv2d::conv_rows(const Tensor& x, const unsigned char* rows,
+                       int subnet_id, const SpatialRegion& region, bool relu,
+                       float* y) {
   const std::vector<int>& channels = readable_in_units(subnet_id);
-  const int k = static_cast<int>(channels.size()) * kernel_ * kernel_;
-  const std::int64_t area = region.area();
-  const bool full = region.covers(geom_.out_h(), geom_.out_w());
-  // Workspaces come from the per-thread arena: reused across calls (zero
-  // heap allocations once warmed up — asserted by the conv arena test).
+  const int ld = static_cast<int>(channels.size()) * kernel_ * kernel_;
+  // The weight workspace comes from the per-thread arena: reused across
+  // calls (zero heap allocations once warmed up — asserted by the conv
+  // arena test).
   ArenaScope ws;
-  float* a = ws.alloc_floats(static_cast<std::size_t>(units_) * k);
-  float* cols = ws.alloc_floats(static_cast<std::size_t>(k) * area);
+  float* a = ws.alloc_floats(static_cast<std::size_t>(units_) * ld);
   gather_weights(rows, &channels, a);
-  const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) * geom_.in_h *
-                              geom_.in_w;
-  const std::int64_t out_img = static_cast<std::int64_t>(units_) * area;
-  for (int i = 0; i < n; ++i) {
-    const float* xi = x.data() + i * in_img;
-    if (full) {
-      im2col(xi, geom_, cols, &channels);
-    } else {
-      im2col_region(xi, geom_, region, cols, &channels);
-    }
-    // out_i (U x area) += a (U x K) * cols (K x area) + bias, flagged rows
-    // only, with the bias add (and optional ReLU) fused into the
-    // micro-kernel store.
-    gemm_rows_bias(a, cols, out + i * out_img, units_, k,
-                   static_cast<int>(area), rows, bias_.value.data(), relu);
-  }
+  conv2d_implicit(x.data(), x.dim(0), geom_, channels, a, rows,
+                  bias_.value.data(), relu, region, y);
 }
 
 Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
@@ -129,8 +111,8 @@ Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
     }
     return y;
   }
-  lowered_gemm(x, active.data(), ctx.subnet_id, SpatialRegion::full(oh, ow),
-               relu, y.data());
+  conv_rows(x, active.data(), ctx.subnet_id, SpatialRegion::full(oh, ow), relu,
+            y.data());
 
   if (ctx.training) {
     x_cache_ = x;
@@ -208,37 +190,13 @@ Tensor Conv2d::forward_delta(const Tensor& x, const Tensor& cached_y,
   }
   assert(x.rank() == 4 && x.dim(1) == geom_.in_c &&
          cached_y.shape() == std::vector<int>({x.dim(0), units_, oh, ow}));
-  Tensor y = cached_y;  // splice target: clean positions keep frame t's bits
+  // Clean positions keep frame t's bits; the dirty ones are recomputed in
+  // place, through the same route as forward(), so they get exactly the
+  // bits a full pass would put there.
+  Tensor y = cached_y;
   if (reg.empty()) return y;  // nothing dirty reaches this layer
-  const int n = x.dim(0);
   const auto& active = active_flags(ctx.subnet_id);
-  const int rw = reg.width();
-  const std::int64_t area = reg.area();
-  const std::int64_t part_img = static_cast<std::int64_t>(units_) * area;
-  // Lower only the dirty output positions; the resulting columns are
-  // byte-identical to the corresponding columns of the full im2col, and
-  // each GEMM output element's FP sequence depends only on its own column
-  // (tensor/gemm_kernel.h), so `part` carries exactly the bits a full
-  // forward would put at those positions. The kernel accumulates into C
-  // (the full path hands it a zero-filled tensor), so `part` starts zeroed.
-  ArenaScope ws;
-  float* part = ws.alloc_floats(static_cast<std::size_t>(n * part_img));
-  std::memset(part, 0, sizeof(float) * static_cast<std::size_t>(n * part_img));
-  lowered_gemm(x, active.data(), ctx.subnet_id, reg, /*relu=*/false, part);
-  const std::int64_t out_img = static_cast<std::int64_t>(units_) * oh * ow;
-  for (int i = 0; i < n; ++i) {
-    float* yi = y.data() + i * out_img;
-    for (int u = 0; u < units_; ++u) {
-      if (!active[static_cast<std::size_t>(u)]) continue;  // stays zero
-      const float* prow = part + i * part_img + static_cast<std::int64_t>(u) * area;
-      float* plane = yi + static_cast<std::int64_t>(u) * oh * ow;
-      for (int r = reg.r0; r < reg.r1; ++r) {
-        std::memcpy(plane + static_cast<std::size_t>(r) * ow + reg.c0,
-                    prow + static_cast<std::size_t>(r - reg.r0) * rw,
-                    sizeof(float) * static_cast<std::size_t>(rw));
-      }
-    }
-  }
+  conv_rows(x, active.data(), ctx.subnet_id, reg, /*relu=*/false, y.data());
   return y;
 }
 
@@ -250,19 +208,17 @@ Tensor Conv2d::forward_step(const Tensor& x, const Tensor& cached_y,
   Tensor y = cached_y;  // reuse results of units evaluated at from_subnet
 
   // Evaluate only the units joining in (from_subnet, subnet_id], through the
-  // SAME lowering route forward() uses, so step-up follows the active ISA
-  // tier's multiply-add semantics and stays bit-identical to a from-scratch
-  // evaluation. Joining units are zero in cached_y (masked when it was
-  // produced), so the kernel's accumulate-into-C is an overwrite for them;
-  // reused units are skipped untouched.
+  // SAME route forward() uses, so step-up follows the active ISA tier's
+  // multiply-add semantics and stays bit-identical to a from-scratch
+  // evaluation. Reused units are skipped untouched.
   std::vector<unsigned char> fresh(static_cast<std::size_t>(units_), 0);
   for (int u = 0; u < units_; ++u) {
     const int sv = (*out_assign_)[static_cast<std::size_t>(u)];
     if (sv > from_subnet && sv <= ctx.subnet_id) fresh[static_cast<std::size_t>(u)] = 1;
   }
-  lowered_gemm(x, fresh.data(), ctx.subnet_id,
-               SpatialRegion::full(geom_.out_h(), geom_.out_w()),
-               /*relu=*/false, y.data());
+  conv_rows(x, fresh.data(), ctx.subnet_id,
+            SpatialRegion::full(geom_.out_h(), geom_.out_w()), /*relu=*/false,
+            y.data());
   mask_inactive_units(y, *out_assign_, 1, ctx.subnet_id);
   return y;
 }

@@ -1,16 +1,17 @@
-// Subnet-aware 2-D convolution (NCHW), lowered to GEMM via im2col.
+// Subnet-aware 2-D convolution (NCHW).
 //
 // Each output filter is a "unit" in the paper's sense; the structural rule
 // s(in) <= s(out) gates whole kernel-column groups of the weight matrix.
 // A unit of subnet l therefore reads only input channels with s(in) <= l,
-// and the fp32 forward, forward_step and forward_delta all take one
-// lowering route (lowered_gemm) that costs what the step computes: it
-// lowers only those channels, gathers the weights of only the computed
-// units and channels, and runs gemm_rows_bias over that compacted
-// contraction. Every dropped term has a structurally zero weight, which
-// every GEMM route on every ISA tier skips, so the output bits equal a
-// full-width lowering's. Heads read every channel; the int8 path and
-// backward keep the full effective weight matrix.
+// and the fp32 forward, forward_step and forward_delta all take one route
+// (conv_rows -> conv2d_implicit in tensor/ops.h) that costs what the step
+// computes: it copies only those channels, zero-padded, gathers the
+// weights of only the computed units and channels, and runs the GEMM's
+// axpy micro-kernel straight off that copy — no im2col matrix, no pack.
+// Every dropped term has a structurally zero weight, which the explicit
+// im2col + GEMM route skips too, so the output bits equal a full-width
+// lowering's on every ISA tier. Heads read every channel; the int8 path
+// and backward keep im2col and the full effective weight matrix.
 #pragma once
 
 #include <vector>
@@ -51,13 +52,13 @@ class Conv2d final : public MaskedLayer {
 
  private:
   Tensor forward_impl(const Tensor& x, const SubnetContext& ctx, bool relu);
-  /// The fp32 lowering route: for each image i, out + i * units * area
-  /// (area = region.area()) += W * cols (+ bias, + ReLU if `relu`) over the
-  /// rows flagged in `rows` and the input channels subnet `subnet_id` can
-  /// read, at the output positions of `region` (clipped, non-empty). Rows
-  /// not flagged are untouched; callers pass zeroed flagged rows.
-  void lowered_gemm(const Tensor& x, const unsigned char* rows, int subnet_id,
-                    const SpatialRegion& region, bool relu, float* out);
+  /// The fp32 route of every forward: writes y (n, units, out_h, out_w)
+  /// = W * x (+ bias, + ReLU if `relu`) over the rows flagged in `rows`
+  /// and the input channels subnet `subnet_id` can read, at the output
+  /// positions of `region` (clipped). Rows not flagged and positions
+  /// outside the region are untouched.
+  void conv_rows(const Tensor& x, const unsigned char* rows, int subnet_id,
+                 const SpatialRegion& region, bool relu, float* y);
 
   std::string name_;
   int out_channels_;

@@ -101,19 +101,23 @@ void MaskedLayer::set_prune_mask(const std::vector<std::uint8_t>& mask) {
   prune_mask_ = mask;
 }
 
-std::int64_t MaskedLayer::active_weights(int subnet_id) const {
+std::int64_t MaskedLayer::step_weights(int from, int to) const {
   std::int64_t count = 0;
+  const int groups = cols_ / col_group_;
   for (int u = 0; u < units_; ++u) {
-    const int sv = is_head_ ? 1 : (*out_assign_)[static_cast<std::size_t>(u)];
-    if (sv > subnet_id) continue;
-    const std::uint8_t* prow =
+    // A head unit reads every producer present in subnet `to`.
+    const int sv = is_head_ ? to : (*out_assign_)[static_cast<std::size_t>(u)];
+    if (!is_head_ && (sv <= from || sv > to)) continue;
+    const std::uint8_t* keep =
         prune_mask_.data() + static_cast<std::size_t>(u) * cols_;
-    for (int c = 0; c < cols_; ++c) {
-      if (!prow[c]) continue;
-      const int su = (*in_assign_)[static_cast<std::size_t>(in_unit_of(u, c))];
-      if (su > subnet_id) continue;          // producer absent from this subnet
-      if (!is_head_ && su > sv) continue;    // structural rule
-      ++count;
+    for (int j = 0; j < groups; ++j, keep += col_group_) {
+      // The structural rule once per (unit, group), as gather_weights
+      // applies it; then the group's kept prune-mask bytes.
+      if ((*in_assign_)[static_cast<std::size_t>(in_unit_of(u, j * col_group_))] >
+          sv) {
+        continue;
+      }
+      for (int t = 0; t < col_group_; ++t) count += keep[t] != 0;
     }
   }
   return count;

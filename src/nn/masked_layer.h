@@ -89,7 +89,14 @@ class MaskedLayer : public Layer {
   /// MAC operations contributed by one active weight (conv: out_h*out_w).
   std::int64_t macs_per_weight() const { return macs_per_weight_; }
   /// Active (structural && unpruned) weights of this layer in subnet `id`.
-  std::int64_t active_weights(int subnet_id) const;
+  std::int64_t active_weights(int subnet_id) const {
+    return step_weights(0, subnet_id);
+  }
+  /// Active weights, in subnet `to`, of the units joining between subnets
+  /// `from` and `to` (from < s(u) <= to): what a ladder step from `from`
+  /// to `to` computes. A head is recomputed whole, so every unit counts.
+  /// Costs one structural test per (unit, column group), not per weight.
+  std::int64_t step_weights(int from, int to) const;
   /// MACs of this layer in subnet `id`.
   std::int64_t subnet_macs(int subnet_id) const {
     return active_weights(subnet_id) * macs_per_weight();

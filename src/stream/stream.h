@@ -9,10 +9,10 @@
 // is BITWISE identical to a full forward pass at the same subnet level:
 //  * a conv output position whose receptive field reads only clean input
 //    keeps its cached bits (they ARE what a full pass would produce);
-//  * recomputed positions are lowered with im2col_region, whose columns are
-//    byte-identical to the full im2col's, and every GEMM output element's FP
-//    op sequence folds over its own column only (tensor/gemm_kernel.h), so
-//    the spliced values match the full pass bit for bit;
+//  * recomputed positions go through the same implicit-GEMM conv as a full
+//    pass (conv2d_implicit in tensor/ops.h), restricted to the region, and
+//    every output element's FP op sequence folds over its own receptive
+//    field only, so the recomputed values match the full pass bit for bit;
 //  * after the splice every downstream layer's input is exact, so layers
 //    without a delta path simply run their plain forward.
 //

@@ -601,6 +601,7 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
       // Fused epilogue fires on the chunk that completes the contraction
       // (the dot family never chunks, so always there).
       const bool epi = bias != nullptr && pc + bk == k;
+      const std::ptrdiff_t pstride = static_cast<std::ptrdiff_t>(bk) * nr;
       // Rows are partitioned exactly like the reference kernels; every C
       // row is owned by one chunk and element values are independent of
       // the partition, so any thread count yields identical bits.
@@ -611,11 +612,11 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
         // of the NC block.
         ArenaScope ws(Arena::this_thread());
         float* vals = nullptr;
-        int* idxs = nullptr;
+        int* offs = nullptr;
         int* nnz = nullptr;
         if constexpr (F == Fam::kAxpy) {
           vals = ws.alloc_floats(static_cast<std::size_t>(mc) * bk);
-          idxs = static_cast<int*>(
+          offs = static_cast<int*>(
               ws.alloc(static_cast<std::size_t>(mc) * bk * sizeof(int)));
           nnz = static_cast<int*>(
               ws.alloc(static_cast<std::size_t>(mc) * sizeof(int)));
@@ -632,7 +633,7 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
               }
               int t = 0;
               float* vrow = vals + static_cast<std::size_t>(r) * bk;
-              int* irow = idxs + static_cast<std::size_t>(r) * bk;
+              int* irow = offs + static_cast<std::size_t>(r) * bk;
               for (int p = 0; p < bk; ++p) {
                 if constexpr (KMask) {
                   if (kmask[pc + p] == 0) continue;
@@ -642,7 +643,7 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                            : a[static_cast<std::size_t>(i) * k + pc + p];
                 if (av == 0.0f) continue;  // the reference's masked skip
                 vrow[t] = av;
-                irow[t] = p;
+                irow[t] = p * nr;  // B row p's offset inside a panel
                 ++t;
               }
               nnz[r] = t;
@@ -658,8 +659,8 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                 if (nnz[r] < 0) continue;
                 float* crow = c + (static_cast<std::size_t>(g0) + r) * n + j0;
                 kt.axpy(vals + static_cast<std::size_t>(r) * bk,
-                        idxs + static_cast<std::size_t>(r) * bk, nnz[r], bp,
-                        crow, w, bk, /*pair=*/true, epi,
+                        offs + static_cast<std::size_t>(r) * bk, nnz[r], bp,
+                        pstride, crow, w, /*pair=*/true, epi,
                         epi ? bias[g0 + r] : 0.0f, relu);
               }
             }
@@ -671,8 +672,8 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                 if (nnz[r] < 0) continue;
                 float* crow = c + (static_cast<std::size_t>(g0) + r) * n + j0;
                 kt.axpy(vals + static_cast<std::size_t>(r) * bk,
-                        idxs + static_cast<std::size_t>(r) * bk, nnz[r], bp,
-                        crow, w, bk, /*pair=*/false, epi,
+                        offs + static_cast<std::size_t>(r) * bk, nnz[r], bp,
+                        pstride, crow, w, /*pair=*/false, epi,
                         epi ? bias[g0 + r] : 0.0f, relu);
               }
             }

@@ -8,11 +8,17 @@
 // call and never mixes tiers within a call.
 //
 // The table functions are the two inner loops of the blocked path:
-//  * axpy — one C row against one packed B panel (pair=false, NR columns)
-//    or two adjacent panels (pair=true, 2*NR columns). The caller compacted
-//    the row's contraction terms (ascending p, exact-zero A terms dropped)
-//    into (vals, idxs); `epi` applies the fused bias(+ReLU) store on the
-//    chunk completing the contraction.
+//  * axpy — one C row against one NR-column panel of B (pair=false) or two
+//    (pair=true, 2*NR columns). The caller compacted the row's contraction
+//    terms (ascending p, exact-zero A terms dropped) into (vals, offs):
+//    term t reads B at bp0 + offs[t], and the second panel sits pstride
+//    floats after the first. The packed GEMM passes offs[t] = p * NR and
+//    pstride = bk * NR; the implicit-GEMM conv (conv2d_implicit in
+//    tensor/ops.h) passes tap offsets into a zero-padded input copy and
+//    pstride = NR, so both run this one kernel per tier. Lanes past w read
+//    up to 2*NR - 1 floats beyond the last needed column (the caller keeps
+//    them readable) and are never stored. `epi` applies the fused
+//    bias(+ReLU) store on the chunk completing the contraction.
 //  * dot — an MR x NR register tile over the FULL contraction (this family
 //    never chunks k): accumulators start at zero and C is updated exactly
 //    once per element. rmask/cmask are null when that mask is absent;
@@ -31,15 +37,16 @@
 // pre-dispatch behavior bit for bit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "tensor/gemm_isa.h"
 
 namespace stepping::microkernel {
 
-using AxpyFn = void (*)(const float* vals, const int* idxs, int nnz,
-                        const float* bp0, float* crow, int w, int bk,
-                        bool pair, bool epi, float bias, bool relu);
+using AxpyFn = void (*)(const float* vals, const int* offs, int nnz,
+                        const float* bp0, std::ptrdiff_t pstride, float* crow,
+                        int w, bool pair, bool epi, float bias, bool relu);
 
 using DotFn = void (*)(const float* a, float* c, int k, int n,
                        std::int64_t i0, int h, int j0, int w, int bk,

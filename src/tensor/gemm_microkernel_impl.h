@@ -26,6 +26,7 @@
 // may legitimately differ.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -36,28 +37,34 @@ namespace stepping::microkernel::detail {
 inline constexpr int kMR = kGemmMR;
 
 /// Axpy-family inner kernel: one C row against one (Pair=false) or two
-/// adjacent (Pair=true) packed B panels. The caller compacted the row's
+/// (Pair=true) NR-column panels of B. The caller compacted the row's
 /// contraction terms — ascending p, the reference's av == 0.0f terms
-/// dropped — into (vals, idxs), so the hot loop is branchless: per element
+/// dropped — into (vals, offs), so the hot loop is branchless: per element
 /// the reference's operation sequence is replayed exactly, compaction only
 /// removed the unpredictable per-term branch that would dominate a branchy
-/// micro-kernel. Lanes at j >= w accumulate against the panel's zero
-/// padding and are not stored back.
+/// micro-kernel. Term t reads its B row at bp0 + offs[t] (first panel) and
+/// bp0 + pstride + offs[t] (second panel), so the same kernel serves both
+/// callers: the packed GEMM passes offs[t] = p * NR and pstride = bk * NR,
+/// the implicit-GEMM conv passes each tap's offset into a zero-padded input
+/// copy and pstride = NR (its columns are contiguous). Lanes at j >= w read
+/// panel padding or columns past the row and are not stored back; callers
+/// keep 2 * NR readable floats past the last column they need.
 ///
 /// When `epi` is set (fused epilogue, final KC chunk only) the store adds
 /// the row's bias — and applies ReLU if `relu` — to each element before
 /// writing: the same value the unfused sequence produces, since the
 /// reference's intermediate store/load round trips are bit-exact.
 template <class V, int NR, bool Pair>
-inline void axpy_row_panels(const float* vals, const int* idxs, int nnz,
-                            const float* bp0, float* crow, int w, int bk,
-                            bool epi, float bias, bool relu) {
+inline void axpy_row_panels(const float* vals, const int* offs, int nnz,
+                            const float* bp0, std::ptrdiff_t pstride,
+                            float* crow, int w, bool epi, float bias,
+                            bool relu) {
   constexpr int kL = V::kLanes;
   constexpr int kW = Pair ? 2 * NR : NR;      // columns covered
   constexpr int kNV = kW / kL;                // accumulator vectors
   constexpr int kPV = NR / kL;                // vectors per panel
   static_assert(NR % kL == 0, "panel width must be a multiple of the lanes");
-  const float* bp1 = bp0 + static_cast<std::size_t>(bk) * NR;  // next panel
+  const float* bp1 = bp0 + pstride;  // second panel
   // Vector u covers columns [u*kL, u*kL + kL), all inside one panel; its
   // panel base and within-panel column offset never change across terms.
   const float* pan[kNV];
@@ -74,14 +81,14 @@ inline void axpy_row_panels(const float* vals, const int* idxs, int nnz,
   for (; t + 1 < nnz; t += 2) {
     const typename V::Vec a0 = V::splat(vals[t]);
     const typename V::Vec a1 = V::splat(vals[t + 1]);
-    const std::size_t o0 = static_cast<std::size_t>(idxs[t]) * NR;
-    const std::size_t o1 = static_cast<std::size_t>(idxs[t + 1]) * NR;
+    const int o0 = offs[t];
+    const int o1 = offs[t + 1];
     for (int u = 0; u < kNV; ++u) acc[u] = V::fmadd(acc[u], a0, V::load(pan[u] + o0));
     for (int u = 0; u < kNV; ++u) acc[u] = V::fmadd(acc[u], a1, V::load(pan[u] + o1));
   }
   for (; t < nnz; ++t) {
     const typename V::Vec av = V::splat(vals[t]);
-    const std::size_t off = static_cast<std::size_t>(idxs[t]) * NR;
+    const int off = offs[t];
     for (int u = 0; u < kNV; ++u) acc[u] = V::fmadd(acc[u], av, V::load(pan[u] + off));
   }
   float out[kW];
@@ -153,15 +160,15 @@ inline void dot_tile(const float* a, float* c, int k, int n, std::int64_t i0,
 
 /// KernelTable::axpy body — resolves the runtime pair flag to the template.
 template <class V, int NR>
-void axpy_entry(const float* vals, const int* idxs, int nnz, const float* bp0,
-                float* crow, int w, int bk, bool pair, bool epi, float bias,
-                bool relu) {
+void axpy_entry(const float* vals, const int* offs, int nnz, const float* bp0,
+                std::ptrdiff_t pstride, float* crow, int w, bool pair,
+                bool epi, float bias, bool relu) {
   if (pair) {
-    axpy_row_panels<V, NR, true>(vals, idxs, nnz, bp0, crow, w, bk, epi, bias,
-                                 relu);
+    axpy_row_panels<V, NR, true>(vals, offs, nnz, bp0, pstride, crow, w, epi,
+                                 bias, relu);
   } else {
-    axpy_row_panels<V, NR, false>(vals, idxs, nnz, bp0, crow, w, bk, epi, bias,
-                                  relu);
+    axpy_row_panels<V, NR, false>(vals, offs, nnz, bp0, pstride, crow, w, epi,
+                                  bias, relu);
   }
 }
 

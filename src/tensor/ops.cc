@@ -183,67 +183,6 @@ void gemm_rows_bias_ref(const Tensor& a, const Tensor& b, Tensor& c,
 
 namespace {
 
-/// The one lowering loop behind im2col and im2col_region: writes the
-/// (channels * k * k, reg.area()) column matrix of the output positions in
-/// `reg` (clipped, non-empty), row (i*k + kh)*k + kw lowering the i-th
-/// listed input channel (every channel when `channels` is null). Each row is
-/// written by exactly one chunk and holds pure copies, so parallel lowering
-/// is bitwise identical to the serial loop.
-void lower_region(const float* x, const Conv2dGeometry& g,
-                  const SpatialRegion& reg, const std::vector<int>* channels,
-                  float* cols) {
-  const int rw = reg.width();
-  const std::int64_t area = reg.area();
-  const int kk = g.kernel * g.kernel;
-  const int nch =
-      channels != nullptr ? static_cast<int>(channels->size()) : g.in_c;
-  // Stride-1 rows at least 8 wide are copied as a left padding run, one
-  // memcpy and a right padding run: up to 4x faster than the per-element
-  // loop from 8 to 32 columns. On narrower rows (VGG-16's 4- and 2-wide
-  // stages) the calls cost up to 2x more than that loop, so those keep it;
-  // with 3x3 kernels the two cross at 7-8 columns on an AVX-512 Xeon.
-  const bool copy_runs = g.stride == 1 && rw >= 8;
-  parallel_for_cost(0, static_cast<std::int64_t>(nch) * kk, area,
-                    [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const int i = static_cast<int>(r / kk);
-      const int c = channels != nullptr ? (*channels)[static_cast<std::size_t>(i)]
-                                        : i;
-      const int kh = static_cast<int>((r / g.kernel) % g.kernel);
-      const int kw = static_cast<int>(r % g.kernel);
-      const float* xc = x + static_cast<std::size_t>(c) * g.in_h * g.in_w;
-      float* crow = cols + static_cast<std::size_t>(r) * area;
-      // At stride 1, output column xo reads input column xo + off: columns
-      // [lo, hi) read inside the input row, the rest are padding.
-      const int off = kw - g.pad;
-      const int lo = std::clamp(-off, reg.c0, reg.c1);
-      const int hi = std::clamp(g.in_w - off, lo, reg.c1);
-      for (int y = reg.r0; y < reg.r1; ++y) {
-        const int iy = y * g.stride + kh - g.pad;
-        float* orow = crow + static_cast<std::size_t>(y - reg.r0) * rw;
-        if (iy < 0 || iy >= g.in_h) {
-          std::memset(orow, 0, sizeof(float) * static_cast<std::size_t>(rw));
-          continue;
-        }
-        const float* xrow = xc + static_cast<std::size_t>(iy) * g.in_w;
-        if (copy_runs) {
-          std::fill(orow, orow + (lo - reg.c0), 0.0f);
-          if (hi > lo) {
-            std::memcpy(orow + (lo - reg.c0), xrow + (lo + off),
-                        sizeof(float) * static_cast<std::size_t>(hi - lo));
-          }
-          std::fill(orow + (hi - reg.c0), orow + rw, 0.0f);
-          continue;
-        }
-        for (int xo = reg.c0; xo < reg.c1; ++xo) {
-          const int ix = xo * g.stride + kw - g.pad;
-          orow[xo - reg.c0] = (ix >= 0 && ix < g.in_w) ? xrow[ix] : 0.0f;
-        }
-      }
-    }
-  });
-}
-
 /// 1-D receptive-field intersection: output coords y (stride s, pad p,
 /// kernel k) reading any input coord in [i0, i1). Empty input -> empty.
 void dirty_out_axis(int i0, int i1, int k, int s, int p, int out_n, int* y0,
@@ -267,10 +206,56 @@ void dirty_out_axis(int i0, int i1, int k, int s, int p, int out_n, int* y0,
 
 }  // namespace
 
-void im2col(const float* x, const Conv2dGeometry& g, float* cols,
-            const std::vector<int>* channels) {
+// Each row is written by exactly one chunk and holds pure copies, so
+// parallel lowering is bitwise identical to the serial loop.
+void im2col(const float* x, const Conv2dGeometry& g, float* cols) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "im2col");
-  lower_region(x, g, SpatialRegion::full(g.out_h(), g.out_w()), channels, cols);
+  const int oh = g.out_h(), ow = g.out_w();
+  const std::int64_t spatial = static_cast<std::int64_t>(oh) * ow;
+  const int kk = g.kernel * g.kernel;
+  // Stride-1 rows at least 8 wide are copied as a left padding run, one
+  // memcpy and a right padding run: up to 4x faster than the per-element
+  // loop from 8 to 32 columns. On narrower rows (VGG-16's 4- and 2-wide
+  // stages) the calls cost up to 2x more than that loop, so those keep it;
+  // with 3x3 kernels the two cross at 7-8 columns on an AVX-512 Xeon.
+  const bool copy_runs = g.stride == 1 && ow >= 8;
+  parallel_for_cost(0, static_cast<std::int64_t>(g.in_c) * kk, spatial,
+                    [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t r = r0; r < r1; ++r) {
+      const int c = static_cast<int>(r / kk);
+      const int kh = static_cast<int>((r / g.kernel) % g.kernel);
+      const int kw = static_cast<int>(r % g.kernel);
+      const float* xc = x + static_cast<std::size_t>(c) * g.in_h * g.in_w;
+      float* crow = cols + static_cast<std::size_t>(r) * spatial;
+      // At stride 1, output column xo reads input column xo + off: columns
+      // [lo, hi) read inside the input row, the rest are padding.
+      const int off = kw - g.pad;
+      const int lo = std::clamp(-off, 0, ow);
+      const int hi = std::clamp(g.in_w - off, lo, ow);
+      for (int y = 0; y < oh; ++y) {
+        const int iy = y * g.stride + kh - g.pad;
+        float* orow = crow + static_cast<std::size_t>(y) * ow;
+        if (iy < 0 || iy >= g.in_h) {
+          std::memset(orow, 0, sizeof(float) * static_cast<std::size_t>(ow));
+          continue;
+        }
+        const float* xrow = xc + static_cast<std::size_t>(iy) * g.in_w;
+        if (copy_runs) {
+          std::fill(orow, orow + lo, 0.0f);
+          if (hi > lo) {
+            std::memcpy(orow + lo, xrow + (lo + off),
+                        sizeof(float) * static_cast<std::size_t>(hi - lo));
+          }
+          std::fill(orow + hi, orow + ow, 0.0f);
+          continue;
+        }
+        for (int xo = 0; xo < ow; ++xo) {
+          const int ix = xo * g.stride + kw - g.pad;
+          orow[xo] = (ix >= 0 && ix < g.in_w) ? xrow[ix] : 0.0f;
+        }
+      }
+    }
+  });
 }
 
 SpatialRegion conv_dirty_out_region(const Conv2dGeometry& g,
@@ -283,15 +268,6 @@ SpatialRegion conv_dirty_out_region(const Conv2dGeometry& g,
                  &out.c0, &out.c1);
   if (out.empty()) return SpatialRegion{};
   return out;
-}
-
-void im2col_region(const float* x, const Conv2dGeometry& g,
-                   const SpatialRegion& region, float* cols,
-                   const std::vector<int>* channels) {
-  STEPPING_TRACE_SCOPE_CAT("kernel", "im2col_region");
-  const SpatialRegion reg = region.clipped(g.out_h(), g.out_w());
-  if (reg.empty()) return;
-  lower_region(x, g, reg, channels, cols);
 }
 
 // col2im was left serial in ISSUE 1 because its scatter-add overlaps across

@@ -1,15 +1,17 @@
-// Dense math kernels: GEMM, im2col convolution, pooling, softmax, fills.
+// Dense math kernels: GEMM, convolution, pooling, softmax, fills.
 //
-// Convolutions are lowered to GEMM through im2col; this is the standard
-// CPU-friendly formulation and keeps a single tuned inner loop (gemm) for
-// both Dense and Conv2d layers.
+// Every fp32 Conv2d forward runs conv2d_implicit: the packed GEMM's axpy
+// micro-kernel straight off a zero-padded copy of the input planes, so no
+// such forward builds or packs an im2col matrix. im2col + GEMM remains the
+// lowering of the conv backward, the int8 conv and the Slimmable baseline,
+// and the explicit oracle the implicit route is tested against.
 //
-// The GEMM family, im2col, col2im, softmax_rows and the ReLU kernels execute
-// on the global ThreadPool (util/thread_pool.h), partitioned so that every
-// output element is owned by exactly one thread (col2im partitions over
-// input channels — its scatter-add only overlaps within a channel). Results
-// are bitwise identical to serial execution for any thread count
-// (STEPPING_THREADS=1 forces serial).
+// The GEMM family, the convolutions, im2col, col2im, softmax_rows and the
+// ReLU kernels execute on the global ThreadPool (util/thread_pool.h),
+// partitioned so that every output element is owned by exactly one thread
+// (col2im partitions over input channels — its scatter-add only overlaps
+// within a channel). Results are bitwise identical to serial execution for
+// any thread count (STEPPING_THREADS=1 forces serial).
 #pragma once
 
 #include <cstdint>
@@ -122,14 +124,10 @@ struct Conv2dGeometry {
 };
 
 /// im2col for one image: x is (C, H, W) flattened within a batch tensor;
-/// writes a (patch, out_h*out_w) column matrix. With `channels` (ascending
-/// input channel ids) only those channels are lowered: the result has
-/// channels->size() * k * k rows, the full matrix's row blocks of the listed
-/// channels in list order — what a conv needs when its executing subnet
-/// reads only some input channels (the rest would meet structurally zero
-/// weights, which every GEMM route skips).
-void im2col(const float* x, const Conv2dGeometry& g, float* cols,
-            const std::vector<int>* channels = nullptr);
+/// writes the (patch, out_h*out_w) column matrix. The lowering of the conv
+/// backward and the int8 conv, and (with gemm_rows_bias) the explicit
+/// oracle conv2d_implicit is tested against; no fp32 forward calls it.
+void im2col(const float* x, const Conv2dGeometry& g, float* cols);
 
 /// Half-open spatial rectangle [r0, r1) x [c0, c1) over one H x W plane —
 /// the dirty-region currency of the streaming delta path (ISSUE 10).
@@ -168,17 +166,36 @@ struct SpatialRegion {
 SpatialRegion conv_dirty_out_region(const Conv2dGeometry& g,
                                     const SpatialRegion& in);
 
-/// im2col restricted to the output positions inside `region` (clipped to the
-/// output plane): writes a (patch, region.area()) column matrix whose column
-/// j = (y - r0)*region.width() + (x - c0) is byte-identical to column
-/// y*out_w + x of the full im2col. Partial lowering for the streaming delta
-/// path: a GEMM over these columns reproduces the full pass's bits for the
-/// region because every output element's FP sequence depends only on its own
-/// column (see tensor/gemm_kernel.h's determinism contract).
-/// `channels` compacts the rows exactly as in im2col.
-void im2col_region(const float* x, const Conv2dGeometry& g,
-                   const SpatialRegion& region, float* cols,
-                   const std::vector<int>* channels = nullptr);
+/// Implicit-GEMM convolution, the route of every fp32 Conv2d forward. For
+/// each image i of the (n, in_c, in_h, in_w) batch x and each row u with
+/// rows[u] != 0, writes
+///   y(i, u, r, c) = relu?(bias[u] + sum_p w(u, p) * cols(p, r, c)),
+/// cols being the im2col matrix of the listed channels, at the output
+/// positions (r, c) of `region` (clipped to the plane; empty writes
+/// nothing) of the (n, out_c, out_h, out_w) tensor y. Other rows and
+/// positions are not touched. The contraction runs over the listed input channels
+/// `channels` (ascending ids): w holds row u at w + u * ld, ld =
+/// channels.size() * kernel^2, in (channel, kh, kw) order. Rows not flagged
+/// are never read.
+///
+/// The route copies the listed channels once into a zero-padded buffer,
+/// split into stride phases when stride > 1. It compacts each flagged row's
+/// nonzero weights into (value, offset) terms in ascending (channel, kh, kw)
+/// order. Then it runs the active tier's axpy micro-kernel over the output
+/// positions, read as flat columns of that buffer, into a zeroed staging
+/// row, and writes back only the valid positions. Per output element that
+/// is exactly the sequence im2col + gemm_rows_bias runs: ascending p, terms
+/// with a zero weight skipped, the tier's multiply-add, then bias, then
+/// ReLU. Padding stays a real zero term, so an Inf or NaN weight still
+/// makes NaN at the border. The bits therefore equal the explicit route's
+/// under every blocking, thread count and pack-cache state of the active
+/// tier. (Where two different NaNs meet in one sum, which one survives is
+/// up to how the add was compiled, and only that may differ.) Work is
+/// split over flagged rows.
+void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
+                     const std::vector<int>& channels, const float* w,
+                     const unsigned char* rows, const float* bias, bool relu,
+                     const SpatialRegion& region, float* y);
 
 /// col2im scatter-add, inverse of im2col (for input gradients).
 void col2im(const float* cols, const Conv2dGeometry& g, float* x);

@@ -18,8 +18,9 @@
 //
 // Determinism: the arena hands out uninitialized memory; callers fill every
 // byte they read (im2col writes the full column matrix, the GEMM packer
-// zero-pads panel tails). Reused memory therefore never leaks state between
-// calls into results.
+// zero-pads panel tails, the implicit conv zeroes the slack its last vector
+// lanes read past its padded copy). Reused memory therefore never leaks
+// state between calls into results.
 //
 // Instrumented: block growth bumps stepping_arena_grows_total and raises
 // the stepping_arena_bytes high-water gauge in the global metrics registry.

@@ -1,12 +1,17 @@
-// Compacted conv lowering: Conv2d's fp32 forward, forward_step and
-// forward_delta lower only the input channels the executing subnet can read
-// and gather the weights of only the rows they compute. These tests pin that
-// route byte for byte against a full-width reference — every channel
-// lowered by im2col, the full effective_weights() matrix, one GEMM over the
-// whole contraction — at every level, over shuffled (non-prefix)
-// assignments, partly pruned weights, kernel {1, 3, 5} x stride {1, 2} x pad
-// {0, same}, a head conv, two blockings and 1 and 4 threads. Channels a
-// level cannot read hold NaN and Inf, which must not reach the output.
+// Compacted conv route: Conv2d's fp32 forward, forward_step and
+// forward_delta read only the input channels the executing subnet can read,
+// gather the weights of only the rows they compute, and run them through
+// the implicit-GEMM conv (conv2d_implicit) off a zero-padded input copy.
+// These tests pin that route byte for byte against an explicit full-width
+// reference — every channel lowered by im2col, the full effective_weights()
+// matrix, one gemm_rows_bias over the whole contraction — at every level,
+// over shuffled (non-prefix) assignments, partly pruned weights, kernel
+// {1, 3, 5} x stride {1, 2} x pad {0, same}, a head conv, two blockings and
+// 1 and 4 threads. Channels a level cannot read hold NaN and Inf, which
+// must not reach the output. Further cases cover where an implicit route
+// could go wrong: kernels wider than the plane, the last image's
+// bottom-right corner, Inf and NaN weights meeting zero padding, non-finite
+// inputs meeting zero weights, and packing.
 //
 // The reference GEMM runs through the dispatcher, so the suite holds at any
 // ISA tier (the CI isa-matrix job re-runs it under each STEPPING_ISA pin);
@@ -14,6 +19,7 @@
 // gemmref::gemm_rows_bias. The effective_weights() tests pin the refresh's
 // bytes and its pack_id() change sequence against a per-element loop for
 // Conv2d, Dense and DepthwiseConv2d.
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -25,6 +31,7 @@
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/depthwise_conv2d.h"
+#include "obs/metrics.h"
 #include "tensor/gemm_isa.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
@@ -103,13 +110,13 @@ struct ConvRig {
     fill_normal(conv.bias().value, 0.0f, 0.5f, rng);
   }
 
-  /// Batch-2 input. Channels level `level` cannot read hold NaN and ±Inf; a
-  /// head reads every channel, so for a head they keep finite values, which
-  /// its output must include.
-  Tensor input(int level, unsigned seed) const {
+  /// Batch-`batch` input. Channels level `level` cannot read hold NaN and
+  /// ±Inf; a head reads every channel, so for a head they keep finite
+  /// values, which its output must include.
+  Tensor input(int level, unsigned seed, int batch = 2) const {
     const Conv2dGeometry& g = conv.geometry();
     Rng r(seed);
-    Tensor x({2, g.in_c, g.in_h, g.in_w});
+    Tensor x({batch, g.in_c, g.in_h, g.in_w});
     fill_normal(x, 0.0f, 1.0f, r);
     poison(x, level);
     return x;
@@ -176,6 +183,31 @@ SubnetContext at_level(int level) {
   return ctx;
 }
 
+/// Redraws the input inside `in_reg` (clipped to the plane) and checks
+/// forward_delta over the matching output region against the reference.
+void check_delta(ConvRig& rig, const Tensor& x, const SpatialRegion& in_reg,
+                 int level, const std::string& what) {
+  const Conv2dGeometry& g = rig.conv.geometry();
+  const SpatialRegion in_clip = in_reg.clipped(g.in_h, g.in_w);
+  Tensor x_new = x;
+  Rng r(7u + static_cast<unsigned>(in_reg.r0 * 31 + in_reg.c0));
+  for (int i = 0; i < x.dim(0); ++i) {
+    for (int c = 0; c < g.in_c; ++c) {
+      for (int yy = in_clip.r0; yy < in_clip.r1; ++yy) {
+        for (int xx = in_clip.c0; xx < in_clip.c1; ++xx) {
+          x_new.at(i, c, yy, xx) = static_cast<float>(r.normal(0.0, 1.0));
+        }
+      }
+    }
+  }
+  rig.poison(x_new, level);
+  const SubnetContext ctx = at_level(level);
+  const SpatialRegion out_reg = conv_dirty_out_region(g, in_reg);
+  const Tensor cached = rig.conv.forward(x, ctx);
+  same_bytes(rig.reference(x_new, level),
+             rig.conv.forward_delta(x_new, cached, out_reg, ctx), what);
+}
+
 /// forward at every level, forward_step from every lower level, and
 /// forward_delta over three dirty rectangles, all against the reference.
 void check_rig(ConvRig& rig, const std::string& tag) {
@@ -195,24 +227,9 @@ void check_rig(ConvRig& rig, const std::string& tag) {
         {0, 2, 0, 3}, {g.in_h / 2, g.in_h / 2 + 1, g.in_w / 2, g.in_w / 2 + 1},
         {g.in_h - 3, g.in_h, 1, g.in_w}};
     for (const SpatialRegion& in_reg : dirty) {
-      Tensor x_new = x;
-      Rng r(7u + static_cast<unsigned>(in_reg.r0 * 31 + in_reg.c0));
-      for (int i = 0; i < x.dim(0); ++i) {
-        for (int c = 0; c < g.in_c; ++c) {
-          for (int yy = in_reg.r0; yy < in_reg.r1; ++yy) {
-            for (int xx = in_reg.c0; xx < in_reg.c1; ++xx) {
-              x_new.at(i, c, yy, xx) = static_cast<float>(r.normal(0.0, 1.0));
-            }
-          }
-        }
-      }
-      rig.poison(x_new, level);
-      const SpatialRegion out_reg = conv_dirty_out_region(g, in_reg);
-      const Tensor cached = rig.conv.forward(x, ctx);
-      same_bytes(rig.reference(x_new, level),
-                 rig.conv.forward_delta(x_new, cached, out_reg, ctx),
-                 lt + " forward_delta rows [" + std::to_string(in_reg.r0) +
-                     "," + std::to_string(in_reg.r1) + ")");
+      check_delta(rig, x, in_reg, level,
+                  lt + " forward_delta rows [" + std::to_string(in_reg.r0) +
+                      "," + std::to_string(in_reg.r1) + ")");
     }
   }
 }
@@ -246,6 +263,176 @@ TEST_F(CompactLowering, ConvPathsMatchFullWidthReferenceOverGeometryGrid) {
   }
 }
 
+// A 5x5 window wider than the plane: every tap past the plane reads
+// padding, and on the 1xW plane every row but one is padding.
+TEST_F(CompactLowering, FiveByFiveKernelOnPlanesSmallerThanItsWindow) {
+  unsigned seed = 300;
+  for (const int threads : {1, 4}) {
+    ThreadPool::set_global_threads(threads);
+    ConvRig square(5, 2, 2, 7, /*kernel=*/5, /*stride=*/1, /*pad=*/2,
+                   /*head=*/false, seed++);
+    check_rig(square, "t=" + std::to_string(threads) + " 2x2");
+    ConvRig row(5, 1, 9, 7, 5, 1, 2, /*head=*/false, seed++);
+    check_rig(row, "t=" + std::to_string(threads) + " 1x9");
+  }
+}
+
+// The implicit route reads past each computed column by up to 2*NR - 1
+// floats; at the last image's bottom-right corner those reads run past the
+// end of the padded copy into its slack. Arena memory is not poisoned, so
+// this pins only the values; the slack itself is sized from the tier's NR.
+TEST_F(CompactLowering, Batch3DeltaAtTheBottomRightCorner) {
+  const struct { int kernel, stride, pad; } geoms[] = {
+      {3, 1, 1}, {5, 1, 2}, {3, 2, 1}, {1, 1, 0}, {5, 2, 0}};
+  unsigned seed = 400;
+  for (const auto& geo : geoms) {
+    ConvRig rig(6, 9, 13, 11, geo.kernel, geo.stride, geo.pad,
+                /*head=*/false, seed++);
+    const Conv2dGeometry& g = rig.conv.geometry();
+    for (int level = 1; level <= kLevels; ++level) {
+      const Tensor x = rig.input(level, seed + 10u * level, /*batch=*/3);
+      const std::string tag = "k=" + std::to_string(geo.kernel) + " s=" +
+                              std::to_string(geo.stride) + " L" +
+                              std::to_string(level);
+      check_delta(rig, x, {g.in_h - 1, g.in_h, g.in_w - 1, g.in_w}, level,
+                  tag + " corner pixel");
+      check_delta(rig, x, {g.in_h - 3, g.in_h, g.in_w - 4, g.in_w}, level,
+                  tag + " corner block");
+    }
+  }
+}
+
+// Padding is a real zero term: an Inf weight times padding is NaN on the
+// explicit route, so the implicit one must produce NaN at exactly the
+// border positions where that tap reads padding (and Inf elsewhere, the
+// input being positive). A NaN weight poisons its whole unit on both.
+TEST_F(CompactLowering, InfAndNanWeightsMeetZeroPaddingLikeTheExplicitRoute) {
+  const struct { int kernel, stride, pad; } geoms[] = {
+      {3, 1, 1}, {5, 1, 2}, {3, 2, 1}};
+  unsigned seed = 500;
+  for (const auto& geo : geoms) {
+    ConvRig rig(4, 7, 6, 8, geo.kernel, geo.stride, geo.pad, /*head=*/false,
+                seed++);
+    rig.conv.clear_prune_mask();
+    const Conv2dGeometry& g = rig.conv.geometry();
+    const int kk = g.kernel * g.kernel;
+    // Units of the top level read every channel; poison one weight each of
+    // two of them: tap (0, 0) of channel 1 and the last tap of channel 2.
+    std::vector<int> top;
+    for (int u = 0; u < rig.conv.num_units(); ++u) {
+      if (rig.conv.unit_subnet()[static_cast<std::size_t>(u)] == kLevels) top.push_back(u);
+    }
+    ASSERT_GE(top.size(), 2u);
+    const int inf_unit = top[0], nan_unit = top[1];
+    float* w = rig.conv.weight().value.data();
+    w[static_cast<std::size_t>(inf_unit) * rig.conv.num_cols() + 1 * kk] =
+        std::numeric_limits<float>::infinity();
+    w[static_cast<std::size_t>(nan_unit) * rig.conv.num_cols() + 2 * kk + kk - 1] =
+        std::numeric_limits<float>::quiet_NaN();
+    Rng r(seed);
+    Tensor x({2, g.in_c, g.in_h, g.in_w});
+    fill_uniform(x, 0.5f, 1.5f, r);
+    const std::string tag = "k=" + std::to_string(geo.kernel) + " s=" +
+                            std::to_string(geo.stride);
+    const Tensor want = rig.reference(x, kLevels);
+    const Tensor got = rig.conv.forward(x, at_level(kLevels));
+    same_bytes(want, got, tag + " forward");
+    for (int from = 1; from < kLevels; ++from) {
+      same_bytes(want,
+                 rig.conv.forward_step(x, rig.conv.forward(x, at_level(from)),
+                                       from, at_level(kLevels)),
+                 tag + " forward_step from L" + std::to_string(from));
+    }
+    check_delta(rig, x, {0, 2, 0, 2}, kLevels, tag + " forward_delta corner");
+    for (int i = 0; i < x.dim(0); ++i) {
+      for (int y = 0; y < g.out_h(); ++y) {
+        for (int c = 0; c < g.out_w(); ++c) {
+          const bool pad_read = y * g.stride < g.pad || c * g.stride < g.pad;
+          EXPECT_EQ(std::isnan(got.at(i, inf_unit, y, c)), pad_read)
+              << tag << " Inf unit at (" << y << "," << c << ")";
+          EXPECT_TRUE(std::isnan(got.at(i, nan_unit, y, c))) << tag;
+        }
+      }
+    }
+  }
+}
+
+// Terms with a zero weight are skipped, not multiplied: a non-finite value
+// in a readable channel must not reach the units whose weights from that
+// channel are structurally zero or pruned (0 x Inf would be NaN). The
+// poison is ±Inf and -0, not NaN: every NaN those make is the default NaN,
+// while a NaN input meeting such a NaN in one sum leaves whichever operand
+// the compiled add happens to take first, and the oracle's fallback loop
+// and the micro-kernel need not order that add alike.
+TEST_F(CompactLowering, NonFiniteInputsMeetZeroWeightsLikeTheExplicitRoute) {
+  unsigned seed = 700;
+  for (const int kernel : {1, 3, 5}) {
+    ConvRig rig(6, 7, 8, 12, kernel, 1, -1, /*head=*/false, seed++);
+    const Conv2dGeometry& g = rig.conv.geometry();
+    for (int level = 2; level <= kLevels; ++level) {
+      Tensor x = rig.input(level, seed + 20u * level);
+      // Poison every channel of level 2..level that this level reads.
+      const float bad[] = {std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(), -0.0f};
+      for (int i = 0; i < x.dim(0); ++i) {
+        for (int c = 0; c < g.in_c; ++c) {
+          const int sc = (*rig.in_assign)[static_cast<std::size_t>(c)];
+          if (sc < 2 || sc > level) continue;
+          for (int y = 0; y < g.in_h; ++y) {
+            for (int xx = 0; xx < g.in_w; ++xx) x.at(i, c, y, xx) = bad[(y + xx) % 3];
+          }
+        }
+      }
+      const std::string lt = "k=" + std::to_string(kernel) + " L" + std::to_string(level);
+      const Tensor want = rig.reference(x, level);
+      same_bytes(want, rig.conv.forward(x, at_level(level)), lt + " forward");
+      for (int from = 1; from < level; ++from) {
+        same_bytes(want,
+                   rig.conv.forward_step(x, rig.conv.forward(x, at_level(from)),
+                                         from, at_level(level)),
+                   lt + " forward_step from L" + std::to_string(from));
+      }
+      // Level-1 units read no poisoned channel: finite everywhere.
+      for (int u = 0; u < rig.conv.num_units(); ++u) {
+        if (rig.conv.unit_subnet()[static_cast<std::size_t>(u)] != 1) continue;
+        for (int y = 0; y < g.out_h(); ++y) {
+          for (int c = 0; c < g.out_w(); ++c) {
+            EXPECT_TRUE(std::isfinite(want.at(0, u, y, c))) << lt;
+          }
+        }
+      }
+    }
+  }
+}
+
+// No fp32 conv forward builds or packs a B operand: the implicit route
+// reads the padded input copy in place.
+TEST_F(CompactLowering, Fp32ConvForwardsPackNothing) {
+  ConvRig rig(16, 12, 12, 24, 3, 1, -1, /*head=*/false, 600);
+  const Conv2dGeometry& g = rig.conv.geometry();
+  const obs::Counter& packs =
+      obs::Registry::global().counter("stepping_gemm_packs_total");
+  const Tensor x = rig.input(kLevels, 601);
+  const std::uint64_t before = packs.value();
+  for (int level = 1; level <= kLevels; ++level) {
+    const SubnetContext ctx = at_level(level);
+    const Tensor y = rig.conv.forward(x, ctx);
+    rig.conv.forward_relu(x, ctx);
+    for (int from = 1; from < level; ++from) {
+      rig.conv.forward_step(x, rig.conv.forward(x, at_level(from)), from, ctx);
+    }
+    rig.conv.forward_delta(x, y, {2, 7, 3, 9}, ctx);
+  }
+  EXPECT_EQ(packs.value(), before);
+  // The explicit oracle packs at this shape, so the counter is live.
+  if (gemm_uses_blocked(rig.conv.num_units(), g.patch(),
+                        static_cast<std::int64_t>(g.out_h()) * g.out_w(),
+                        gemm_blocking())) {
+    rig.reference(x, kLevels);
+    EXPECT_GT(packs.value(), before);
+  }
+}
+
 TEST_F(CompactLowering, ReadableChannelsFollowAssignmentAndHead) {
   ConvRig rig(9, 6, 6, 5, 3, 1, -1, /*head=*/false, 77);
   for (int level = 1; level <= kLevels; ++level) {
@@ -260,15 +447,13 @@ TEST_F(CompactLowering, ReadableChannelsFollowAssignmentAndHead) {
 }
 
 /// Naive per-element lowering: the definition im2col must reproduce.
-std::vector<float> naive_lowering(const Tensor& x, const Conv2dGeometry& g,
-                                  const std::vector<int>& channels,
-                                  const SpatialRegion& reg) {
+std::vector<float> naive_lowering(const Tensor& x, const Conv2dGeometry& g) {
   std::vector<float> out;
-  for (const int c : channels) {
+  for (int c = 0; c < g.in_c; ++c) {
     for (int kh = 0; kh < g.kernel; ++kh) {
       for (int kw = 0; kw < g.kernel; ++kw) {
-        for (int y = reg.r0; y < reg.r1; ++y) {
-          for (int xo = reg.c0; xo < reg.c1; ++xo) {
+        for (int y = 0; y < g.out_h(); ++y) {
+          for (int xo = 0; xo < g.out_w(); ++xo) {
             const int iy = y * g.stride + kh - g.pad;
             const int ix = xo * g.stride + kw - g.pad;
             const bool in = iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
@@ -281,44 +466,30 @@ std::vector<float> naive_lowering(const Tensor& x, const Conv2dGeometry& g,
   return out;
 }
 
-TEST_F(CompactLowering, Im2colChannelListsMatchNaiveLowering) {
+TEST_F(CompactLowering, Im2colMatchesNaiveLowering) {
   Rng rng(5);
   for (const int threads : {1, 4}) {
     ThreadPool::set_global_threads(threads);
     for (const int kernel : {1, 3, 5}) {
       for (const int stride : {1, 2, 3}) {
         for (const int pad : {0, kernel / 2, kernel}) {
-          const Conv2dGeometry g{6, 9, 11, 4, kernel, stride, pad};
-          if (g.out_h() <= 0 || g.out_w() <= 0) continue;
-          Tensor x({1, g.in_c, g.in_h, g.in_w});
-          fill_normal(x, 0.0f, 1.0f, rng);
-          x.at(0, 2, 1, 1) = -0.0f;
-          x.at(0, 4, 0, 0) = std::numeric_limits<float>::quiet_NaN();
-          const std::string tag = "t=" + std::to_string(threads) +
-                                  " k=" + std::to_string(kernel) +
-                                  " s=" + std::to_string(stride) +
-                                  " p=" + std::to_string(pad);
-          const std::vector<int> all = {0, 1, 2, 3, 4, 5};
-          const std::vector<int> some = {1, 2, 4};
-          const SpatialRegion full = SpatialRegion::full(g.out_h(), g.out_w());
-          std::vector<float> cols(static_cast<std::size_t>(g.patch()) *
-                                  g.out_h() * g.out_w());
-          im2col(x.data(), g, cols.data());
-          std::vector<float> want = naive_lowering(x, g, all, full);
-          same_bytes(want.data(), cols.data(), want.size(), tag + " im2col");
-          im2col(x.data(), g, cols.data(), &some);
-          want = naive_lowering(x, g, some, full);
-          same_bytes(want.data(), cols.data(), want.size(), tag + " im2col list");
-          // Narrow and wide regions, from the left edge and from inside.
-          const SpatialRegion regions[] = {
-              {g.out_h() / 2, g.out_h(), 0, (g.out_w() + 1) / 2},
-              {0, (g.out_h() + 1) / 2, 1, g.out_w()}};
-          for (const SpatialRegion& reg : regions) {
-            if (reg.clipped(g.out_h(), g.out_w()).empty()) continue;
-            im2col_region(x.data(), g, reg, cols.data(), &some);
-            want = naive_lowering(x, g, some, reg.clipped(g.out_h(), g.out_w()));
-            same_bytes(want.data(), cols.data(), want.size(),
-                       tag + " im2col_region list c0=" + std::to_string(reg.c0));
+          for (const int w : {11, 3}) {  // run copies / per-element loop
+            const Conv2dGeometry g{6, 9, w, 4, kernel, stride, pad};
+            if (g.out_h() <= 0 || g.out_w() <= 0) continue;
+            Tensor x({1, g.in_c, g.in_h, g.in_w});
+            fill_normal(x, 0.0f, 1.0f, rng);
+            x.at(0, 2, 1, 1) = -0.0f;
+            x.at(0, 4, 0, 0) = std::numeric_limits<float>::quiet_NaN();
+            const std::string tag = "t=" + std::to_string(threads) +
+                                    " k=" + std::to_string(kernel) +
+                                    " s=" + std::to_string(stride) +
+                                    " p=" + std::to_string(pad) +
+                                    " w=" + std::to_string(w);
+            std::vector<float> cols(static_cast<std::size_t>(g.patch()) *
+                                    g.out_h() * g.out_w());
+            im2col(x.data(), g, cols.data());
+            const std::vector<float> want = naive_lowering(x, g);
+            same_bytes(want.data(), cols.data(), want.size(), tag + " im2col");
           }
         }
       }

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/incremental.h"
 #include "core/macs.h"
 #include "models/models.h"
+#include "nn/conv2d.h"
+#include "nn/dense.h"
+#include "nn/depthwise_conv2d.h"
 #include "tensor/ops.h"
 
 namespace stepping {
@@ -204,6 +211,119 @@ TEST(Incremental, RepeatedRunSameSubnetOnlyRecomputesHead) {
   ex.run(x, 2);
   auto* head = net.masked_layers().back();
   EXPECT_EQ(ex.last_step_macs(), head->subnet_macs(2));
+}
+
+// ---------------------------------------------------------------------------
+// MAC bookkeeping: step_weights() applies the structural rule once per
+// (unit, column group); pinned against the per-weight definition.
+// ---------------------------------------------------------------------------
+
+/// The per-weight definition of MaskedLayer::step_weights(from, to).
+std::int64_t per_weight_step(const MaskedLayer& m, int from, int to) {
+  std::int64_t count = 0;
+  for (int u = 0; u < m.num_units(); ++u) {
+    const int sv = m.unit_subnet()[static_cast<std::size_t>(u)];
+    if (!m.is_head() && (sv <= from || sv > to)) continue;
+    for (int c = 0; c < m.num_cols(); ++c) {
+      if (!m.prune_mask()[static_cast<std::size_t>(u) * m.num_cols() + c]) continue;
+      const int su = m.in_subnet()[static_cast<std::size_t>(m.in_unit_of(u, c))];
+      if (su > to) continue;                 // producer absent from `to`
+      if (!m.is_head() && su > sv) continue;  // structural rule
+      ++count;
+    }
+  }
+  return count;
+}
+
+constexpr int kMacLevels = 4;
+
+AssignmentPtr shuffled_assignment(int n, Rng& rng) {
+  auto a = std::make_shared<Assignment>(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) (*a)[static_cast<std::size_t>(i)] = 1 + i % kMacLevels;
+  rng.shuffle(*a);
+  return a;
+}
+
+/// Shuffle the units' levels (when movable) and prune about 30 % of the
+/// weights; prune-mask bytes other than 0 and 1 count as kept.
+void scramble(MaskedLayer& m, Rng& rng) {
+  if (m.units_movable()) {
+    const AssignmentPtr a = shuffled_assignment(m.num_units(), rng);
+    for (int u = 0; u < m.num_units(); ++u) {
+      m.set_unit_subnet(u, (*a)[static_cast<std::size_t>(u)]);
+    }
+  }
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(m.num_units()) *
+                                 m.num_cols());
+  for (auto& b : mask) {
+    const double r = rng.uniform(0.0, 1.0);
+    b = r < 0.3 ? 0 : (r < 0.4 ? 7 : 1);
+  }
+  m.set_prune_mask(mask);
+}
+
+void expect_step_weights_match(MaskedLayer& m, const std::string& what) {
+  for (const bool head : {false, true}) {
+    m.set_head(head);
+    for (int to = 1; to <= kMacLevels; ++to) {
+      EXPECT_EQ(m.active_weights(to), per_weight_step(m, 0, to))
+          << what << (head ? " head" : "") << " L" << to;
+      for (int from = 0; from <= to; ++from) {
+        EXPECT_EQ(m.step_weights(from, to), per_weight_step(m, from, to))
+            << what << (head ? " head" : "") << " " << from << "->" << to;
+      }
+    }
+  }
+  m.set_head(false);
+}
+
+TEST(Incremental, StepWeightsMatchThePerWeightCount) {
+  Rng rng(41);
+  for (int trial = 0; trial < 3; ++trial) {
+    IOSpec spatial;
+    spatial.units = 7;
+    spatial.h = 6;
+    spatial.w = 5;
+    spatial.assignment = shuffled_assignment(7, rng);
+
+    Conv2d conv("c", 9, 3);
+    conv.set_out_spec(conv.wire(spatial, rng));
+    scramble(conv, rng);
+    expect_step_weights_match(conv, "conv");
+
+    // Depthwise unit u reads only input unit u, whatever the column.
+    DepthwiseConv2d dw("dw", 3);
+    dw.set_out_spec(dw.wire(spatial, rng));
+    scramble(dw, rng);
+    expect_step_weights_match(dw, "depthwise");
+
+    IOSpec flat;
+    flat.units = 5;
+    flat.features_per_unit = 3;
+    flat.flat = true;
+    flat.assignment = shuffled_assignment(5, rng);
+    Dense fc("fc", 6);
+    fc.set_out_spec(fc.wire(flat, rng));
+    scramble(fc, rng);
+    expect_step_weights_match(fc, "dense");
+  }
+  // And through a whole network: ladder_step_macs sums the layers' counts.
+  Network net = nested_net();
+  for (MaskedLayer* m : net.masked_layers()) {
+    std::vector<std::uint8_t> mask(static_cast<std::size_t>(m->num_units()) *
+                                   m->num_cols());
+    for (auto& b : mask) b = rng.uniform(0.0, 1.0) < 0.3 ? 0 : 1;
+    m->set_prune_mask(mask);
+  }
+  for (int to = 1; to <= 3; ++to) {
+    for (int from = 0; from <= to; ++from) {
+      std::int64_t want = 0;
+      for (MaskedLayer* m : net.masked_layers()) {
+        want += per_weight_step(*m, from, to) * m->macs_per_weight();
+      }
+      EXPECT_EQ(ladder_step_macs(net, from, to), want) << from << "->" << to;
+    }
+  }
 }
 
 }  // namespace
