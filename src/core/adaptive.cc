@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "core/macs.h"
 #include "tensor/ops.h"
 
 namespace stepping {
@@ -25,18 +24,9 @@ AdaptiveResult AdaptiveExecutor::run(const Tensor& x) {
   exec_.reset();
   Tensor probs;
   for (int level = 1; level <= max_level_; ++level) {
-    if (level > 1 && cfg_.mac_budget > 0) {
-      // Estimated step cost: the body increment between the two levels
-      // (head recompute is small and included conservatively below).
-      std::int64_t estimate = 0;
-      for (MaskedLayer* m : net_.masked_layers()) {
-        estimate += m->subnet_macs(level);
-      }
-      std::int64_t at_prev = 0;
-      for (MaskedLayer* m : net_.masked_layers()) {
-        if (!m->is_head()) at_prev += m->subnet_macs(level - 1);
-      }
-      if (out.macs + (estimate - at_prev) > cfg_.mac_budget) break;
+    if (level > 1 && cfg_.mac_budget > 0 &&
+        out.macs + ladder_step_macs(net_, level - 1, level) > cfg_.mac_budget) {
+      break;
     }
     out.logits = exec_.run(x, level);
     out.macs += exec_.last_step_macs();

@@ -1,28 +1,12 @@
 #include "core/incremental.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <stdexcept>
 
 #include "core/macs.h"
 
 namespace stepping {
-
-namespace {
-
-/// 64-bit FNV-1a over the tensor bytes — the input fingerprint. One linear
-/// pass, no retained copy (cf. the class comment on collision odds).
-std::uint64_t fnv1a_bytes(const Tensor& x) {
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(x.data());
-  const std::size_t n = sizeof(float) * static_cast<std::size_t>(x.numel());
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 Tensor ladder_step(Network& net, const Tensor& x,
                    std::vector<Tensor>& layer_outputs, int from, int to) {
@@ -53,28 +37,182 @@ std::int64_t ladder_step_macs(Network& net, int from, int to) {
   return total;
 }
 
-IncrementalExecutor::IncrementalExecutor(Network& net) : net_(net) {
-  layer_outputs_.resize(net_.layers().size());
+std::vector<std::uint64_t> network_signature(Network& net) {
+  std::vector<std::uint64_t> sig;
+  for (Param* p : net.params()) sig.push_back(p->version);
+  return sig;
 }
 
-void IncrementalExecutor::reset() {
-  cached_subnet_ = 0;
-  input_shape_.clear();
-  input_hash_ = 0;
-  for (auto& t : layer_outputs_) t = Tensor();
+namespace {
+
+/// Fold n floats' bytes into a 64-bit FNV-1a hash.
+std::uint64_t fnv1a_fold(std::uint64_t h, const float* v, int n) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v);
+  const std::size_t bytes = sizeof(float) * static_cast<std::size_t>(n);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
-bool IncrementalExecutor::same_input(const Tensor& x) const {
-  return input_shape_ == x.shape() && input_hash_ == fnv1a_bytes(x);
+/// Bounding box, in pixels clipped to h x w, of the tiles whose fingerprint
+/// differs; empty when none does. `*dirty_count` gets the number of such
+/// tiles.
+SpatialRegion diff_tiles(const std::vector<std::uint64_t>& prev,
+                         const std::vector<std::uint64_t>& next, int tile,
+                         int h, int w, int* dirty_count) {
+  const int gw = (w + tile - 1) / tile;
+  int tr0 = 1 << 30, tr1 = -1, tc0 = 1 << 30, tc1 = -1, count = 0;
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    if (prev[i] == next[i]) continue;
+    ++count;
+    const int tr = static_cast<int>(i) / gw;
+    const int tc = static_cast<int>(i) % gw;
+    tr0 = std::min(tr0, tr);
+    tr1 = std::max(tr1, tr);
+    tc0 = std::min(tc0, tc);
+    tc1 = std::max(tc1, tc);
+  }
+  *dirty_count = count;
+  if (count == 0) return {};
+  SpatialRegion r{tr0 * tile, (tr1 + 1) * tile, tc0 * tile, (tc1 + 1) * tile};
+  return r.clipped(h, w);
 }
 
-void IncrementalExecutor::remember_input(const Tensor& x) {
-  input_shape_ = x.shape();
-  input_hash_ = fnv1a_bytes(x);
+/// The delta pass at st.level for the new input x, whose dirty input region
+/// is `region`. Region tracking stops at the first flat output (Flatten /
+/// Dense): from there the whole activation counts as dirty. Returns the
+/// analytic MACs executed.
+std::int64_t delta_pass(Network& net, LadderState& st, const Tensor& x,
+                        SpatialRegion region) {
+  SubnetContext ctx;
+  ctx.subnet_id = st.level;
+  ctx.training = false;
+  const auto& layers = net.layers();
+  std::int64_t macs = 0;
+  bool tracked = true;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    Layer* layer = layers[i].get();
+    const IOSpec& spec = layer->out_spec();
+    const Tensor& in = i == 0 ? x : st.layer_outputs[i - 1];
+    Tensor& out = st.layer_outputs[i];
+    auto* masked = dynamic_cast<MaskedLayer*>(layer);
+    if (tracked) {
+      region = layer->propagate_dirty_region(region).clipped(spec.h, spec.w);
+    }
+    if (tracked && layer->supports_spatial_delta() &&
+        !region.covers(spec.h, spec.w)) {
+      out = layer->forward_delta(in, out, region, ctx);
+      // Active weights x recomputed positions (the full layer is
+      // active_weights x out_h*out_w == subnet_macs).
+      if (masked) macs += masked->active_weights(st.level) * region.area();
+    } else {
+      out = layer->forward(in, ctx);
+      if (masked) macs += masked->subnet_macs(st.level);
+    }
+    if (spec.flat) tracked = false;
+  }
+  return macs;
 }
+
+/// Mask the cached ladder down to `level` and recompute the head (and any
+/// layer after it). Returns the analytic MACs executed.
+std::int64_t mask_down(Network& net, LadderState& st, const Tensor& x,
+                       int level) {
+  SubnetContext ctx;
+  ctx.subnet_id = level;
+  ctx.training = false;
+  const auto& layers = net.layers();
+  MaskedLayer* head = net.masked_layers().back();
+  bool recompute = false;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    recompute = recompute || layers[i].get() == static_cast<Layer*>(head);
+    const IOSpec& spec = layers[i]->out_spec();
+    if (recompute) {
+      st.layer_outputs[i] =
+          layers[i]->forward(i == 0 ? x : st.layer_outputs[i - 1], ctx);
+    } else if (spec.assignment) {
+      mask_inactive_units(st.layer_outputs[i], *spec.assignment,
+                          spec.features_per_unit, level);
+    }
+  }
+  return head->subnet_macs(level);
+}
+
+}  // namespace
+
+void tile_fingerprints(const Tensor& x, int tile,
+                       std::vector<std::uint64_t>& grid) {
+  if (tile < 1) throw std::invalid_argument("tile edge must be >= 1");
+  assert(x.rank() == 4);
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int gh = (h + tile - 1) / tile;
+  const int gw = (w + tile - 1) / tile;
+  grid.assign(static_cast<std::size_t>(gh) * gw, 1469598103934665603ULL);
+  const float* base = x.data();
+  for (std::int64_t plane = 0; plane < static_cast<std::int64_t>(n) * c;
+       ++plane) {
+    for (int r = 0; r < h; ++r) {
+      const float* row = base + (plane * h + r) * w;
+      std::uint64_t* tile_row =
+          grid.data() + static_cast<std::size_t>(r / tile) * gw;
+      for (int tc = 0; tc < gw; ++tc) {
+        const int c0 = tc * tile;
+        tile_row[tc] = fnv1a_fold(tile_row[tc], row + c0,
+                                  std::min(w, c0 + tile) - c0);
+      }
+    }
+  }
+}
+
+void LadderState::reset() { *this = LadderState(); }
+
+LadderResult advance(Network& net, LadderState& st, const Tensor& x,
+                     int level, int tile,
+                     const std::vector<std::uint64_t>& signature) {
+  assert(level >= 1 && x.rank() == 4 && !net.layers().empty());
+  std::vector<std::uint64_t> tiles;
+  tile_fingerprints(x, tile, tiles);
+
+  LadderResult res;
+  res.full_macs = subnet_macs(net, level);
+  res.total_tiles = static_cast<int>(tiles.size());
+  res.cold = st.level == 0 || st.signature != signature ||
+             st.in_shape != x.shape() || st.tile != tile;
+  const int h = x.dim(2), w = x.dim(3);
+  const SpatialRegion dirty =
+      res.cold ? SpatialRegion::full(h, w)
+               : diff_tiles(st.tiles, tiles, tile, h, w, &res.dirty_tiles);
+  try {
+    if (dirty.covers(h, w)) {
+      ladder_step(net, x, st.layer_outputs, 0, level);
+      res.macs = res.full_macs;
+    } else {
+      if (!dirty.empty()) res.macs += delta_pass(net, st, x, dirty);
+      if (level > st.level) {
+        ladder_step(net, x, st.layer_outputs, st.level, level);
+        res.macs += ladder_step_macs(net, st.level, level);
+      } else if (level < st.level) {
+        res.macs += mask_down(net, st, x, level);
+      }
+    }
+  } catch (...) {
+    st.reset();
+    throw;
+  }
+  st.level = level;
+  st.in_shape = x.shape();
+  st.tile = tile;
+  st.tiles = std::move(tiles);
+  st.signature = signature;
+  res.logits = st.layer_outputs.back();
+  return res;
+}
+
+IncrementalExecutor::IncrementalExecutor(Network& net) : net_(net) {}
 
 Tensor IncrementalExecutor::run(const Tensor& x, int subnet_id) {
-  assert(subnet_id >= 1);
   // Not thread-safe (see header): concurrent run() calls on one executor
   // corrupt the activation cache. This guard trips in debug/sanitizer
   // builds when two threads interleave.
@@ -84,58 +222,12 @@ Tensor IncrementalExecutor::run(const Tensor& x, int subnet_id) {
     bool& flag;
     ~RunGuard() { flag = false; }
   } run_guard{in_run_};
-  if (cached_subnet_ != 0 && subnet_id < cached_subnet_ && same_input(x)) {
-    return step_down(x, subnet_id);
-  }
-  if (cached_subnet_ == 0 || subnet_id < cached_subnet_ || !same_input(x)) {
-    reset();
-  }
-  const int from = cached_subnet_;
-
-  // Analytic MAC accounting for this step vs a from-scratch evaluation.
-  last_step_macs_ = ladder_step_macs(net_, from, subnet_id);
-  last_full_macs_ = 0;
-  for (MaskedLayer* m : net_.masked_layers()) {
-    last_full_macs_ += m->subnet_macs(subnet_id);
-  }
-
-  Tensor cur = ladder_step(net_, x, layer_outputs_, from, subnet_id);
-  remember_input(x);
-  cached_subnet_ = subnet_id;
-  return cur;
-}
-
-Tensor IncrementalExecutor::step_down(const Tensor& x, int subnet_id) {
-  // Dynamic subnet REDUCTION (paper §II): every unit of the smaller subnet
-  // was already evaluated — and, by the structural invariant, to exactly the
-  // value the smaller subnet would compute. Masking the extra channels of
-  // each cached output reconstructs the smaller subnet's intermediate state;
-  // only the head must be recomputed.
-  SubnetContext ctx;
-  ctx.subnet_id = subnet_id;
-  ctx.training = false;
-
-  last_full_macs_ = 0;
-  for (MaskedLayer* m : net_.masked_layers()) {
-    last_full_macs_ += m->subnet_macs(subnet_id);
-  }
-  last_step_macs_ = net_.masked_layers().back()->subnet_macs(subnet_id);
-
-  const auto& layers = net_.layers();
-  MaskedLayer* head = net_.masked_layers().back();
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (layers[i].get() == static_cast<Layer*>(head)) {
-      layer_outputs_[i] = head->forward(i == 0 ? x : layer_outputs_[i - 1], ctx);
-    } else {
-      const IOSpec& spec = layers[i]->out_spec();
-      if (spec.assignment) {
-        mask_inactive_units(layer_outputs_[i], *spec.assignment,
-                            spec.features_per_unit, subnet_id);
-      }
-    }
-  }
-  cached_subnet_ = subnet_id;
-  return layer_outputs_.back();
+  const int whole_plane = std::max({1, x.dim(2), x.dim(3)});
+  LadderResult r = advance(net_, state_, x, subnet_id, whole_plane,
+                           network_signature(net_));
+  last_step_macs_ = r.macs;
+  last_full_macs_ = r.full_macs;
+  return std::move(r.logits);
 }
 
 }  // namespace stepping

@@ -1,6 +1,7 @@
-// Incremental step-up inference with exact computational reuse
-// (the paper's headline property: a smaller subnet's intermediate results
-// feed directly into larger subnets without recomputation).
+// Incremental inference with exact computational reuse (the paper's headline
+// property: a smaller subnet's intermediate results feed directly into
+// larger subnets without recomputation, and a larger subnet's results mask
+// down to any smaller one).
 #pragma once
 
 #include <cstdint>
@@ -11,13 +12,12 @@
 namespace stepping {
 
 /// One stateless batched ladder step over externally-owned activation state
-/// (the serve batch re-formation path, ISSUE 9): evaluate subnet `to` on the
+/// (the serve batch re-formation path): evaluate subnet `to` on the
 /// stacked input `x` (B, C, H, W), given `layer_outputs` — one cached
 /// post-activation tensor per layer, all B rows at subnet `from` — and
 /// overwrite `layer_outputs` with the subnet-`to` state. `from == 0` is a
 /// cold start (layer_outputs is resized and filled from scratch); `from ==
-/// to` adds no unit and recomputes only the head (IncrementalExecutor's
-/// repeated run at one level).
+/// to` adds no unit and recomputes only the head.
 ///
 /// Because every batched kernel computes each output row independently and
 /// in serial order (the PR 1 thread-pool invariant), a row's values depend
@@ -25,8 +25,7 @@ namespace stepping {
 /// the batch. Callers may therefore re-stack rows from *different* earlier
 /// batches between steps and still get outputs bitwise identical to any
 /// other batch composition (property-tested in tests/serve_reform_test.cc).
-/// IncrementalExecutor::run is this function plus an owned state + input
-/// fingerprint.
+/// advance() wraps this function with a cached, self-checking state.
 ///
 /// Returns the last layer's output (the logits tensor, B x classes).
 Tensor ladder_step(Network& net, const Tensor& x,
@@ -36,11 +35,76 @@ Tensor ladder_step(Network& net, const Tensor& x,
 /// newly added in (from, to] plus a full head recompute.
 std::int64_t ladder_step_macs(Network& net, int from, int to);
 
-/// Evaluates subnets in increasing order on the SAME input, computing at each
-/// step only the units the new subnet adds (plus the always-recomputed head).
-/// Because a unit's input set is identical in every subnet containing it
-/// (structural rule s(u) <= s(v)), reused activations are bit-identical to a
-/// from-scratch evaluation — property-tested in tests/core.
+/// Version vector of every parameter in wiring order — the weight half of a
+/// ladder state's identity. Any SGD step or deserialization bumps at least
+/// one Param::version, changing the signature; clone() copies versions
+/// verbatim, so replicas of one model agree.
+std::vector<std::uint64_t> network_signature(Network& net);
+
+/// Per-tile 64-bit FNV-1a fingerprints of a (N, C, H, W) input: one hash per
+/// spatial tile, folded across all images and channels. Grid is
+/// ceil(H/tile) x ceil(W/tile), row-major; a tile spanning the plane hashes
+/// every byte in memory order. Throws std::invalid_argument if tile < 1.
+void tile_fingerprints(const Tensor& x, int tile,
+                       std::vector<std::uint64_t>& grid);
+
+/// The cached ladder of one input source: every layer's post-activation
+/// output at `level`, plus the identity of the input (shape and tile
+/// fingerprints) and of the weights (signature) it was computed from.
+struct LadderState {
+  int level = 0;                         ///< cached subnet level (0 = empty)
+  std::vector<Tensor> layer_outputs;     ///< one per layer, post-activation
+  std::vector<int> in_shape;             ///< input shape the state matches
+  int tile = 0;                          ///< tile edge `tiles` was built with
+  std::vector<std::uint64_t> tiles;      ///< tile_fingerprints of the input
+  std::vector<std::uint64_t> signature;  ///< network_signature at build time
+
+  /// Forget everything: the next advance() rebuilds cold.
+  void reset();
+};
+
+/// Outcome of one advance() call.
+struct LadderResult {
+  Tensor logits;               ///< last layer's output at `level`
+  std::int64_t macs = 0;       ///< analytic MACs this call executed
+  std::int64_t full_macs = 0;  ///< MACs of a full pass at `level`
+  int dirty_tiles = 0;         ///< tiles whose fingerprint changed (0 if cold)
+  int total_tiles = 0;         ///< tiles in the fingerprint grid
+  /// True only when the state could not be used: empty (first input, or
+  /// the call after a fault), or built under another signature, input
+  /// shape or tile edge.
+  bool cold = false;
+};
+
+/// Evaluate subnet `level` on `x` (N, C, H, W), reusing `st` wherever reuse
+/// is exact, and update `st` to describe (x, level). This is the only code
+/// that decides ladder reuse:
+///  * an unusable state (see LadderResult::cold) rebuilds with a full pass
+///    at `level`, and so does a dirty region that covers the whole plane;
+///  * otherwise the dirty tiles run a delta pass at the cached level: each
+///    conv recomputes only the rows its dirty input reaches (plus the
+///    receptive-field halo) through Layer::forward_delta, and every other
+///    layer reruns its forward on its exact spliced input;
+///  * then the state steps UP through ladder_step (only the joining units
+///    run) or masks DOWN (paper §II: every unit of the smaller subnet
+///    already holds the value that subnet computes, so the extra units are
+///    zeroed and only the head is recomputed). An unchanged input at the
+///    cached level returns the cached logits at zero MACs.
+/// Every layer output afterwards is bitwise identical to a cold
+/// ladder_step(0, level). `signature` must be network_signature(net);
+/// callers whose weights never change may compute it once. A tile < 1
+/// throws std::invalid_argument before `st` is touched; if anything later
+/// throws, `st` is left empty, so a half-updated ladder is never reused.
+LadderResult advance(Network& net, LadderState& st, const Tensor& x,
+                     int level, int tile,
+                     const std::vector<std::uint64_t>& signature);
+
+/// Evaluates subnets on the SAME input in any order, computing at each step
+/// up only the units the new subnet adds (plus the always-recomputed head)
+/// and masking on each step down. Because a unit's input set is identical
+/// in every subnet containing it (structural rule s(u) <= s(v)), reused
+/// activations are bit-identical to a full evaluation —
+/// property-tested in tests/core.
 ///
 /// Typical use (resource-varying platform):
 ///   IncrementalExecutor ex(net);
@@ -51,44 +115,26 @@ std::int64_t ladder_step_macs(Network& net, int from, int to);
 /// NOT thread-safe: run() mutates the cached activations, and the executor
 /// also runs forward passes on the shared Network (whose layers cache
 /// activations themselves). Use one executor per thread over its own
-/// Network replica (Network::clone()) — exactly what serve::Server's
-/// workers do. Concurrent run() calls are caught by a debug-mode
-/// re-entrancy assert.
+/// Network replica (Network::clone()). Concurrent run() calls are caught by
+/// a debug-mode re-entrancy assert.
 ///
-/// Input identity is tracked by a cheap fingerprint (shape + a 64-bit FNV-1a
-/// hash of the bytes) rather than a retained deep copy, so long-lived
-/// per-worker executors do not hold an extra input-sized buffer each. The
-/// fingerprint is WHOLE-INPUT: any changed byte invalidates the entire
-/// cache. Per-REGION reuse — keeping clean spatial tiles of the cached
-/// activations when only part of the input changed — is deliberately NOT
-/// this class's job; it lives in src/stream/ (ISSUE 10), which fingerprints
-/// per tile and re-runs only dirty regions through Conv2d::forward_delta.
-/// A hash collision (probability ~2^-64 per changed input) would silently
-/// reuse the stale cache; call reset() between inputs to bypass the
-/// fingerprint entirely when that risk is unacceptable.
-///
-/// The input fingerprint does NOT cover the weights. Cached activations are
-/// stale the moment any Param changes (SGD step, deserialize) — executors
-/// are inference-side objects and must be reset (or discarded) after
-/// training steps. Long-lived holders that cannot see the training loop
-/// track staleness via the Param::version counters instead:
-/// stream::network_signature() snapshots all versions and src/stream/
-/// rebuilds cold on any mismatch (regression-tested in tests/stream_test.cc,
-/// SignatureBumpInvalidates).
+/// The executor is one LadderState driven through advance() with a single
+/// tile spanning the input plane, re-reading network_signature(net) on
+/// every run: an unchanged input under unchanged weights steps or masks,
+/// while any changed input byte or Param::version bump rebuilds the whole
+/// ladder. The input is identified by a 64-bit FNV-1a hash rather than a
+/// retained copy; a collision (probability ~2^-64 per changed input) would
+/// silently reuse the stale cache — call reset() between inputs to bypass
+/// the fingerprint when that risk is unacceptable.
 class IncrementalExecutor {
  public:
   explicit IncrementalExecutor(Network& net);
 
-  /// Evaluate subnet `subnet_id`. Larger than the cached id: step UP,
-  /// computing only the newly added units. Smaller: step DOWN — the cached
-  /// intermediate results are masked to the smaller subnet and only the
-  /// head is recomputed (paper §II: dynamic subnet reduction also reuses).
-  /// A different input resets the cache transparently.
+  /// Evaluate subnet `subnet_id`, reusing the cached ladder (see advance()).
   Tensor run(const Tensor& x, int subnet_id);
 
-  /// Forget cached activations (call when the input changes; run() also
-  /// detects changed inputs itself).
-  void reset();
+  /// Forget cached activations.
+  void reset() { state_.reset(); }
 
   /// MACs actually executed by the last run() call (analytic count).
   std::int64_t last_step_macs() const { return last_step_macs_; }
@@ -97,18 +143,14 @@ class IncrementalExecutor {
   std::int64_t last_full_macs() const { return last_full_macs_; }
 
   /// Subnet id the cache currently represents (0 = empty).
-  int cached_subnet() const { return cached_subnet_; }
+  int cached_subnet() const { return state_.level; }
+
+  /// The cached ladder (read-only).
+  const LadderState& state() const { return state_; }
 
  private:
-  bool same_input(const Tensor& x) const;
-  Tensor step_down(const Tensor& x, int subnet_id);
-  void remember_input(const Tensor& x);
-
   Network& net_;
-  std::vector<int> input_shape_;       // fingerprint: shape ...
-  std::uint64_t input_hash_ = 0;       // ... + FNV-1a of the bytes
-  std::vector<Tensor> layer_outputs_;  // one per layer, post-activation
-  int cached_subnet_ = 0;
+  LadderState state_;
   std::int64_t last_step_macs_ = 0;
   std::int64_t last_full_macs_ = 0;
   bool in_run_ = false;  // debug re-entrancy guard (asserted in run())

@@ -121,9 +121,9 @@ class Layer {
     return forward(x, ctx);
   }
 
-  // ---- Streaming delta inference (ISSUE 10) ------------------------------
-  // A temporal stream presents near-duplicate inputs frame after frame. The
-  // stream executor (src/stream/) tracks which spatial rectangle of the
+  // ---- Streaming delta inference ----------------------------------------
+  // A temporal stream presents near-duplicate inputs frame after frame.
+  // advance() (core/incremental.h) tracks which spatial rectangle of the
   // CURRENT layer input differs from the previous frame and threads it
   // through these hooks: propagate_dirty_region() maps an input-plane dirty
   // rect to the output positions it can influence, and forward_delta()
@@ -148,7 +148,7 @@ class Layer {
 
   /// True when forward_delta() actually saves compute for a sub-plane
   /// region (today: non-head Conv2d). Layers answering false still take
-  /// part in streaming via propagate_dirty_region(); the executor just runs
+  /// part in streaming via propagate_dirty_region(); advance() just runs
   /// their plain forward on the (exact) spliced input.
   virtual bool supports_spatial_delta() const { return false; }
 

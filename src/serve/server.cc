@@ -533,15 +533,9 @@ void Server::process_stream_job(Network& net, Job& job,
     std::lock_guard<std::mutex> lock(state->mu);
     flight_.event(job.flight, obs::FlightEventKind::kStepStart, now_ms(),
                   target, 0, isa_tier_int_);
-    try {
-      r = stream::stream_delta_forward(net, *state, job.input, target,
-                                       stream_cfg_, stream_sig_);
-    } catch (...) {
-      // The cached ladder may be half-updated: the stream's next frame
-      // rebuilds cold instead of reusing it.
-      state->level = 0;
-      throw;
-    }
+    // A throw leaves the state empty: the stream's next frame rebuilds cold.
+    r = stream::stream_delta_forward(net, *state, job.input, target,
+                                     stream_cfg_, stream_sig_);
   }
   const double now = now_ms();
   frame_span.arg("stream_id", static_cast<std::int64_t>(job.stream_id));

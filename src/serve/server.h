@@ -149,14 +149,16 @@ struct ServeConfig {
   /// Predictive admission control (ISSUE 9); kEnv resolves from the
   /// STEPPING_ADMIT env var ("off" / "reject" / "degrade", default off).
   AdmitPolicy admit = AdmitPolicy::kEnv;
-  /// Streaming inference (ISSUE 10). 1: requests with Request::stream_id !=
-  /// 0 run the per-stream delta path — frame diffed against the stream's
-  /// cached previous frame, only dirty tiles + conv halos recomputed,
-  /// bitwise identical to a full pass. 0: stream ids are ignored. < 0
-  /// resolves from STEPPING_STREAM ("exact" enables; default off). Tile size
-  /// and stream-cache capacity come from STEPPING_STREAM_TILE /
-  /// STEPPING_STREAM_STREAMS. Only offered for the fp32 ladder — int8 rungs
-  /// never reuse (same reason the incremental executor is fp32-only).
+  /// Streaming inference. 1: requests with Request::stream_id != 0 run
+  /// the per-stream delta path (advance() in core/incremental.h) — frame
+  /// diffed against the stream's cached previous frame, only dirty tiles +
+  /// conv halos recomputed, the cached ladder stepped up or masked down to
+  /// the planned level, bitwise identical to a full pass. 0: stream ids are
+  /// ignored. < 0 resolves from STEPPING_STREAM ("exact" enables; default
+  /// off). The tile edge is StreamConfig's default (8 pixels); stream-cache
+  /// capacity comes from STEPPING_STREAM_STREAMS. Only offered for the fp32
+  /// ladder — int8 rungs never reuse (same reason the incremental executor
+  /// is fp32-only).
   int stream = -1;
 };
 
@@ -339,9 +341,9 @@ class Server {
     obs::Counter* admit_accepted = nullptr;
     obs::Counter* admit_degraded = nullptr;
     obs::Counter* admit_rejected = nullptr;
-    /// Streaming path (ISSUE 10): frames served, stream-cache hit/miss,
-    /// dirty tiles diffed, MACs the delta path saved vs full recompute, and
-    /// cold rebuilds (first frame / invalidation / level step-down).
+    /// Streaming path: frames served, stream-cache hit/miss, dirty tiles
+    /// diffed, MACs the delta path saved vs full recompute, and cold
+    /// rebuilds (first frame / invalidation / the frame after a fault).
     obs::Counter* stream_frames = nullptr;
     obs::Counter* stream_hits = nullptr;
     obs::Counter* stream_misses = nullptr;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -202,15 +203,51 @@ TEST(Incremental, StepDownThenUpStaysBitExact) {
   }
 }
 
-TEST(Incremental, RepeatedRunSameSubnetOnlyRecomputesHead) {
+TEST(Incremental, RepeatedRunSameSubnetReturnsCachedLogitsAtZeroMacs) {
   Network net = nested_net();
   Rng rng(8);
   const Tensor x = random_input(1, rng);
   IncrementalExecutor ex(net);
   ex.run(x, 2);
-  ex.run(x, 2);
-  auto* head = net.masked_layers().back();
-  EXPECT_EQ(ex.last_step_macs(), head->subnet_macs(2));
+  const Tensor y = ex.run(x, 2);
+  EXPECT_EQ(ex.last_step_macs(), 0);
+  SubnetContext ctx;
+  ctx.subnet_id = 2;
+  const Tensor direct = net.forward(x, ctx);
+  ASSERT_EQ(y.shape(), direct.shape());
+  EXPECT_EQ(0, std::memcmp(y.data(), direct.data(),
+                           sizeof(float) * static_cast<std::size_t>(y.numel())));
+}
+
+TEST(Incremental, RunAfterWeightUpdateMatchesForward) {
+  // A weight update between runs (an optimizer step scales a conv's weights
+  // and bumps its Param::version) must not be answered from the stale
+  // ladder: stepping up, repeating the level and stepping down all match
+  // forward() under the new weights.
+  const struct { int before, after; } cases[] = {{1, 2}, {2, 2}, {3, 1}};
+  for (const auto& c : cases) {
+    Network net = nested_net();
+    Rng rng(31);
+    const Tensor x = random_input(2, rng);
+    IncrementalExecutor ex(net);
+    ex.run(x, c.before);
+    Conv2d* conv = nullptr;
+    for (MaskedLayer* m : net.masked_layers()) {
+      if ((conv = dynamic_cast<Conv2d*>(m)) != nullptr) break;
+    }
+    ASSERT_NE(conv, nullptr);
+    Param* w = conv->params().front();
+    for (std::int64_t i = 0; i < w->value.numel(); ++i) w->value[i] *= 1.5f;
+    ++w->version;
+    const Tensor y = ex.run(x, c.after);
+    SubnetContext ctx;
+    ctx.subnet_id = c.after;
+    const Tensor direct = net.forward(x, ctx);
+    ASSERT_EQ(y.shape(), direct.shape());
+    EXPECT_EQ(0, std::memcmp(y.data(), direct.data(),
+                             sizeof(float) * static_cast<std::size_t>(y.numel())))
+        << "L" << c.before << " -> weight update -> L" << c.after;
+  }
 }
 
 // ---------------------------------------------------------------------------

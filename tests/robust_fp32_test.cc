@@ -2,8 +2,9 @@
 //
 // The ladder's exact-reuse contract has to hold for any bytes a caller
 // sends, not only for finite ones: ladder_step from every lower level,
-// Network::forward and stream_delta_forward (cold and delta frames) must
-// agree bit for bit at every level, in every layer's output. The tests
+// Network::forward, stream_delta_forward (cold and delta frames) and a
+// step down through a stream or an IncrementalExecutor must agree bit for
+// bit at every level, in every layer's output. The tests
 // also pin what those values are: NaN reaches only the conv outputs whose
 // window reads a non-finite input, ReLU maps NaN to +0, and MaxPool never
 // selects NaN.
@@ -122,6 +123,28 @@ TEST(RobustFp32, NonFiniteInputsAgreeBitwiseAcrossLadderForwardAndStream) {
     r = stream_delta_forward(net, st, frame, level + 1, cfg, sig);
     EXPECT_TRUE(same_bits(r.logits, forward_at(net, frame, level + 1)))
         << lt << " delta + step up";
+  }
+}
+
+TEST(RobustFp32, NonFiniteInputsMaskDownBitwiseThroughStreamAndExecutor) {
+  // The hostile frame at L4, then L3, L2 and L1 on the same input: each step
+  // masks the cached ladder down, and every layer output must equal a cold
+  // ladder at that level.
+  Network net = four_level_lenet();
+  const Tensor x = hostile_frame(5);
+  const auto sig = stream::network_signature(net);
+  stream::StreamConfig cfg;
+  cfg.tile = 8;
+  stream::StreamState st;
+  IncrementalExecutor ex(net);
+  for (int level = kLevels; level >= 1; --level) {
+    const std::string lt = "mask down to L" + std::to_string(level);
+    const std::vector<Tensor> want = cold_ladder(net, x, level);
+    const stream::StreamResult r = stream_delta_forward(net, st, x, level, cfg, sig);
+    EXPECT_EQ(r.cold, level == kLevels) << lt;
+    expect_same_ladder(st.layer_outputs, want, net, lt + " stream");
+    ex.run(x, level);
+    expect_same_ladder(ex.state().layer_outputs, want, net, lt + " executor");
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <future>
+#include <stdexcept>
 #include <vector>
 
 #include "models/models.h"
@@ -237,7 +238,7 @@ TEST(StreamDelta, LevelStepUpReusesDeltaThenLadders) {
   EXPECT_EQ(st.level, 3);
 }
 
-TEST(StreamDelta, LevelStepDownRebuildsCold) {
+TEST(StreamDelta, LevelStepDownMasksAndRecomputesOnlyTheHead) {
   Network net = nested_net();
   stream::StreamConfig cfg;
   const auto sig = stream::network_signature(net);
@@ -245,7 +246,8 @@ TEST(StreamDelta, LevelStepDownRebuildsCold) {
   const Tensor frame = random_frame(9);
   stream_delta_forward(net, st, frame, 3, cfg, sig);
   const stream::StreamResult r = stream_delta_forward(net, st, frame, 1, cfg, sig);
-  EXPECT_TRUE(r.cold) << "step-down must not mask-reuse streamed state";
+  EXPECT_FALSE(r.cold) << "step-down must mask the streamed state";
+  EXPECT_EQ(r.macs, net.masked_layers().back()->subnet_macs(1));
   expect_bitwise(r.logits, direct_forward(net, frame, 1), "step-down frame");
   EXPECT_EQ(st.level, 1);
 }
@@ -278,6 +280,39 @@ TEST(StreamDelta, SignatureBumpInvalidatesCachedState) {
                            sizeof(float) *
                                static_cast<std::size_t>(direct.numel())))
       << "weight perturbation should change the logits";
+}
+
+TEST(StreamDelta, TileBelowOneThrowsAndLeavesStateUnchanged) {
+  Network net = nested_net();
+  stream::StreamConfig cfg;
+  const auto sig = stream::network_signature(net);
+  stream::StreamState st;
+  const Tensor frame = random_frame(11);
+  stream_delta_forward(net, st, frame, 2, cfg, sig);
+  const std::vector<std::uint64_t> tiles = st.tiles;
+  const std::vector<Tensor> outs = st.layer_outputs;
+  std::vector<std::uint64_t> grid;
+  for (const int bad : {0, -1}) {
+    EXPECT_THROW(stream::tile_fingerprints(frame, bad, grid),
+                 std::invalid_argument);
+    stream::StreamConfig bad_cfg = cfg;
+    bad_cfg.tile = bad;
+    EXPECT_THROW(stream_delta_forward(net, st, random_frame(12), 3, bad_cfg, sig),
+                 std::invalid_argument);
+    EXPECT_EQ(st.level, 2);
+    EXPECT_EQ(st.tile, cfg.tile);
+    EXPECT_EQ(st.tiles, tiles);
+    EXPECT_EQ(st.in_shape, frame.shape());
+    EXPECT_EQ(st.signature, sig);
+    ASSERT_EQ(st.layer_outputs.size(), outs.size());
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      expect_bitwise(st.layer_outputs[i], outs[i], "layer output after throw");
+    }
+  }
+  // The untouched state still answers the same frame from its cache.
+  const stream::StreamResult r = stream_delta_forward(net, st, frame, 2, cfg, sig);
+  EXPECT_FALSE(r.cold);
+  EXPECT_EQ(r.macs, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -321,8 +356,8 @@ TEST(StreamCache, StatesAreIsolatedAcrossStreams) {
   // Stream a's state is untouched by stream b's frames.
   EXPECT_EQ(a->level, 2);
   EXPECT_EQ(b->level, 3);
-  expect_bitwise(a->logits, direct_forward(net, fa, 2), "stream a");
-  expect_bitwise(b->logits, direct_forward(net, fb, 3), "stream b");
+  expect_bitwise(a->layer_outputs.back(), direct_forward(net, fa, 2), "stream a");
+  expect_bitwise(b->layer_outputs.back(), direct_forward(net, fb, 3), "stream b");
 }
 
 // ---------------------------------------------------------------------------
