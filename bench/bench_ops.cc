@@ -477,21 +477,22 @@ I8Row i8_shape(int m, int k, int n, int reps) {
   std::vector<std::int32_t> acc(static_cast<std::size_t>(m) * n);
   std::vector<std::int32_t> acc_ref(static_cast<std::size_t>(m) * n);
   quant::quantize_activations(a.data(), m, k, k4, aq, a8.data());
-  i8gemm_run(kern, a8.data(), m, k, packed.data(), n, nullptr, acc.data());
-  i8gemm_run(ref, a8.data(), m, k, packed_ref.data(), n, nullptr,
-             acc_ref.data());
+  i8gemm_run(kern, a8.data(), m, k, packed.data(), n, acc.data());
+  i8gemm_run(ref, a8.data(), m, k, packed_ref.data(), n, acc_ref.data());
   const bool parity =
       std::memcmp(acc.data(), acc_ref.data(),
                   sizeof(std::int32_t) * acc.size()) == 0;
 
   std::vector<float> bias(static_cast<std::size_t>(n), 0.0f);
-  std::vector<unsigned char> active(static_cast<std::size_t>(n), 1);
+  std::vector<std::int32_t> units(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) units[static_cast<std::size_t>(j)] = j;
   Tensor y({m, n});
   const double i8_s = median_seconds(reps, [&] {
     quant::quantize_activations(a.data(), m, k, k4, aq, a8.data());
-    i8gemm_run(kern, a8.data(), m, k, packed.data(), n, nullptr, acc.data());
-    quant::dequantize_bias(acc.data(), m, n, aq, wq, active.data(),
-                           bias.data(), /*relu=*/false, y.data());
+    i8gemm_run(kern, a8.data(), m, k, packed.data(), n, acc.data());
+    quant::dequantize_bias(acc.data(), m, n, aq, wq.scale.data(),
+                           wq.wsum.data(), units.data(), bias.data(),
+                           /*relu=*/false, /*spatial=*/1, n, y.data());
   });
 
   I8Row row;
@@ -558,53 +559,6 @@ void run_i8_sweep() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Transposed activation-quantization gather (ISSUE 9): the int8 Conv2d path
-// quantizes the im2col column matrix (k x m) row-by-row into u8; the scalar
-// reference pays one strided load per element, the shipped kernel transposes
-// 4x4 blocks in registers (8x8 on the AVX2+ tier, ISSUE 10). Codes must
-// match bit-for-bit regardless of the active tier.
-// ---------------------------------------------------------------------------
-
-void run_transposed_quant_sweep() {
-  const struct { int m, k; } shapes[] = {
-      {1024, 27},   // conv1 3x3x3 patches over a 32x32 output
-      {1024, 576},  // mid conv, 64ch 3x3 patches
-      {256, 1152},  // late conv, 128ch 3x3 patches (deep-k serving shape)
-      {961, 75},    // odd spatial extent, 5x5x3 patches
-  };
-  int reps = 7;
-  if (const char* e = std::getenv("STEPPING_BENCH_REPS")) {
-    reps = std::max(1, std::atoi(e));
-  }
-  bool all_match = true;
-  for (const auto& s : shapes) {
-    Rng rng(45);
-    Tensor x({s.k, s.m});
-    fill_normal(x, 0.0f, 1.0f, rng);
-    const quant::ActQuant aq = quant::activation_params(3.0f, /*nonneg=*/false);
-    const int k4 = i8gemm_k4(s.k);
-    std::vector<std::uint8_t> q_ref(static_cast<std::size_t>(s.m) * k4);
-    std::vector<std::uint8_t> q_vec(static_cast<std::size_t>(s.m) * k4);
-    const double ref_s = median_seconds(reps, [&] {
-      quant::quantize_activations_transposed_ref(x.data(), s.m, s.k, k4, aq,
-                                                 q_ref.data());
-    });
-    const double vec_s = median_seconds(reps, [&] {
-      quant::quantize_activations_transposed(x.data(), s.m, s.k, k4, aq,
-                                             q_vec.data());
-    });
-    const bool match = q_ref == q_vec;
-    all_match = all_match && match;
-    std::printf(
-        "i8 tq isa=%s m=%d k=%d scalar=%.0fns vec=%.0fns speedup=%.2fx %s\n",
-        isa_tier_name(isa_tier()), s.m, s.k, ref_s * 1e9, vec_s * 1e9,
-        ref_s / vec_s, match ? "codes=ok" : "codes=MISMATCH");
-  }
-  // CI greps this exact line: vectorized gather vs scalar reference codes.
-  std::printf("i8 tq parity=%s\n", all_match ? "ok" : "MISMATCH");
-}
-
 }  // namespace
 }  // namespace stepping
 
@@ -614,7 +568,6 @@ int main(int argc, char** argv) {
   stepping::run_gemm_sweep();
   stepping::run_packcache_sweep();
   stepping::run_i8_sweep();
-  stepping::run_transposed_quant_sweep();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

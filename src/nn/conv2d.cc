@@ -73,46 +73,28 @@ Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
   assert(x.rank() == 4 && x.dim(1) == geom_.in_c);
   const int n = x.dim(0);
   const int oh = geom_.out_h(), ow = geom_.out_w();
-  const auto& active = active_flags(ctx.subnet_id);
 
   if (ctx.calib_record != nullptr && !ctx.training) {
-    // im2col only replicates/zero-pads input values, and 0 quantizes exactly
-    // to the zero point, so calibrating on x covers the column matrix too.
+    // Padding only adds zeros, and 0 quantizes exactly to the zero point,
+    // so calibrating on x covers every window too.
     ctx.calib_record->record(name_, ctx.subnet_id, x.data(),
                              static_cast<std::size_t>(x.numel()));
   }
 
-  // Int8 rung (ISSUE 7): see Dense::forward_impl. Resolved once per batch;
-  // non-null => every image below runs the u8 x i8 provider.
-  const quant::CalibEntry* calib = nullptr;
+  Tensor y({n, units_, oh, ow});  // zero-filled; inactive units stay zero
+  // Int8 rung: see Dense::forward_impl.
   if (ctx.precision == quant::Precision::kInt8 && !ctx.training && !is_head_ &&
       ctx.calibration != nullptr) {
-    calib = ctx.calibration->find(name_, ctx.subnet_id);
-  }
-
-  Tensor y({n, units_, oh, ow});  // zero-filled; inactive units stay zero
-  if (calib != nullptr) {
-    const Tensor& w = effective_weights();
-    const int spatial = oh * ow;
-    const std::int64_t patch = geom_.patch();
-    ArenaScope ws;
-    float* cols = ws.alloc_floats(static_cast<std::size_t>(patch) * spatial);
-    const std::int64_t in_img = static_cast<std::int64_t>(geom_.in_c) *
-                                geom_.in_h * geom_.in_w;
-    const std::int64_t out_img = static_cast<std::int64_t>(units_) * spatial;
-    const quant::PreparedInt8 pw = quant::prepare_int8_weights(
-        pack_id(), w.data(), units_, static_cast<int>(patch));
-    const quant::ActQuant aq = ctx.calibration->params(*calib);
-    for (int i = 0; i < n; ++i) {
-      im2col(x.data() + i * in_img, geom_, cols);
-      quant::int8_conv_forward(cols, spatial, pw, aq, active.data(),
-                               bias_.value.data(), relu,
-                               y.data() + i * out_img);
+    if (const quant::CalibEntry* e =
+            ctx.calibration->find(name_, ctx.subnet_id)) {
+      quant::int8_conv_forward(x.data(), n, geom_, int8_operand(ctx.subnet_id),
+                               ctx.calibration->params(*e),
+                               bias_.value.data(), relu, y.data());
+      return y;
     }
-    return y;
   }
-  conv_rows(x, active.data(), ctx.subnet_id, SpatialRegion::full(oh, ow), relu,
-            y.data());
+  conv_rows(x, active_flags(ctx.subnet_id).data(), ctx.subnet_id,
+            SpatialRegion::full(oh, ow), relu, y.data());
 
   if (ctx.training) {
     x_cache_ = x;

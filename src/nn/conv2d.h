@@ -10,8 +10,11 @@
 // axpy micro-kernel straight off that copy — no im2col matrix, no pack.
 // Every dropped term has a structurally zero weight, which the explicit
 // im2col + GEMM route skips too, so the output bits equal a full-width
-// lowering's on every ISA tier. Heads read every channel; the int8 path
-// and backward keep im2col and the full effective weight matrix.
+// lowering's on every ISA tier. Heads read every channel. The int8 forward
+// is proportional the same way: it runs the level's compact int8 operand
+// (MaskedLayer::int8_operand) over byte windows of the readable channels
+// (quant::int8_conv_forward), with no im2col matrix. Only backward keeps
+// im2col and the full effective weight matrix.
 #pragma once
 
 #include <vector>

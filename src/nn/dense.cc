@@ -43,8 +43,6 @@ Tensor Dense::forward_impl(const Tensor& x, const SubnetContext& ctx,
                            bool relu) {
   assert(x.rank() == 2 && x.dim(1) == cols_);
   const int n = x.dim(0);
-  const Tensor& w = effective_weights();
-  const auto& active = active_flags(ctx.subnet_id);
 
   if (ctx.calib_record != nullptr && !ctx.training) {
     ctx.calib_record->record(name_, ctx.subnet_id, x.data(),
@@ -54,17 +52,16 @@ Tensor Dense::forward_impl(const Tensor& x, const SubnetContext& ctx,
   Tensor y({n, units_});  // zero-filled; inactive units stay zero
 
   // Int8 rung (ISSUE 7): body layers with a calibrated input range run the
-  // u8 x i8 providers; heads stay fp32 (logits feed confidence gates), as
-  // does any (layer, level) pair calibration never saw.
+  // u8 x i8 providers on the level's compact operand (the units it computes
+  // over the input units it reads); heads stay fp32 (logits feed confidence
+  // gates), as does any (layer, level) pair calibration never saw.
   if (ctx.precision == quant::Precision::kInt8 && !ctx.training && !is_head_ &&
       ctx.calibration != nullptr) {
     if (const quant::CalibEntry* e =
             ctx.calibration->find(name_, ctx.subnet_id)) {
-      const quant::PreparedInt8 pw =
-          quant::prepare_int8_weights(pack_id(), w.data(), units_, cols_);
-      quant::int8_dense_forward(x.data(), n, pw, ctx.calibration->params(*e),
-                                active.data(), bias_.value.data(), relu,
-                                y.data());
+      quant::int8_dense_forward(x.data(), n, cols_, int8_operand(ctx.subnet_id),
+                                ctx.calibration->params(*e),
+                                bias_.value.data(), relu, units_, y.data());
       return y;
     }
   }
@@ -72,8 +69,9 @@ Tensor Dense::forward_impl(const Tensor& x, const SubnetContext& ctx,
   // y (N x U) = x (N x F) * w^T, bias (and optionally ReLU) fused into the
   // micro-kernel store. Training passes pack_id 0: weights change every step,
   // so caching their packed panels would only thrash the cache.
-  gemm_nt_cols_bias(x, w, y, active.data(), bias_.value.data(), relu,
-                    ctx.training ? 0 : pack_id());
+  const Tensor& w = effective_weights();  // refreshes pack_id()
+  gemm_nt_cols_bias(x, w, y, active_flags(ctx.subnet_id).data(),
+                    bias_.value.data(), relu, ctx.training ? 0 : pack_id());
 
   if (ctx.training) {
     x_cache_ = x;

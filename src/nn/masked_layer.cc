@@ -269,6 +269,19 @@ const std::vector<int>& MaskedLayer::readable_in_units(int subnet_id) {
   return readable_;
 }
 
+quant::PreparedInt8 MaskedLayer::int8_operand(int subnet_id) {
+  const Tensor& w = effective_weights();  // refreshes pack_id()
+  int8_units_.clear();
+  for (int u = 0; u < units_; ++u) {
+    if (is_head_ || (*out_assign_)[static_cast<std::size_t>(u)] <= subnet_id) {
+      int8_units_.push_back(u);
+    }
+  }
+  return quant::prepare_int8_weights(pack_id_, w.data(), cols_, col_group_,
+                                     int8_units_,
+                                     readable_in_units(subnet_id));
+}
+
 const std::vector<std::uint8_t>& MaskedLayer::active_flags(int subnet_id) {
   active_flags_.assign(static_cast<std::size_t>(units_), 1);
   if (!is_head_) {

@@ -23,6 +23,7 @@
 
 #include "nn/layer.h"
 #include "nn/param.h"
+#include "quant/prepared.h"
 
 namespace stepping {
 
@@ -134,7 +135,7 @@ class MaskedLayer : public Layer {
   /// units x cols matrix, rewritten from the live weights on every call:
   /// weight values change on every optimizer step and masks during
   /// construction, and neither path can be trusted to invalidate a cache.
-  /// The Dense forward, the int8 providers and every backward read it; the
+  /// The fp32 Dense forward, int8_operand() and every backward read it; the
   /// fp32 conv forwards gather only the rows and input units they compute
   /// (gather_weights) instead.
   const Tensor& effective_weights();
@@ -167,6 +168,13 @@ class MaskedLayer : public Layer {
   void init_structure(int units, int cols, int col_group,
                       std::int64_t macs_per_weight, AssignmentPtr in_assign,
                       Rng& rng, int fan_in);
+
+  /// The compact int8 operand of subnet `subnet_id` (quant/prepared.h):
+  /// the effective weights of the units it computes over the input units it
+  /// reads, quantized per row and packed for the active provider. Built on
+  /// the first call per (weights, level), then served from the pack cache.
+  /// Conv2d and Dense run their int8 forwards on it.
+  quant::PreparedInt8 int8_operand(int subnet_id);
 
   /// Per-unit activity flags for the executing subnet (1 = compute this
   /// unit). Heads are always fully active. Returns a scratch buffer valid
@@ -203,6 +211,7 @@ class MaskedLayer : public Layer {
   std::uint64_t seen_weight_version_ = 0;  ///< weight_.version at last refresh
   std::vector<std::uint8_t> active_flags_;  // scratch for active_flags()
   std::vector<int> readable_;               // scratch for readable_in_units()
+  std::vector<int> int8_units_;             // scratch for int8_operand()
 
   std::vector<std::vector<double>> imp_acc_;
 

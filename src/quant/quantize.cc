@@ -3,15 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <vector>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
-#endif
-
-#if defined(STEPPING_QUANT_HAVE_AVX2)
-#include "tensor/gemm_isa.h"
 #endif
 
 namespace stepping::quant {
@@ -143,147 +138,33 @@ void quantize_activations(const float* x, int m, int k, int k4,
   }
 }
 
-void quantize_activations_transposed_ref(const float* x, int m, int k, int k4,
-                                         const ActQuant& aq,
-                                         std::uint8_t* out) {
-  const float inv = 1.0f / aq.scale;
-  const int zp = aq.zero_point;
-  // Gather each strided column into a contiguous scratch row so the rounding
-  // and packing run through the same vectorized quantize_row as the dense
-  // path (one semantics implementation).
-  std::vector<float> tmp(static_cast<std::size_t>(k));
-  for (int i = 0; i < m; ++i) {
-    for (int p = 0; p < k; ++p) {
-      tmp[static_cast<std::size_t>(p)] = x[static_cast<std::size_t>(p) * m + i];
-    }
-    quantize_row(tmp.data(), k, k4, inv, zp,
-                 out + static_cast<std::size_t>(i) * k4);
-  }
-}
-
-void quantize_activations_transposed(const float* x, int m, int k, int k4,
-                                     const ActQuant& aq, std::uint8_t* out) {
-#if defined(STEPPING_QUANT_HAVE_AVX2)
-  // 8-wide gather (quantize_avx2.cc, its own -mavx2 TU) when the running CPU
-  // selected the AVX2+ tier; codes are identical because the rounding still
-  // funnels through detail::quantize_row.
-  if (m >= 8 && isa_tier() >= IsaTier::kAvx2) {
-    detail::quantize_activations_transposed_avx2(x, m, k, k4, aq, out);
-    return;
-  }
-#endif
-#if defined(__SSE2__)
-  // The scalar gather is one strided load per element — it, not the
-  // rounding, dominates this kernel (bench_ops --i8 measures the gap). Walk
-  // 4 output rows at once instead: each 4x4 block of the k x m source is
-  // loaded with 4 contiguous loads and transposed in registers
-  // (_MM_TRANSPOSE4_PS), turning 16 strided scalar loads into 4 vector
-  // loads + shuffles. The scratch rows then run through the same
-  // quantize_row as every other path, so the codes stay bit-exact with the
-  // reference gather (tests/quant: TransposedGatherMatchesReference).
-  if (m >= 4) {
-    const float inv = 1.0f / aq.scale;
-    const int zp = aq.zero_point;
-    std::vector<float> tmp(4 * static_cast<std::size_t>(k));
-    float* t0 = tmp.data();
-    float* t1 = t0 + k;
-    float* t2 = t1 + k;
-    float* t3 = t2 + k;
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* col = x + i;
-      int p = 0;
-      for (; p + 4 <= k; p += 4) {
-        const float* blk = col + static_cast<std::size_t>(p) * m;
-        __m128 r0 = _mm_loadu_ps(blk);
-        __m128 r1 = _mm_loadu_ps(blk + m);
-        __m128 r2 = _mm_loadu_ps(blk + 2 * static_cast<std::size_t>(m));
-        __m128 r3 = _mm_loadu_ps(blk + 3 * static_cast<std::size_t>(m));
-        _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-        _mm_storeu_ps(t0 + p, r0);
-        _mm_storeu_ps(t1 + p, r1);
-        _mm_storeu_ps(t2 + p, r2);
-        _mm_storeu_ps(t3 + p, r3);
-      }
-      for (; p < k; ++p) {
-        const float* row = col + static_cast<std::size_t>(p) * m;
-        t0[p] = row[0];
-        t1[p] = row[1];
-        t2[p] = row[2];
-        t3[p] = row[3];
-      }
-      quantize_row(t0, k, k4, inv, zp, out + static_cast<std::size_t>(i) * k4);
-      quantize_row(t1, k, k4, inv, zp,
-                   out + static_cast<std::size_t>(i + 1) * k4);
-      quantize_row(t2, k, k4, inv, zp,
-                   out + static_cast<std::size_t>(i + 2) * k4);
-      quantize_row(t3, k, k4, inv, zp,
-                   out + static_cast<std::size_t>(i + 3) * k4);
-    }
-    for (; i < m; ++i) {  // tail rows keep the original column stride m
-      for (int p = 0; p < k; ++p) {
-        t0[p] = x[static_cast<std::size_t>(p) * m + i];
-      }
-      quantize_row(t0, k, k4, inv, zp, out + static_cast<std::size_t>(i) * k4);
-    }
-    return;
-  }
-#endif
-  quantize_activations_transposed_ref(x, m, k, k4, aq, out);
-}
-
-void dequantize_bias_view(const std::int32_t* acc, int m, int n,
-                          const ActQuant& aq, const float* scale,
-                          const std::int32_t* wsum,
-                          const unsigned char* col_active, const float* bias,
-                          bool relu, float* y) {
-  const float sa = aq.scale;
-  const std::int32_t zp = aq.zero_point;
-  for (int i = 0; i < m; ++i) {
-    const std::int32_t* ar = acc + static_cast<std::size_t>(i) * n;
-    float* yr = y + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      if (col_active != nullptr && col_active[j] == 0) {
-        yr[j] = 0.0f;
-        continue;
-      }
-      const std::int32_t centered = ar[j] - zp * wsum[j];
-      float v = static_cast<float>(centered) * (sa * scale[j]) + bias[j];
-      if (relu && v < 0.0f) v = 0.0f;
-      yr[j] = v;
-    }
-  }
-}
-
 void dequantize_bias(const std::int32_t* acc, int m, int n, const ActQuant& aq,
-                     const WeightQuant& wq, const unsigned char* col_active,
-                     const float* bias, bool relu, float* y) {
-  dequantize_bias_view(acc, m, n, aq, wq.scale.data(), wq.wsum.data(),
-                       col_active, bias, relu, y);
-}
-
-void dequantize_bias_transposed(const std::int32_t* acc, int spatial,
-                                int units, const ActQuant& aq,
-                                const float* scale, const std::int32_t* wsum,
-                                const unsigned char* row_active,
-                                const float* bias, bool relu, float* y) {
+                     const float* scale, const std::int32_t* wsum,
+                     const std::int32_t* units, const float* bias, bool relu,
+                     int spatial, int out_units, float* y) {
   const float sa = aq.scale;
   const std::int32_t zp = aq.zero_point;
-  for (int u = 0; u < units; ++u) {
-    float* yr = y + static_cast<std::size_t>(u) * spatial;
-    if (row_active != nullptr && row_active[u] == 0) {
-      std::memset(yr, 0, sizeof(float) * static_cast<std::size_t>(spatial));
-      continue;
-    }
-    const float cs = sa * scale[u];
-    const std::int32_t comp = zp * wsum[u];
-    const float b = bias[u];
-    for (int s = 0; s < spatial; ++s) {
-      const std::int32_t centered =
-          acc[static_cast<std::size_t>(s) * units + u] - comp;
-      float v = static_cast<float>(centered) * cs + b;
-      if (relu && v < 0.0f) v = 0.0f;
-      yr[s] = v;
+  // Positions in blocks, so a block's accumulator rows stay cached while
+  // every unit's plane reads them.
+  constexpr int kBlock = 64;
+  for (int img = 0; img < m / spatial; ++img) {
+    const std::int32_t* ai = acc + static_cast<std::size_t>(img) * spatial * n;
+    for (int s0 = 0; s0 < spatial; s0 += kBlock) {
+      const int s1 = std::min(spatial, s0 + kBlock);
+      for (int j = 0; j < n; ++j) {
+        const float cs = sa * scale[j];
+        const std::int32_t comp = zp * wsum[j];
+        const float b = bias[units[j]];
+        float* yr = y + (static_cast<std::size_t>(img) * out_units + units[j]) *
+                            spatial;
+        for (int s = s0; s < s1; ++s) {
+          const std::int32_t centered =
+              ai[static_cast<std::size_t>(s) * n + j] - comp;
+          float v = static_cast<float>(centered) * cs + b;
+          if (relu && v < 0.0f) v = 0.0f;
+          yr[s] = v;
+        }
+      }
     }
   }
 }

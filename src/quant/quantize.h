@@ -8,6 +8,10 @@
 //    channel (absmax_j == 0) gets sw_j = 1 and all-zero codes, so its
 //    output degenerates to the bias exactly. -128 is never produced
 //    (symmetric range), which the saturation-freedom argument needs.
+//    A layer quantizes only the rows and columns a subnet level computes
+//    (quant/prepared.h); the columns it drops are structurally zero, and
+//    zeros change neither absmax_j nor any code, so each row's scale, codes
+//    and wsum_j are those of its full-width row.
 //  * Activations: asymmetric-offset u8 restricted to [0, 127], per layer
 //    AND per subnet level (each level masks a different effective unit set,
 //    so ranges differ level to level — quant/calibration.h records them).
@@ -15,7 +19,8 @@
 //    q = clamp(round_even(x / sa), 0, 127). General inputs: zero_point 64,
 //    sa = absmax / 63, q = clamp(round_even(x / sa), -64, 63) + 64.
 //    x == 0 always maps exactly to the zero point, so structurally-masked
-//    (zeroed) input features contribute exactly 0 after compensation.
+//    (zeroed) input features and a conv's zero padding contribute exactly
+//    0 after compensation.
 //  * Rounding semantics: round-half-to-even (std::nearbyintf under the
 //    default FP environment), then saturate to the target range. NaN maps
 //    to the zero point (calibrated data should never contain NaN).
@@ -67,65 +72,29 @@ ActQuant activation_params(float absmax, bool nonneg);
 void quantize_activations(const float* x, int m, int k, int k4,
                           const ActQuant& aq, std::uint8_t* out);
 
-/// Same, but x is stored transposed (k x m — the im2col column matrix with
-/// `m` spatial positions of `k`-deep patches): out(i, p) = q(x(p, i)).
-/// The gather is vectorized with in-register block transposes — 4x4 SSE
-/// (ISSUE 9), widened to 8x8 AVX2 when the runtime ISA tier allows
-/// (ISSUE 10). Codes are bit-exact with the reference below on every input
-/// and across tiers: every variant funnels through detail::quantize_row.
-void quantize_activations_transposed(const float* x, int m, int k, int k4,
-                                     const ActQuant& aq, std::uint8_t* out);
-
-/// Scalar-gather reference implementation of the transposed variant — the
-/// parity baseline (tests/quant) and the bench_ops --i8 comparison row.
-void quantize_activations_transposed_ref(const float* x, int m, int k, int k4,
-                                         const ActQuant& aq,
-                                         std::uint8_t* out);
-
 namespace detail {
 
 /// Quantize one contiguous row of `k` floats to u8 codes, zero-padding to
-/// `k4`. The SINGLE rounding/packing implementation every gather variant
-/// (dense, SSE 4x4, AVX2 8x8) funnels through — bit-exact with
-/// quantize_value on every input, so wider gathers can never change codes.
+/// `k4`. The SINGLE rounding/packing implementation every activation
+/// quantizer (dense rows, dense column groups, conv input planes) funnels
+/// through — bit-exact with quantize_value on every input, so no caller
+/// can change a code by how it splits a row.
 void quantize_row(const float* row, int k, int k4, float inv, int zp,
                   std::uint8_t* dst);
 
-/// AVX2 widening of the transposed gather (ISSUE 10): 8x8 in-register block
-/// transposes (unpack + permute2f128) instead of the SSE path's 4x4, halving
-/// the shuffle count per element. Only compiled when the toolchain supports
-/// -mavx2 (STEPPING_QUANT_HAVE_AVX2); callers go through
-/// quantize_activations_transposed, which dispatches on the runtime ISA
-/// tier. Requires m >= 8.
-void quantize_activations_transposed_avx2(const float* x, int m, int k,
-                                          int k4, const ActQuant& aq,
-                                          std::uint8_t* out);
-
 }  // namespace detail
 
-/// Dequantize accumulators into y (m x n row-major): for active columns j,
-/// y(i,j) = float(acc(i,j) - zp*wsum[j]) * (sa*scale[j]) + bias[j], ReLU
-/// optional; inactive columns are written as 0 (callers hand fresh rows).
-/// Single compiled instance => bitwise-identical outputs across providers.
-void dequantize_bias(const std::int32_t* acc, int m, int n,
-                     const ActQuant& aq, const WeightQuant& wq,
-                     const unsigned char* col_active, const float* bias,
-                     bool relu, float* y);
-
-/// View-based variant over a prepared (cached) weight blob.
-void dequantize_bias_view(const std::int32_t* acc, int m, int n,
-                          const ActQuant& aq, const float* scale,
-                          const std::int32_t* wsum,
-                          const unsigned char* col_active, const float* bias,
-                          bool relu, float* y);
-
-/// Transposed store for the Conv2d path: acc is (spatial x units) from the
-/// GEMM, y is the (units x spatial) output image plane;
-/// y(j, i) = dequant(acc(i, j)). Inactive units' rows are written as 0.
-void dequantize_bias_transposed(const std::int32_t* acc, int spatial,
-                                int units, const ActQuant& aq,
-                                const float* scale, const std::int32_t* wsum,
-                                const unsigned char* row_active,
-                                const float* bias, bool relu, float* y);
+/// Dequantize the (m x n) accumulators of a compact operand (one whose
+/// column j is output unit units[j]) into y. Row i is output position
+/// i % spatial of image i / spatial, so the value lands at
+///   y[((i / spatial) * out_units + units[j]) * spatial + i % spatial]
+///     = float(acc(i, j) - zp * wsum[j]) * (sa * scale[j]) + bias[units[j]],
+/// then ReLU if `relu`. Nothing else in y is written. Dense passes
+/// spatial = 1. Single compiled instance => bitwise-identical outputs
+/// across providers.
+void dequantize_bias(const std::int32_t* acc, int m, int n, const ActQuant& aq,
+                     const float* scale, const std::int32_t* wsum,
+                     const std::int32_t* units, const float* bias, bool relu,
+                     int spatial, int out_units, float* y);
 
 }  // namespace stepping::quant

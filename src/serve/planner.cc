@@ -49,9 +49,7 @@ Planner::Planner(LevelCosts costs, DeviceModel dev)
   }
 }
 
-void Planner::set_int8_scale(double s) {
-  int8_scale_ = s < 0.05 ? 0.05 : (s > 1.0 ? 1.0 : s);
-}
+void Planner::set_int8_scale(double s) { int8_scale_ = s < 0.05 ? 0.05 : s; }
 
 double Planner::int8_full_ms(int level, int batch) const {
   assert(level >= 1 && level <= max_level());

@@ -56,9 +56,9 @@ class Planner {
   const DeviceModel& device() const { return dev_; }
 
   /// Measured wall-clock ratio int8 / fp32 of a full forward (ISSUE 7);
-  /// 1.0 until the server measures the host. Clamped to [0.05, 1.0] — the
-  /// planner never assumes int8 is SLOWER than fp32 (it falls back to
-  /// treating it as equal cost).
+  /// 1.0 until the server measures the host. Floored at 0.05 and otherwise
+  /// taken as measured: on a host where int8 is slower than fp32 the ratio
+  /// is above 1 and int8 rungs are priced that much higher.
   double int8_scale() const { return int8_scale_; }
   void set_int8_scale(double s);
 

@@ -171,9 +171,9 @@ Server::Server(const Network& model, ServeConfig cfg)
     for (Network& r : replicas_) r.forward(x0, warm_ctx);
   }
 
-  // Int8 setup (ISSUE 7): resolve the calibration table, warm the int8
-  // panel packs the same way, and measure this host's int8/fp32 speed
-  // ratio so the planner prices int8 rungs from data, not assumption.
+  // Int8 setup: resolve the calibration table, warm every level's
+  // int8 operand, and measure this host's int8/fp32 speed ratio so the
+  // planner prices int8 rungs from data, not assumption.
   if (cfg_.precision != quant::Precision::kFp32) {
     calib_ = cfg_.calibration;
     if (!calib_) {
@@ -198,7 +198,16 @@ Server::Server(const Network& model, ServeConfig cfg)
     fp_ctx.subnet_id = cfg_.max_subnet;
     fp_ctx.num_subnets = cfg_.max_subnet;
     Tensor x0({1, model.input_channels(), model.input_h(), model.input_w()});
-    for (Network& r : replicas_) r.forward(x0, i8_ctx);  // warm int8 packs
+    // The int8 operand is per level (quant/prepared.h), so each level packs
+    // its own; warm them all, or the first request at a lower level would
+    // pack inside a served pass.
+    for (Network& r : replicas_) {
+      for (int l = 1; l <= cfg_.max_subnet; ++l) {
+        i8_ctx.subnet_id = l;
+        r.forward(x0, i8_ctx);
+      }
+    }
+    i8_ctx.subnet_id = cfg_.max_subnet;
     const auto time_forward = [&](const SubnetContext& ctx) {
       constexpr int kReps = 3;
       Network& r = replicas_.front();

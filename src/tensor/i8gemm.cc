@@ -5,7 +5,6 @@
 
 #include "obs/trace.h"
 #include "tensor/gemm_isa.h"
-#include "util/arena.h"
 #include "util/cpuid.h"
 #include "util/thread_pool.h"
 
@@ -17,15 +16,15 @@ namespace i8detail {
 // (see tensor/CMakeLists.txt). The scalar kernel lives below in this TU.
 #if defined(STEPPING_I8_HAVE_SSSE3)
 void run_ssse3(const std::uint8_t* a, int m, int k4, const std::int8_t* packed,
-               int n, const unsigned char* panel_active, std::int32_t* c);
+               int n, std::int32_t* c);
 #endif
 #if defined(STEPPING_I8_HAVE_AVX2)
 void run_avx2(const std::uint8_t* a, int m, int k4, const std::int8_t* packed,
-              int n, const unsigned char* panel_active, std::int32_t* c);
+              int n, std::int32_t* c);
 #endif
 #if defined(STEPPING_I8_HAVE_VNNI)
 void run_vnni(const std::uint8_t* a, int m, int k4, const std::int8_t* packed,
-              int n, const unsigned char* panel_active, std::int32_t* c);
+              int n, std::int32_t* c);
 #endif
 
 namespace {
@@ -36,14 +35,13 @@ constexpr int kScalarNr = 8;
 /// sums are exact in i32, so this defines the bits every SIMD provider must
 /// reproduce.
 void run_scalar(const std::uint8_t* a, int m, int k4, const std::int8_t* packed,
-                int n, const unsigned char* panel_active, std::int32_t* c) {
+                int n, std::int32_t* c) {
   const int nr = kScalarNr;
   const int panels = (n + nr - 1) / nr;
   const int kg_end = k4 / 4;
   for (int i = 0; i < m; ++i) {
     const std::uint8_t* ar = a + static_cast<std::size_t>(i) * k4;
     for (int q = 0; q < panels; ++q) {
-      if (panel_active[q] == 0) continue;
       const std::int8_t* wp = packed + static_cast<std::size_t>(q) * k4 * nr;
       const int j0 = q * nr;
       const int w = std::min(nr, n - j0);
@@ -132,35 +130,16 @@ const I8GemmKernel& i8gemm_kernel() {
 }
 
 void i8gemm_run(const I8GemmKernel& kernel, const std::uint8_t* a, int m,
-                int k, const std::int8_t* packed, int n,
-                const unsigned char* col_active, std::int32_t* c) {
+                int k, const std::int8_t* packed, int n, std::int32_t* c) {
   obs::TraceScope span("i8gemm", "kernel");
   span.arg("m", m);
   span.arg("k", k);
   span.arg("n", n);
   span.arg("isa", kernel.id);
   const int k4 = i8gemm_k4(k);
-  const int nr = kernel.nr;
-  const int panels = (n + nr - 1) / nr;
-
-  ArenaScope ws;
-  auto* pa = static_cast<unsigned char*>(
-      ws.alloc(static_cast<std::size_t>(panels)));
-  for (int q = 0; q < panels; ++q) {
-    if (col_active == nullptr) {
-      pa[q] = 1;
-      continue;
-    }
-    const int j0 = q * nr;
-    const int w = std::min(nr, n - j0);
-    unsigned char any = 0;
-    for (int jr = 0; jr < w; ++jr) any |= col_active[j0 + jr];
-    pa[q] = any != 0 ? 1 : 0;
-  }
-
   parallel_for_cost(0, m, static_cast<std::int64_t>(k4) * n,
                     [&](std::int64_t i0, std::int64_t i1) {
-    kernel.run(a + i0 * k4, static_cast<int>(i1 - i0), k4, packed, n, pa,
+    kernel.run(a + i0 * k4, static_cast<int>(i1 - i0), k4, packed, n,
                c + i0 * n);
   });
 }

@@ -37,15 +37,14 @@
 namespace stepping {
 
 /// One int8 GEMM provider. `id` is a stable identity for pack-cache keys
-/// (panel layout depends on nr); `run` computes full nr-wide column panels,
-/// skipping panels whose `panel_active` byte is 0 (their C entries are left
-/// untouched — callers must not read them).
+/// (panel layout depends on nr); `run` computes every nr-wide column panel
+/// and stores the n valid columns of each row of C.
 struct I8GemmKernel {
   int id;
   const char* name;
   int nr;  ///< packed panel width (columns)
   void (*run)(const std::uint8_t* a, int m, int k4, const std::int8_t* packed,
-              int n, const unsigned char* panel_active, std::int32_t* c);
+              int n, std::int32_t* c);
 };
 
 /// k rounded up to the kernel contraction granule (4).
@@ -71,14 +70,13 @@ const I8GemmKernel& i8gemm_kernel();
 /// The scalar reference provider (parity baseline; always available).
 const I8GemmKernel& i8gemm_ref_kernel();
 
-/// Drive one provider over A (m x k, row-major fp-quantized u8 rows padded
-/// to k4 with zeros) against pre-packed B: computes panel activity from
-/// `col_active` (nullptr = all active), partitions rows across the thread
+/// Drive one provider over A (m x k, row-major quantized u8 rows padded to
+/// k4 with zeros) against pre-packed B: partitions rows across the thread
 /// pool (rows are independent, integer math is exact, so the partition can
-/// never change bits) and stores C(m x n, i32) for every column in an
-/// active panel. Inactive panels' C entries are left untouched.
+/// never change bits) and stores all of C(m x n, i32). Callers that compute
+/// a subset of a layer's units pack only those units (quant/prepared.h), so
+/// there is no column mask.
 void i8gemm_run(const I8GemmKernel& kernel, const std::uint8_t* a, int m,
-                int k, const std::int8_t* packed, int n,
-                const unsigned char* col_active, std::int32_t* c);
+                int k, const std::int8_t* packed, int n, std::int32_t* c);
 
 }  // namespace stepping

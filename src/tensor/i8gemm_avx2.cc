@@ -4,14 +4,13 @@
 // accumulators are exact and bit-identical to the scalar reference.
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
 namespace stepping::i8detail {
 
 void run_avx2(const std::uint8_t* a, int m, int k4, const std::int8_t* packed,
-              int n, const unsigned char* panel_active, std::int32_t* c) {
+              int n, std::int32_t* c) {
   constexpr int kNr = 8;
   const int panels = (n + kNr - 1) / kNr;
   const int kg_end = k4 / 4;
@@ -19,7 +18,6 @@ void run_avx2(const std::uint8_t* a, int m, int k4, const std::int8_t* packed,
   for (int i = 0; i < m; ++i) {
     const std::uint8_t* ar = a + static_cast<std::size_t>(i) * k4;
     for (int q = 0; q < panels; ++q) {
-      if (panel_active[q] == 0) continue;
       const std::int8_t* wp = packed + static_cast<std::size_t>(q) * k4 * kNr;
       __m256i acc = _mm256_setzero_si256();
       for (int kg = 0; kg < kg_end; ++kg) {

@@ -8,14 +8,13 @@
 #include <emmintrin.h>
 #include <tmmintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
 namespace stepping::i8detail {
 
 void run_ssse3(const std::uint8_t* a, int m, int k4, const std::int8_t* packed,
-               int n, const unsigned char* panel_active, std::int32_t* c) {
+               int n, std::int32_t* c) {
   constexpr int kNr = 4;
   const int panels = (n + kNr - 1) / kNr;
   const int kg_end = k4 / 4;
@@ -23,7 +22,6 @@ void run_ssse3(const std::uint8_t* a, int m, int k4, const std::int8_t* packed,
   for (int i = 0; i < m; ++i) {
     const std::uint8_t* ar = a + static_cast<std::size_t>(i) * k4;
     for (int q = 0; q < panels; ++q) {
-      if (panel_active[q] == 0) continue;
       const std::int8_t* wp = packed + static_cast<std::size_t>(q) * k4 * kNr;
       __m128i acc = _mm_setzero_si128();
       for (int kg = 0; kg < kg_end; ++kg) {

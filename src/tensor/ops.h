@@ -2,9 +2,10 @@
 //
 // Every fp32 Conv2d forward runs conv2d_implicit: the packed GEMM's axpy
 // micro-kernel straight off a zero-padded copy of the input planes, so no
-// such forward builds or packs an im2col matrix. im2col + GEMM remains the
-// lowering of the conv backward, the int8 conv and the Slimmable baseline,
-// and the explicit oracle the implicit route is tested against.
+// such forward builds or packs an im2col matrix (nor does the int8 conv,
+// which gathers byte windows, quant/prepared.h). im2col + GEMM remains the
+// lowering of the conv backward and the Slimmable baseline, and the
+// explicit oracle the implicit and int8 routes are tested against.
 //
 // The GEMM family, the convolutions, im2col, col2im, softmax_rows and the
 // ReLU kernels execute on the global ThreadPool (util/thread_pool.h),
@@ -125,8 +126,8 @@ struct Conv2dGeometry {
 
 /// im2col for one image: x is (C, H, W) flattened within a batch tensor;
 /// writes the (patch, out_h*out_w) column matrix. The lowering of the conv
-/// backward and the int8 conv, and (with gemm_rows_bias) the explicit
-/// oracle conv2d_implicit is tested against; no fp32 forward calls it.
+/// backward, and the explicit oracle conv2d_implicit (with gemm_rows_bias)
+/// and the int8 conv are tested against; no forward calls it.
 void im2col(const float* x, const Conv2dGeometry& g, float* cols);
 
 /// Half-open spatial rectangle [r0, r1) x [c0, c1) over one H x W plane —

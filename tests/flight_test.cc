@@ -330,6 +330,26 @@ TEST(PlannerPrediction, LadderModesReproducePlanningFigures) {
                                      Planner::LadderMode::kReuse));
     }
   }
+
+  // The int8 rung is priced at the measured int8/fp32 ratio, above 1 too
+  // (int8 slower than fp32); only a floor of 0.05 applies.
+  Planner slow(c, dev);
+  slow.set_int8_scale(2.5);
+  EXPECT_EQ(slow.int8_scale(), 2.5);
+  for (int level = 1; level <= 4; ++level) {
+    for (int batch : {1, 3}) {
+      EXPECT_EQ(
+          slow.predicted_level_ms(level, batch, Planner::LadderMode::kInt8),
+          2.5 * dev.latency_ms(c.full[static_cast<std::size_t>(level - 1)] *
+                               batch));
+      EXPECT_GT(
+          slow.predicted_level_ms(level, batch, Planner::LadderMode::kInt8),
+          slow.predicted_level_ms(level, batch,
+                                  Planner::LadderMode::kFromScratch));
+    }
+  }
+  slow.set_int8_scale(0.001);
+  EXPECT_EQ(slow.int8_scale(), 0.05);
 }
 
 // ---------------------------------------------------------------------------

@@ -132,17 +132,18 @@ TEST(QuantWeights, ZeroRangeChannelDegeneratesToBias) {
   EXPECT_EQ(wq.wsum[0], 0);
   for (int j = 0; j < k; ++j) EXPECT_EQ(wq.q[static_cast<std::size_t>(j)], 0);
 
-  const quant::PreparedInt8 pw =
-      quant::prepare_int8_weights(/*pack_id=*/0, wt.data(), n, k);
+  std::vector<int> columns(static_cast<std::size_t>(k));
+  for (int j = 0; j < k; ++j) columns[static_cast<std::size_t>(j)] = j;
+  const quant::PreparedInt8 pw = quant::prepare_int8_weights(
+      /*pack_id=*/0, wt.data(), k, /*group_cols=*/1, {0, 1}, columns);
   const int m = 3;
   Tensor x({m, k});
   fill_normal(x, 0.0f, 1.0f, rng);
   const quant::ActQuant aq = quant::activation_params(4.0f, /*nonneg=*/false);
-  const std::vector<unsigned char> active(static_cast<std::size_t>(n), 1);
   const float bias[] = {0.75f, -1.25f};
   Tensor y({m, n});
-  quant::int8_dense_forward(x.data(), m, pw, aq, active.data(), bias,
-                            /*relu=*/false, y.data());
+  quant::int8_dense_forward(x.data(), m, k, pw, aq, bias, /*relu=*/false, n,
+                            y.data());
   for (int i = 0; i < m; ++i) {
     EXPECT_EQ(y.data()[i * n + 0], 0.75f) << "row " << i;
   }
@@ -179,42 +180,6 @@ TEST(QuantActivations, ZeroMapsToZeroPointExactly) {
   quant::quantize_activations(x, 1, 4, 4, nonneg, q);
   EXPECT_EQ(q[0], 0);
   EXPECT_EQ(q[2], 127);
-}
-
-// The vectorized transposed gather (4x4 block transpose, ISSUE 9) must be
-// bit-exact with the scalar reference on every shape — including the m % 4
-// and k % 4 tails, both zero-point layouts, padding and hostile values.
-TEST(QuantActivations, TransposedGatherMatchesReference) {
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
-  const auto next_float = [&state]() {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    // Uniform-ish in [-6, 6): well past the calibrated range on both sides,
-    // so saturation paths are exercised too.
-    return static_cast<float>((state >> 33) % 12000) / 1000.0f - 6.0f;
-  };
-  for (const int m : {1, 2, 3, 4, 5, 7, 8, 16, 33}) {
-    for (const int k : {1, 3, 4, 5, 8, 27, 150}) {
-      const int k4 = (k + 3) & ~3;
-      std::vector<float> x(static_cast<std::size_t>(m) * k);
-      for (float& v : x) v = next_float();
-      x[0] = 0.0f;  // exact zero-point mapping rides along
-      if (x.size() > 5) {
-        x[3] = std::numeric_limits<float>::infinity();
-        x[5] = -std::numeric_limits<float>::quiet_NaN();
-      }
-      for (const bool nonneg : {false, true}) {
-        const quant::ActQuant aq = quant::activation_params(4.0f, nonneg);
-        std::vector<std::uint8_t> got(static_cast<std::size_t>(m) * k4, 0xee);
-        std::vector<std::uint8_t> want(static_cast<std::size_t>(m) * k4, 0xbb);
-        quant::quantize_activations_transposed(x.data(), m, k, k4, aq,
-                                               got.data());
-        quant::quantize_activations_transposed_ref(x.data(), m, k, k4, aq,
-                                                   want.data());
-        ASSERT_EQ(got, want) << "m=" << m << " k=" << k
-                             << " nonneg=" << nonneg;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -258,8 +223,7 @@ TEST_F(QuantProviderParity, AccumulatorsBitIdenticalAcrossTiers) {
     std::vector<std::int8_t> pref(i8gemm_packed_bytes(s.k, s.n, ref.nr));
     i8gemm_pack(wq.q.data(), s.k, s.n, ref.nr, pref.data());
     std::vector<std::int32_t> want(static_cast<std::size_t>(s.m) * s.n);
-    i8gemm_run(ref, a8.data(), s.m, s.k, pref.data(), s.n, nullptr,
-               want.data());
+    i8gemm_run(ref, a8.data(), s.m, s.k, pref.data(), s.n, want.data());
 
     for (int t = 0; t <= static_cast<int>(detected_isa_tier()); ++t) {
       const IsaTier tier = static_cast<IsaTier>(t);
@@ -271,8 +235,7 @@ TEST_F(QuantProviderParity, AccumulatorsBitIdenticalAcrossTiers) {
       for (const int threads : {1, 3}) {
         ThreadPool::set_global_threads(threads);
         std::vector<std::int32_t> got(static_cast<std::size_t>(s.m) * s.n);
-        i8gemm_run(kern, a8.data(), s.m, s.k, pk.data(), s.n, nullptr,
-                   got.data());
+        i8gemm_run(kern, a8.data(), s.m, s.k, pk.data(), s.n, got.data());
         EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
                                  sizeof(std::int32_t) * want.size()))
             << "provider " << kern.name << " vs " << ref.name << " m=" << s.m
@@ -388,6 +351,30 @@ TEST_F(QuantPackCache, MaskChangeRetiresPanels) {
   EXPECT_TRUE(bitwise_equal(want, y, "int8 forward after mask change"));
 }
 
+TEST_F(QuantPackCache, UnitMoveThatKeepsWeightBytesRebuildsOperand) {
+  // Every input unit is in subnet 1, so moving output units between levels
+  // leaves the effective weights (and pack_id) as they are while level 1's
+  // unit set changes at the same size: the cached operand no longer covers
+  // the level and must not be served.
+  DenseRig rig(/*units=*/8, /*k=*/16, 43);
+  for (int u = 4; u < 8; ++u) rig.layer.set_unit_subnet(u, 2);
+  Rng rng(4);
+  Tensor x({3, 16});
+  fill_normal(x, 0.0f, 1.0f, rng);
+  SubnetContext ctx = rig.int8_ctx(x);
+  rig.layer.forward(x, ctx);  // caches level 1's operand: units 0..3
+  const std::uint64_t id = rig.layer.pack_id();
+
+  rig.layer.set_unit_subnet(0, 2);
+  rig.layer.set_unit_subnet(4, 1);
+  const Tensor y = rig.layer.forward(x, ctx);
+  EXPECT_EQ(rig.layer.pack_id(), id);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(y.at(i, 0), 0.0f) << "row " << i;
+  flush_pack_cache();
+  const Tensor want = rig.layer.forward(x, ctx);
+  EXPECT_TRUE(bitwise_equal(want, y, "int8 forward after a unit move"));
+}
+
 TEST_F(QuantPackCache, DeserializationRetiresPanels) {
   ModelConfig mc{.classes = 10, .expansion = 1.5, .width_mult = 0.15,
                  .seed = 7};
@@ -487,6 +474,243 @@ TEST_F(QuantLayerPath, ConvInt8TracksFp32) {
   }
   EXPECT_LT(max_diff, 0.5);
   EXPECT_LT(sum_diff / static_cast<double>(want.numel()), 0.1);
+}
+
+// ---------------------------------------------------------------------------
+// Int8 bits pinned against an explicit full-width route.
+// ---------------------------------------------------------------------------
+
+constexpr int kPinLevels = 3;
+
+/// Levels 1..kPinLevels, each present at least once, in shuffled order.
+AssignmentPtr shuffled_pin_levels(int n, Rng& rng) {
+  auto a = std::make_shared<Assignment>(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    (*a)[static_cast<std::size_t>(i)] = 1 + i % kPinLevels;
+  }
+  rng.shuffle(*a);
+  return a;
+}
+
+/// Shuffled unit levels, about 30 % of the weights pruned and unit 0's
+/// weight row all zero (a zero-range row: scale 1, codes 0, output = bias).
+void scramble_layer(MaskedLayer& layer, Rng& rng) {
+  const AssignmentPtr levels = shuffled_pin_levels(layer.num_units(), rng);
+  for (int u = 0; u < layer.num_units(); ++u) {
+    layer.set_unit_subnet(u, (*levels)[static_cast<std::size_t>(u)]);
+  }
+  std::vector<std::uint8_t> mask(
+      static_cast<std::size_t>(layer.num_units()) * layer.num_cols());
+  for (auto& m : mask) m = rng.uniform(0.0, 1.0) < 0.3 ? 0 : 1;
+  layer.set_prune_mask(mask);
+  float* w = layer.weight().value.data();
+  std::fill(w, w + layer.num_cols(), 0.0f);
+  fill_normal(layer.bias().value, 0.0f, 0.5f, rng);
+}
+
+/// Standard-normal input with NaN, +-Inf, -0 and +-1e30 planted in it.
+Tensor pin_input(std::vector<int> shape, unsigned seed) {
+  Rng rng(seed);
+  Tensor x(std::move(shape));
+  fill_normal(x, 0.0f, 1.0f, rng);
+  const float special[] = {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           -0.0f, 1e30f, -1e30f};
+  for (std::int64_t i = 0; i < x.numel(); i += 7) {
+    x.data()[i] = special[(i / 7) % 6];
+  }
+  return x;
+}
+
+/// Calibration entries for `name` at every level: odd levels see signed
+/// inputs (zero point 64), even levels non-negative ones (zero point 0).
+void calibrate_pin(quant::CalibrationTable& table, const std::string& name) {
+  const float signed_range[] = {-2.5f, 1.0f};
+  const float nonneg_range[] = {0.0f, 3.0f};
+  for (int level = 1; level <= kPinLevels; ++level) {
+    table.record(name, level, level % 2 ? signed_range : nonneg_range, 2);
+  }
+}
+
+/// The explicit int8 route at `level`, full width: `act` holds m rows of k
+/// activations (row i at act + i * k), each element quantized with
+/// quantize_value; the whole effective weight matrix is quantized per row;
+/// the scalar reference provider multiplies over every column; then the
+/// dequantization formula. Returns the (m x units) result; units the level
+/// does not compute stay +0.
+std::vector<float> explicit_int8(MaskedLayer& layer, int level,
+                                 const std::vector<float>& act, int m,
+                                 const quant::ActQuant& aq, bool relu) {
+  const int k = layer.num_cols(), units = layer.num_units();
+  const int k4 = i8gemm_k4(k);
+  std::vector<std::uint8_t> a8(static_cast<std::size_t>(m) * k4, 0);
+  const float inv = 1.0f / aq.scale;
+  for (int i = 0; i < m; ++i) {
+    for (int p = 0; p < k; ++p) {
+      a8[static_cast<std::size_t>(i) * k4 + p] = static_cast<std::uint8_t>(
+          quant::quantize_value(act[static_cast<std::size_t>(i) * k + p], inv,
+                                aq.zero_point, 0, 127));
+    }
+  }
+  quant::WeightQuant wq;
+  quant::quantize_weights_per_channel(layer.effective_weights().data(), units,
+                                      k, &wq);
+  const I8GemmKernel& ref = i8gemm_ref_kernel();
+  std::vector<std::int8_t> packed(i8gemm_packed_bytes(k, units, ref.nr));
+  i8gemm_pack(wq.q.data(), k, units, ref.nr, packed.data());
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(m) * units);
+  i8gemm_run(ref, a8.data(), m, k, packed.data(), units, acc.data());
+  std::vector<float> y(static_cast<std::size_t>(m) * units, 0.0f);
+  for (int u = 0; u < units; ++u) {
+    if (layer.unit_subnet()[static_cast<std::size_t>(u)] > level) continue;
+    const float cs = aq.scale * wq.scale[static_cast<std::size_t>(u)];
+    const std::int32_t comp = aq.zero_point * wq.wsum[static_cast<std::size_t>(u)];
+    for (int i = 0; i < m; ++i) {
+      const std::size_t at = static_cast<std::size_t>(i) * units + u;
+      float v = static_cast<float>(acc[at] - comp) * cs +
+                layer.bias().value.data()[u];
+      if (relu && v < 0.0f) v = 0.0f;
+      y[at] = v;
+    }
+  }
+  return y;
+}
+
+/// Every compiled ISA tier at 1 and 3 threads; `check` runs at each.
+template <typename F>
+void at_every_tier_and_thread_count(F check) {
+  for (int t = 0; t <= static_cast<int>(detected_isa_tier()); ++t) {
+    const IsaTier tier = static_cast<IsaTier>(t);
+    if (!isa_tier_compiled(tier)) continue;
+    set_isa_tier(tier);
+    for (const int threads : {1, 3}) {
+      ThreadPool::set_global_threads(threads);
+      check(std::string(isa_tier_name(tier)) + " threads=" +
+            std::to_string(threads));
+    }
+  }
+}
+
+TEST_F(QuantLayerPath, Int8ConvAndDenseMatchExplicitRouteAtEveryLevel) {
+  int cases = 0;
+  for (const int kernel : {1, 3, 5}) {
+    for (const int stride : {1, 2}) {
+      for (const int pad : {0, -1}) {
+        Rng rng(static_cast<unsigned>(100 + kernel * 10 + stride * 2 + pad));
+        Conv2d conv("c", /*units=*/11, kernel, stride, pad);
+        IOSpec in;
+        in.units = 7;
+        in.h = 9;
+        in.w = 8;
+        in.assignment = shuffled_pin_levels(in.units, rng);
+        conv.set_out_spec(conv.wire(in, rng));
+        scramble_layer(conv, rng);
+        quant::CalibrationTable table;
+        calibrate_pin(table, "c");
+        const Conv2dGeometry& g = conv.geometry();
+        const int spatial = g.out_h() * g.out_w();
+        for (const int batch : {1, 3}) {
+          const Tensor x = pin_input({batch, g.in_c, g.in_h, g.in_w},
+                                     static_cast<unsigned>(batch + cases));
+          // im2col of every image, transposed to one row per output
+          // position: the full-width activation rows.
+          std::vector<float> act(static_cast<std::size_t>(batch) * spatial *
+                                 g.patch());
+          std::vector<float> cols(static_cast<std::size_t>(g.patch()) * spatial);
+          for (int b = 0; b < batch; ++b) {
+            im2col(x.data() + static_cast<std::int64_t>(b) * g.in_c * g.in_h *
+                                  g.in_w,
+                   g, cols.data());
+            for (int s = 0; s < spatial; ++s) {
+              for (int p = 0; p < g.patch(); ++p) {
+                act[(static_cast<std::size_t>(b) * spatial + s) * g.patch() + p] =
+                    cols[static_cast<std::size_t>(p) * spatial + s];
+              }
+            }
+          }
+          for (int level = 1; level <= kPinLevels; ++level) {
+            const quant::ActQuant aq = table.params(*table.find("c", level));
+            for (const bool relu : {false, true}) {
+              const std::vector<float> ym = explicit_int8(
+                  conv, level, act, batch * spatial, aq, relu);
+              // (b, s, u) -> (b, u, s)
+              Tensor want({batch, conv.num_units(), g.out_h(), g.out_w()});
+              for (int b = 0; b < batch; ++b) {
+                for (int s = 0; s < spatial; ++s) {
+                  for (int u = 0; u < conv.num_units(); ++u) {
+                    want.data()[(static_cast<std::int64_t>(b) * conv.num_units() +
+                                 u) * spatial + s] =
+                        ym[(static_cast<std::size_t>(b) * spatial + s) *
+                               conv.num_units() + u];
+                  }
+                }
+              }
+              SubnetContext ctx;
+              ctx.subnet_id = level;
+              ctx.num_subnets = kPinLevels;
+              ctx.precision = quant::Precision::kInt8;
+              ctx.calibration = &table;
+              at_every_tier_and_thread_count([&](const std::string& where) {
+                const Tensor got =
+                    relu ? conv.forward_relu(x, ctx) : conv.forward(x, ctx);
+                EXPECT_TRUE(bitwise_equal(
+                    want, got,
+                    "conv k=" + std::to_string(kernel) + " s=" +
+                        std::to_string(stride) + " pad=" + std::to_string(pad) +
+                        " batch=" + std::to_string(batch) + " level=" +
+                        std::to_string(level) + " relu=" +
+                        std::to_string(relu) + " " + where));
+              });
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // Dense over 7 input units of 3 features each (a flattened 1x3 plane).
+  Rng rng(200);
+  Dense fc("fc", /*units=*/9);
+  IOSpec in;
+  in.units = 7;
+  in.features_per_unit = 3;
+  in.flat = true;
+  in.assignment = shuffled_pin_levels(in.units, rng);
+  fc.set_out_spec(fc.wire(in, rng));
+  scramble_layer(fc, rng);
+  quant::CalibrationTable table;
+  calibrate_pin(table, "fc");
+  for (const int batch : {1, 3}) {
+    const Tensor x = pin_input({batch, fc.num_cols()},
+                               static_cast<unsigned>(300 + batch));
+    const std::vector<float> act(x.data(), x.data() + x.numel());
+    for (int level = 1; level <= kPinLevels; ++level) {
+      const quant::ActQuant aq = table.params(*table.find("fc", level));
+      for (const bool relu : {false, true}) {
+        const std::vector<float> ym =
+            explicit_int8(fc, level, act, batch, aq, relu);
+        Tensor want({batch, fc.num_units()});
+        std::copy(ym.begin(), ym.end(), want.data());
+        SubnetContext ctx;
+        ctx.subnet_id = level;
+        ctx.num_subnets = kPinLevels;
+        ctx.precision = quant::Precision::kInt8;
+        ctx.calibration = &table;
+        at_every_tier_and_thread_count([&](const std::string& where) {
+          const Tensor got = relu ? fc.forward_relu(x, ctx) : fc.forward(x, ctx);
+          EXPECT_TRUE(bitwise_equal(
+              want, got,
+              "dense batch=" + std::to_string(batch) + " level=" +
+                  std::to_string(level) + " relu=" + std::to_string(relu) +
+                  " " + where));
+        });
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 12 * 2 * kPinLevels * 2 + 2 * kPinLevels * 2);
 }
 
 TEST_F(QuantLayerPath, Fp32PathIsPureNoOp) {

@@ -17,6 +17,7 @@
 #include "core/latency.h"
 #include "core/macs.h"
 #include "models/models.h"
+#include "obs/metrics.h"
 #include "serve/planner.h"
 #include "serve/server.h"
 #include "tensor/ops.h"
@@ -510,6 +511,32 @@ TEST(ServeQuant, Int8LadderMatchesDirectInt8ForwardBitwise) {
   EXPECT_EQ(0, std::memcmp(res.logits.data(), direct.data(),
                            sizeof(float) *
                                static_cast<std::size_t>(direct.numel())));
+}
+
+TEST(ServeInt8, FirstRequestAtEveryLevelPacksNothing) {
+  // The int8 operand is per level, so the server warms every level's at
+  // start-up: a request that climbs L1 -> L3 must find each one cached.
+  Network net = nested_net();
+  ServeConfig cfg = base_config();
+  cfg.precision = quant::Precision::kInt8;
+  cfg.calibration = nested_calibration(net);
+  const obs::Counter& packs =
+      obs::Registry::global().counter("stepping_quant_packs_total");
+  Server server(net, cfg);
+  const std::uint64_t after_start = packs.value();
+
+  Request req;  // no deadline: the ladder climbs to max_subnet
+  req.input = random_input(62);
+  std::vector<int> levels;
+  std::mutex seen_mutex;
+  req.on_step = [&](const StepUpdate& s) {
+    std::lock_guard<std::mutex> lock(seen_mutex);
+    levels.push_back(s.subnet);
+  };
+  const ServedResult res = server.serve(std::move(req));
+  ASSERT_EQ(res.exit_subnet, 3);
+  EXPECT_EQ(levels, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(packs.value(), after_start);
 }
 
 TEST(ServeServer, ThreeDInputIsNormalized) {
