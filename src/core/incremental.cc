@@ -18,13 +18,17 @@ Tensor ladder_step(Network& net, const Tensor& x,
   const auto& layers = net.layers();
   if (layers.empty()) return x;
   layer_outputs.resize(layers.size());
-  // Each layer reads its input in place from the previous layer's stored
+  // Each stage reads its input in place from the previous stage's stored
   // output, and its own output is stored once (moved in, never copied).
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const Tensor& in = i == 0 ? x : layer_outputs[i - 1];
-    layer_outputs[i] =
-        from == 0 ? layers[i]->forward(in, ctx)
-                  : layers[i]->forward_step(in, layer_outputs[i], from, ctx);
+  for (const Stage& stage : net.stages()) {
+    const Tensor& in = stage.first() == 0 ? x : layer_outputs[stage.first() - 1];
+    Tensor& out = layer_outputs[stage.last()];
+    out = from == 0 ? stage.forward(in, ctx)
+                    : stage.forward_step(in, out, from, ctx);
+    // Nothing reads a layer's output inside a stage.
+    for (std::size_t i = stage.first(); i < stage.last(); ++i) {
+      layer_outputs[i] = Tensor();
+    }
   }
   return layer_outputs.back();
 }
@@ -89,26 +93,24 @@ std::int64_t delta_pass(Network& net, LadderState& st, const Tensor& x,
   SubnetContext ctx;
   ctx.subnet_id = st.level;
   ctx.training = false;
-  const auto& layers = net.layers();
   std::int64_t macs = 0;
   bool tracked = true;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    Layer* layer = layers[i].get();
-    const IOSpec& spec = layer->out_spec();
-    const Tensor& in = i == 0 ? x : st.layer_outputs[i - 1];
-    Tensor& out = st.layer_outputs[i];
-    auto* masked = dynamic_cast<MaskedLayer*>(layer);
+  for (const Stage& stage : net.stages()) {
+    const IOSpec& spec = stage.out_spec();
+    const Tensor& in = stage.first() == 0 ? x : st.layer_outputs[stage.first() - 1];
+    Tensor& out = st.layer_outputs[stage.last()];
+    MaskedLayer* masked = stage.masked();
     if (tracked) {
-      region = layer->propagate_dirty_region(region).clipped(spec.h, spec.w);
+      region = stage.propagate_dirty_region(region).clipped(spec.h, spec.w);
     }
-    if (tracked && layer->supports_spatial_delta() &&
+    if (tracked && stage.supports_spatial_delta() &&
         !region.covers(spec.h, spec.w)) {
-      out = layer->forward_delta(in, out, region, ctx);
-      // Active weights x recomputed positions (the full layer is
+      out = stage.forward_delta(in, out, region, ctx);
+      // Active weights x recomputed conv positions (the full layer is
       // active_weights x out_h*out_w == subnet_macs).
-      if (masked) macs += masked->active_weights(st.level) * region.area();
+      macs += stage.delta_macs(region, st.level);
     } else {
-      out = layer->forward(in, ctx);
+      out = stage.forward(in, ctx);
       if (masked) macs += masked->subnet_macs(st.level);
     }
     if (spec.flat) tracked = false;
@@ -117,24 +119,23 @@ std::int64_t delta_pass(Network& net, LadderState& st, const Tensor& x,
 }
 
 /// Mask the cached ladder down to `level` and recompute the head (and any
-/// layer after it). Returns the analytic MACs executed.
+/// stage after it). Returns the analytic MACs executed.
 std::int64_t mask_down(Network& net, LadderState& st, const Tensor& x,
                        int level) {
   SubnetContext ctx;
   ctx.subnet_id = level;
   ctx.training = false;
-  const auto& layers = net.layers();
   MaskedLayer* head = net.masked_layers().back();
   bool recompute = false;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    recompute = recompute || layers[i].get() == static_cast<Layer*>(head);
-    const IOSpec& spec = layers[i]->out_spec();
+  for (const Stage& stage : net.stages()) {
+    recompute = recompute || stage.masked() == head;
+    const IOSpec& spec = stage.out_spec();
+    Tensor& out = st.layer_outputs[stage.last()];
     if (recompute) {
-      st.layer_outputs[i] =
-          layers[i]->forward(i == 0 ? x : st.layer_outputs[i - 1], ctx);
+      out = stage.forward(stage.first() == 0 ? x : st.layer_outputs[stage.first() - 1],
+                          ctx);
     } else if (spec.assignment) {
-      mask_inactive_units(st.layer_outputs[i], *spec.assignment,
-                          spec.features_per_unit, level);
+      mask_inactive_units(out, *spec.assignment, spec.features_per_unit, level);
     }
   }
   return head->subnet_macs(level);

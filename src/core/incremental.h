@@ -13,11 +13,14 @@ namespace stepping {
 
 /// One stateless batched ladder step over externally-owned activation state
 /// (the serve batch re-formation path): evaluate subnet `to` on the
-/// stacked input `x` (B, C, H, W), given `layer_outputs` — one cached
-/// post-activation tensor per layer, all B rows at subnet `from` — and
-/// overwrite `layer_outputs` with the subnet-`to` state. `from == 0` is a
-/// cold start (layer_outputs is resized and filled from scratch); `from ==
-/// to` adds no unit and recomputes only the head.
+/// stacked input `x` (B, C, H, W), given `layer_outputs` — one entry per
+/// layer, all B rows at subnet `from` — and overwrite `layer_outputs` with
+/// the subnet-`to` state. The network runs stage by stage (nn/stage.h), so
+/// only the entry of each stage's last layer holds a tensor, the stage's
+/// output; the entries of the layers inside a stage (a fused conv's BN,
+/// ReLU and pre-pool planes) are left empty. `from == 0` is a cold start
+/// (layer_outputs is resized and filled from scratch); `from == to` adds no
+/// unit and recomputes only the head.
 ///
 /// Because every batched kernel computes each output row independently and
 /// in serial order (the PR 1 thread-pool invariant), a row's values depend
@@ -48,12 +51,12 @@ std::vector<std::uint64_t> network_signature(Network& net);
 void tile_fingerprints(const Tensor& x, int tile,
                        std::vector<std::uint64_t>& grid);
 
-/// The cached ladder of one input source: every layer's post-activation
-/// output at `level`, plus the identity of the input (shape and tile
-/// fingerprints) and of the weights (signature) it was computed from.
+/// The cached ladder of one input source: every stage's output at `level`
+/// (as ladder_step leaves it), plus the identity of the input (shape and
+/// tile fingerprints) and of the weights (signature) it was computed from.
 struct LadderState {
   int level = 0;                         ///< cached subnet level (0 = empty)
-  std::vector<Tensor> layer_outputs;     ///< one per layer, post-activation
+  std::vector<Tensor> layer_outputs;     ///< one per layer; stage outputs only
   std::vector<int> in_shape;             ///< input shape the state matches
   int tile = 0;                          ///< tile edge `tiles` was built with
   std::vector<std::uint64_t> tiles;      ///< tile_fingerprints of the input
@@ -82,15 +85,16 @@ struct LadderResult {
 ///  * an unusable state (see LadderResult::cold) rebuilds with a full pass
 ///    at `level`, and so does a dirty region that covers the whole plane;
 ///  * otherwise the dirty tiles run a delta pass at the cached level: each
-///    conv recomputes only the rows its dirty input reaches (plus the
-///    receptive-field halo) through Layer::forward_delta, and every other
-///    layer reruns its forward on its exact spliced input;
+///    conv stage recomputes only the output rows its dirty input reaches
+///    (plus the receptive-field halo, widened to whole pool windows)
+///    through Stage::forward_delta, and every other stage reruns its
+///    forward on its exact spliced input;
 ///  * then the state steps UP through ladder_step (only the joining units
 ///    run) or masks DOWN (paper §II: every unit of the smaller subnet
 ///    already holds the value that subnet computes, so the extra units are
 ///    zeroed and only the head is recomputed). An unchanged input at the
 ///    cached level returns the cached logits at zero MACs.
-/// Every layer output afterwards is bitwise identical to a cold
+/// Every stage output afterwards is bitwise identical to a cold
 /// ladder_step(0, level). `signature` must be network_signature(net);
 /// callers whose weights never change may compute it once. A tile < 1
 /// throws std::invalid_argument before `st` is touched; if anything later

@@ -30,6 +30,16 @@ IOSpec BatchNorm2d::wire(const IOSpec& in, Rng& rng) {
   return in;  // shape and assignment unchanged
 }
 
+namespace {
+
+float inv_std_of(float var, float eps) { return 1.0f / std::sqrt(var + eps); }
+
+}  // namespace
+
+void BatchNorm2d::inference_inv_std(float* inv_std) const {
+  for (int c = 0; c < channels_; ++c) inv_std[c] = inv_std_of(running_var_[c], eps_);
+}
+
 Tensor BatchNorm2d::forward(const Tensor& x, const SubnetContext& ctx) {
   assert(x.rank() == 4 && x.dim(1) == channels_);
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
@@ -78,7 +88,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, const SubnetContext& ctx) {
       mean = running_mean_[c];
       var = running_var_[c];
     }
-    const float inv_std = 1.0f / std::sqrt(var + eps_);
+    const float inv_std = inv_std_of(var, eps_);
     if (ctx.training) inv_std_cache_[static_cast<std::size_t>(c)] = inv_std;
     const float g = gamma_.value[c], b = beta_.value[c];
     for (int i = 0; i < n; ++i) {

@@ -41,6 +41,13 @@ class BatchNorm2d final : public Layer {
   }
 
   int channels() const { return channels_; }
+  /// Writes each channel's inference 1 / sqrt(running_var + eps), exactly
+  /// as forward() computes it, into inv_std[0, channels()). With
+  /// running_mean(), gamma() and beta() it is the transform a fused conv
+  /// stage's epilogue applies (tensor/ops.h ConvEpilogue).
+  void inference_inv_std(float* inv_std) const;
+  const Tensor& gamma() const { return gamma_.value; }
+  const Tensor& beta() const { return beta_.value; }
   const Tensor& running_mean() const { return running_mean_; }
   const Tensor& running_var() const { return running_var_; }
   /// Mutable access for deserialization.

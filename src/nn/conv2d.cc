@@ -53,9 +53,9 @@ Tensor Conv2d::forward_relu(const Tensor& x, const SubnetContext& ctx) {
   return forward_impl(x, ctx, /*relu=*/true);
 }
 
-void Conv2d::conv_rows(const Tensor& x, const unsigned char* rows,
-                       int subnet_id, const SpatialRegion& region, bool relu,
-                       float* y) {
+void Conv2d::forward_rows(const Tensor& x, const unsigned char* rows,
+                          int subnet_id, const SpatialRegion& region,
+                          const ConvEpilogue& epi, float* y) {
   const std::vector<int>& channels = readable_in_units(subnet_id);
   const int ld = static_cast<int>(channels.size()) * kernel_ * kernel_;
   // The weight workspace comes from the per-thread arena: reused across
@@ -65,7 +65,7 @@ void Conv2d::conv_rows(const Tensor& x, const unsigned char* rows,
   float* a = ws.alloc_floats(static_cast<std::size_t>(units_) * ld);
   gather_weights(rows, &channels, a);
   conv2d_implicit(x.data(), x.dim(0), geom_, channels, a, rows,
-                  bias_.value.data(), relu, region, y);
+                  bias_.value.data(), epi, region, y);
 }
 
 Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
@@ -93,8 +93,10 @@ Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
       return y;
     }
   }
-  conv_rows(x, active_flags(ctx.subnet_id).data(), ctx.subnet_id,
-            SpatialRegion::full(oh, ow), relu, y.data());
+  ConvEpilogue epi;
+  epi.relu = relu;
+  forward_rows(x, active_flags(ctx.subnet_id).data(), ctx.subnet_id,
+               SpatialRegion::full(oh, ow), epi, y.data());
 
   if (ctx.training) {
     x_cache_ = x;
@@ -177,8 +179,8 @@ Tensor Conv2d::forward_delta(const Tensor& x, const Tensor& cached_y,
   // bits a full pass would put there.
   Tensor y = cached_y;
   if (reg.empty()) return y;  // nothing dirty reaches this layer
-  const auto& active = active_flags(ctx.subnet_id);
-  conv_rows(x, active.data(), ctx.subnet_id, reg, /*relu=*/false, y.data());
+  forward_rows(x, active_flags(ctx.subnet_id).data(), ctx.subnet_id, reg, {},
+               y.data());
   return y;
 }
 
@@ -193,14 +195,8 @@ Tensor Conv2d::forward_step(const Tensor& x, const Tensor& cached_y,
   // SAME route forward() uses, so step-up follows the active ISA tier's
   // multiply-add semantics and stays bit-identical to a from-scratch
   // evaluation. Reused units are skipped untouched.
-  std::vector<unsigned char> fresh(static_cast<std::size_t>(units_), 0);
-  for (int u = 0; u < units_; ++u) {
-    const int sv = (*out_assign_)[static_cast<std::size_t>(u)];
-    if (sv > from_subnet && sv <= ctx.subnet_id) fresh[static_cast<std::size_t>(u)] = 1;
-  }
-  conv_rows(x, fresh.data(), ctx.subnet_id,
-            SpatialRegion::full(geom_.out_h(), geom_.out_w()), /*relu=*/false,
-            y.data());
+  forward_rows(x, step_flags(from_subnet, ctx.subnet_id).data(), ctx.subnet_id,
+               SpatialRegion::full(geom_.out_h(), geom_.out_w()), {}, y.data());
   mask_inactive_units(y, *out_assign_, 1, ctx.subnet_id);
   return y;
 }

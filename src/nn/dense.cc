@@ -112,24 +112,24 @@ Tensor Dense::forward_step(const Tensor& x, const Tensor& cached_y,
   assert(!ctx.training);
   // A head recomputes every unit, which is exactly forward().
   if (cached_y.empty() || is_head_) return forward(x, ctx);
-  const Tensor& w = effective_weights();
+  // Evaluate only the units joining in (from_subnet, subnet_id]; reused
+  // units are skipped untouched.
   Tensor y = cached_y;
-  // Evaluate only the units joining in (from_subnet, subnet_id], through the
-  // SAME dispatcher forward() uses: whatever multiply-add semantics the
-  // active ISA tier has, step-up sees the identical per-element operation
-  // sequence, so results stay bit-identical to a from-scratch evaluation.
-  // Joining units are zero in cached_y (masked when it was produced), so
-  // the kernel's accumulate-into-C is an overwrite for them; reused units
-  // are skipped untouched.
-  std::vector<unsigned char> fresh(static_cast<std::size_t>(units_), 0);
-  for (int u = 0; u < units_; ++u) {
-    const int sv = (*out_assign_)[static_cast<std::size_t>(u)];
-    if (sv > from_subnet && sv <= ctx.subnet_id) fresh[static_cast<std::size_t>(u)] = 1;
-  }
-  gemm_nt_cols_bias(x, w, y, fresh.data(), bias_.value.data(), /*relu=*/false,
-                    pack_id());
+  forward_rows(x, step_flags(from_subnet, ctx.subnet_id).data(), /*relu=*/false,
+               y);
   mask_inactive_units(y, *out_assign_, 1, ctx.subnet_id);
   return y;
+}
+
+void Dense::forward_rows(const Tensor& x, const unsigned char* rows, bool relu,
+                         Tensor& y) {
+  // The SAME dispatcher forward() uses: whatever multiply-add semantics the
+  // active ISA tier has, a step sees the identical per-element operation
+  // sequence, so results stay bit-identical to a from-scratch evaluation.
+  // A unit a step adds is zero in its cached output (masked when that was
+  // produced), so the kernel's accumulate-into-C is an overwrite for it.
+  const Tensor& w = effective_weights();  // refreshes pack_id()
+  gemm_nt_cols_bias(x, w, y, rows, bias_.value.data(), relu, pack_id());
 }
 
 }  // namespace stepping

@@ -78,6 +78,12 @@ struct IOSpec {
 /// Lifecycle: construct with hyperparameters -> Network::wire() calls
 /// wire(in, rng) exactly once per topology change (allocating parameters on
 /// first wire, preserving them afterwards) -> forward/backward per batch.
+///
+/// Training and int8 passes run every layer through these hooks. fp32
+/// inference runs them only for layers outside a fused stage (nn/stage.h):
+/// a Conv2d -> BatchNorm2d -> ReLU -> MaxPool2d run, or a Dense -> ReLU
+/// pair, is one call there. The per-layer forward, forward_step and
+/// forward_delta stay the oracle a stage's output is pinned against.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -89,21 +95,6 @@ class Layer {
   virtual IOSpec wire(const IOSpec& in, Rng& rng) = 0;
 
   virtual Tensor forward(const Tensor& x, const SubnetContext& ctx) = 0;
-
-  /// True iff forward_relu() fuses the following ReLU into this layer's
-  /// output store (bitwise identical to forward() followed by ReLU).
-  /// Network::forward uses this to collapse Layer->ReLU pairs at inference.
-  virtual bool can_fuse_relu() const { return false; }
-
-  /// forward() with a fused trailing ReLU. Only meaningful when
-  /// can_fuse_relu() returns true; the default falls back to plain forward
-  /// (callers must then still apply the ReLU themselves).
-  virtual Tensor forward_relu(const Tensor& x, const SubnetContext& ctx) {
-    return forward(x, ctx);
-  }
-
-  /// True for the ReLU activation layer (fusion target detection).
-  virtual bool is_relu() const { return false; }
 
   /// Consume dL/d(output), return dL/d(input), accumulate parameter grads.
   virtual Tensor backward(const Tensor& grad_y, const SubnetContext& ctx) = 0;

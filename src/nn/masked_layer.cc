@@ -282,16 +282,15 @@ quant::PreparedInt8 MaskedLayer::int8_operand(int subnet_id) {
                                      readable_in_units(subnet_id));
 }
 
-const std::vector<std::uint8_t>& MaskedLayer::active_flags(int subnet_id) {
-  active_flags_.assign(static_cast<std::size_t>(units_), 1);
+const std::vector<std::uint8_t>& MaskedLayer::step_flags(int from, int to) {
+  step_flags_.assign(static_cast<std::size_t>(units_), 1);
   if (!is_head_) {
     for (int u = 0; u < units_; ++u) {
-      if ((*out_assign_)[static_cast<std::size_t>(u)] > subnet_id) {
-        active_flags_[static_cast<std::size_t>(u)] = 0;
-      }
+      const int sv = (*out_assign_)[static_cast<std::size_t>(u)];
+      if (sv <= from || sv > to) step_flags_[static_cast<std::size_t>(u)] = 0;
     }
   }
-  return active_flags_;
+  return step_flags_;
 }
 
 void MaskedLayer::mask_inactive_grad_rows(Tensor& grad, int per_unit,

@@ -162,6 +162,13 @@ class MaskedLayer : public Layer {
   /// buffer valid until the next call.
   const std::vector<int>& readable_in_units(int subnet_id);
 
+  /// Per-unit flags (1 = compute) of the units a ladder step from subnet
+  /// `from` to subnet `to` computes: those with from < s(unit) <= to, or
+  /// every unit of a head. step_flags(0, id) are the units subnet `id`
+  /// computes from scratch. Returns a scratch buffer valid until the next
+  /// call of this or active_flags().
+  const std::vector<std::uint8_t>& step_flags(int from, int to);
+
  protected:
   /// Called by subclasses from wire(): sizes all masks/accumulators.
   /// `col_group` = columns per input unit; `macs_per_weight` as defined above.
@@ -177,9 +184,10 @@ class MaskedLayer : public Layer {
   quant::PreparedInt8 int8_operand(int subnet_id);
 
   /// Per-unit activity flags for the executing subnet (1 = compute this
-  /// unit). Heads are always fully active. Returns a scratch buffer valid
-  /// until the next call.
-  const std::vector<std::uint8_t>& active_flags(int subnet_id);
+  /// unit): step_flags(0, subnet_id). Heads are always fully active.
+  const std::vector<std::uint8_t>& active_flags(int subnet_id) {
+    return step_flags(0, subnet_id);
+  }
 
   /// Zero grad rows of inactive units, mirroring forward's output masking.
   /// `rows_are_units`: grad laid out (units x anything) after reshape.
@@ -209,9 +217,9 @@ class MaskedLayer : public Layer {
   Tensor w_eff_;
   std::uint64_t pack_id_ = 0;  ///< cache identity of w_eff_'s current bytes
   std::uint64_t seen_weight_version_ = 0;  ///< weight_.version at last refresh
-  std::vector<std::uint8_t> active_flags_;  // scratch for active_flags()
-  std::vector<int> readable_;               // scratch for readable_in_units()
-  std::vector<int> int8_units_;             // scratch for int8_operand()
+  std::vector<std::uint8_t> step_flags_;  // scratch for step_flags()
+  std::vector<int> readable_;             // scratch for readable_in_units()
+  std::vector<int> int8_units_;           // scratch for int8_operand()
 
   std::vector<std::vector<double>> imp_acc_;
 

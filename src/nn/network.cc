@@ -37,24 +37,14 @@ void Network::wire(int in_c, int in_h, int in_w, Rng& rng) {
     throw std::logic_error("Network::wire: no masked (trainable) layer");
   }
   if (!wired_) last_masked->set_head(true);
+  stages_ = partition_stages(layer_ptrs());
   wired_ = true;
 }
 
 Tensor Network::forward(const Tensor& x, const SubnetContext& ctx) {
   assert(wired_);
-  Tensor cur = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    // Inference-only fusion: collapse a Layer -> ReLU pair into one fused
-    // forward (bias + ReLU applied in the GEMM epilogue). Training keeps the
-    // unfused path — backward needs the pre-activation cache and ReLU mask.
-    if (!ctx.training && i + 1 < layers_.size() && layers_[i]->can_fuse_relu() &&
-        layers_[i + 1]->is_relu()) {
-      cur = layers_[i]->forward_relu(cur, ctx);
-      ++i;  // the ReLU's work is already done
-      continue;
-    }
-    cur = layers_[i]->forward(cur, ctx);
-  }
+  Tensor cur = stages_.front().forward(x, ctx);
+  for (std::size_t i = 1; i < stages_.size(); ++i) cur = stages_[i].forward(cur, ctx);
   return cur;
 }
 

@@ -7,6 +7,7 @@
 
 #include "nn/layer.h"
 #include "nn/masked_layer.h"
+#include "nn/stage.h"
 
 namespace stepping {
 
@@ -15,7 +16,9 @@ namespace stepping {
 /// Usage: emplace layers, then `wire(c, h, w, rng)` once to resolve shapes,
 /// allocate parameters and propagate subnet assignments. The final
 /// MaskedLayer is automatically marked as the classification head (exempt
-/// from the structural rule, recomputed per subnet — DESIGN.md §3).
+/// from the structural rule, recomputed per subnet — DESIGN.md §3). wire()
+/// also partitions the layers into inference stages (nn/stage.h), which
+/// every forward runs in order.
 class Network {
  public:
   Network() = default;
@@ -45,7 +48,12 @@ class Network {
   int input_h() const { return in_h_; }
   int input_w() const { return in_w_; }
 
+  /// The network's output: every stage's forward in order. At fp32
+  /// inference each fused stage is one pass; otherwise every layer runs.
   Tensor forward(const Tensor& x, const SubnetContext& ctx);
+
+  /// The inference stages, in order; set by wire().
+  const std::vector<Stage>& stages() const { return stages_; }
 
   /// Backward from dL/d(logits); returns dL/d(input).
   Tensor backward(const Tensor& grad_logits, const SubnetContext& ctx);
@@ -80,6 +88,7 @@ class Network {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<Stage> stages_;
   AssignmentPtr input_assign_;
   bool wired_ = false;
   int in_c_ = 0, in_h_ = 0, in_w_ = 0;

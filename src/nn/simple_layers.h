@@ -19,7 +19,6 @@ class ReLU final : public Layer {
   IOSpec wire(const IOSpec& in, Rng& rng) override;
   Tensor forward(const Tensor& x, const SubnetContext& ctx) override;
   Tensor backward(const Tensor& grad_y, const SubnetContext& ctx) override;
-  bool is_relu() const override { return true; }
   /// Elementwise: a dirty input element dirties exactly itself.
   SpatialRegion propagate_dirty_region(const SpatialRegion& in) const override {
     return in;
@@ -52,6 +51,9 @@ class MaxPool2d final : public Layer {
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<MaxPool2d>(*this);
   }
+
+  /// Window edge and stride.
+  int kernel() const { return k_; }
 
  private:
   std::string name_;

@@ -45,9 +45,9 @@ struct Job {
   double first_ms = 0.0;    ///< submission -> preliminary result (0 = none)
   double queue_ms = 0.0;    ///< submission -> first pass start
   std::vector<StepUpdate> steps;
-  /// Cached per-layer activations of the micro-batch this request last
-  /// stepped with (shared by all its rows; row `acts_row` belongs to this
-  /// request). Null until the first fp32-reuse pass. A source batch's state
+  /// Cached ladder state (ladder_step's per-layer entries, holding only
+  /// stage outputs) of the micro-batch this request last stepped with
+  /// (shared by all its rows; row `acts_row` belongs to this request). Null until the first fp32-reuse pass. A source batch's state
   /// is freed once every row has halted or re-stacked into a later batch.
   std::shared_ptr<std::vector<Tensor>> acts;
   int acts_row = 0;

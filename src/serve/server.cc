@@ -815,10 +815,11 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
       }
     }
 
-    // The batched step itself. Reuse mode re-stacks the cached per-layer
-    // activations of the source batches into fresh batch tensors first — the
+    // The batched step itself. Reuse mode re-stacks the cached stage
+    // outputs of the source batches into fresh batch tensors first — the
     // state migration that lets rows from different earlier batches (and
-    // different workers) share this GEMM.
+    // different workers) share this GEMM. The entries of layers inside a
+    // fused stage are empty and stay so.
     obs::TraceScope step_span(step_span_name(level), "serve");
     const double level_start = now_ms();
     Tensor y;
@@ -830,6 +831,7 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
         acts->resize(nlayers);
         for (std::size_t i = 0; i < nlayers; ++i) {
           const Tensor& src0 = (*jobs.front().acts)[i];
+          if (src0.empty()) continue;
           std::vector<int> shape = src0.shape();
           const std::int64_t row = src0.numel() / src0.dim(0);
           shape[0] = b;

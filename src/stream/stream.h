@@ -1,20 +1,23 @@
 // Streaming inference with per-stream ladder state.
 //
 // A video/sensor stream presents near-duplicate inputs frame after frame.
-// This module keeps each stream's previous-frame ladder (a LadderState: one
-// cached post-activation tensor per layer, at some subnet level) in a keyed
+// This module keeps each stream's previous-frame ladder (a LadderState: the
+// cached output of every inference stage, at some subnet level) in a keyed
 // LRU cache and drives it through advance() (core/incremental.h), which
 // fingerprints the new frame per spatial tile and recomputes only the dirty
 // tiles plus each convolution's receptive-field halo through the conv stack
-// (Layer::propagate_dirty_region / forward_delta). The result is BITWISE
-// identical to a full forward pass at the same subnet level:
-//  * a conv output position whose receptive field reads only clean input
+// (Stage::propagate_dirty_region / forward_delta, nn/stage.h). A fused conv
+// stage widens that region to whole pool windows and recomputes them with
+// BN, ReLU and the pool in one pass. The result is BITWISE identical to a
+// full forward pass at the same subnet level:
+//  * a stage output position whose receptive field reads only clean input
 //    keeps its cached bits (they ARE what a full pass would produce);
-//  * recomputed positions go through the same implicit-GEMM conv as a full
-//    pass (conv2d_implicit in tensor/ops.h), restricted to the region, and
-//    every output element's FP op sequence folds over its own receptive
-//    field only, so the recomputed values match the full pass bit for bit;
-//  * after the splice every downstream layer's input is exact, so layers
+//  * recomputed positions go through the same implicit-GEMM conv and
+//    epilogue as a full pass (conv2d_implicit in tensor/ops.h), restricted
+//    to the region, and every output element's FP op sequence folds over
+//    its own receptive field only, so the recomputed values match the full
+//    pass bit for bit;
+//  * after the splice every downstream stage's input is exact, so stages
 //    without a delta path simply run their plain forward.
 //
 // Invalidation mirrors the packed-weight cache's versioned idiom

@@ -167,24 +167,47 @@ void fb_gemm_tn_rows(const float* pat, const float* pb, float* pc, int m,
   });
 }
 
+/// The head GEMM's fallback (a Dense head is small: m is the batch, n the
+/// classes). One column's dot product is a chain of dependent multiply-adds,
+/// so up to kChains active columns run side by side, p outermost. Each
+/// column still starts from +0 and adds its terms in ascending p, so the
+/// bits are the one-column loop's.
 template <class M>
 void fb_gemm_nt_cols_bias(const float* pa, const float* pbt, float* pc, int m,
                           int k, int n, const unsigned char* col_active,
                           const float* bias, bool relu) {
+  constexpr int kChains = 8;
   parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
                     [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       const float* arow = pa + static_cast<std::size_t>(i) * k;
       float* crow = pc + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        if (!col_active[j]) continue;
-        const float* btrow = pbt + static_cast<std::size_t>(j) * k;
-        float acc = 0.0f;
-        for (int p = 0; p < k; ++p) acc = M::madd(arow[p], btrow[p], acc);
-        float v = crow[j] + acc;
-        v += bias[j];
-        if (relu) v = v > 0.0f ? v : 0.0f;
-        crow[j] = v;
+      int j = 0;
+      while (j < n) {
+        // The next kChains active columns; a short group repeats its first
+        // column in the unused chains, whose sums are dropped.
+        int cols[kChains];
+        int count = 0;
+        for (; j < n && count < kChains; ++j) {
+          if (col_active[j]) cols[count++] = j;
+        }
+        if (count == 0) break;
+        const float* bt[kChains];
+        for (int t = 0; t < kChains; ++t) {
+          bt[t] = pbt + static_cast<std::size_t>(cols[t < count ? t : 0]) * k;
+        }
+        float acc[kChains] = {};
+        for (int p = 0; p < k; ++p) {
+          const float av = arow[p];
+          for (int t = 0; t < kChains; ++t) acc[t] = M::madd(av, bt[t][p], acc[t]);
+        }
+        for (int t = 0; t < count; ++t) {
+          const int c = cols[t];
+          float v = crow[c] + acc[t];
+          v += bias[c];
+          if (relu) v = v > 0.0f ? v : 0.0f;
+          crow[c] = v;
+        }
       }
     }
   });

@@ -14,10 +14,18 @@
 //
 // Bits. Each output element owns one accumulator lane; its terms run in
 // ascending (channel, kh, kw) order with zero weights skipped, starting
-// from +0, then the bias and ReLU are applied in the store — the sequence
-// gemm_rows_bias runs on the im2col matrix, whose entries are exactly the
-// buffer values read here (padding included).
+// from +0, then the bias (and, with no BN, ReLU) is applied in the store —
+// the sequence gemm_rows_bias runs on the im2col matrix, whose entries are
+// exactly the buffer values read here (padding included).
+//
+// Epilogue. A fused stage's BN and ReLU then rewrite the staging row in
+// place, position by position, and its max pool reads whole windows of
+// that row (rows wq floats apart) through maxpool_plane. This TU is built
+// with the toolchain's baseline flags, like batchnorm.cc, so BN's
+// multiply-then-add is never contracted into an FMA and rounds as the
+// layer's does.
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -81,15 +89,41 @@ void copy_padded(const float* x, int count, const Conv2dGeometry& g,
   });
 }
 
+/// BatchNorm2d's inference transform, then ReLU if `relu`, over `rh` rows
+/// of `rw` values, `ld` floats apart.
+void bn_relu_rows(float* rows, int ld, int rh, int rw, float mean, float inv,
+                  float gamma, float beta, bool relu) {
+  for (int r = 0; r < rh; ++r) {
+    float* row = rows + static_cast<std::int64_t>(r) * ld;
+    if (relu) {
+      for (int c = 0; c < rw; ++c) {
+        const float xv = (row[c] - mean) * inv;
+        const float v = gamma * xv + beta;
+        row[c] = v > 0.0f ? v : 0.0f;
+      }
+    } else {
+      for (int c = 0; c < rw; ++c) {
+        const float xv = (row[c] - mean) * inv;
+        row[c] = gamma * xv + beta;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
                      const std::vector<int>& channels, const float* w,
-                     const unsigned char* rows, const float* bias, bool relu,
-                     const SpatialRegion& region, float* y) {
+                     const unsigned char* rows, const float* bias,
+                     const ConvEpilogue& epi, const SpatialRegion& region,
+                     float* y) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "conv2d_implicit");
-  const SpatialRegion reg = region.clipped(g.out_h(), g.out_w());
+  const int pk = epi.pool;
+  assert(pk >= 1 && g.out_h() % pk == 0 && g.out_w() % pk == 0);
+  SpatialRegion reg = region.clipped(g.out_h(), g.out_w());
+  if (pk > 1) reg = reg.pool_aligned(pk);
   if (n <= 0 || reg.empty()) return;
+  const bool bn = epi.bn_mean != nullptr;
   const microkernel::KernelTable& kt = microkernel::active_table();
   const int nr = kt.nr;
   const int k = g.kernel, s = g.stride, kk = k * k;
@@ -100,7 +134,8 @@ void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
   const std::int64_t plane = static_cast<std::int64_t>(hq) * wq;
   const std::int64_t chan = plane * s * s;
   const std::int64_t img = chan * nch;
-  const std::int64_t out_plane = static_cast<std::int64_t>(g.out_h()) * g.out_w();
+  const int yw = g.out_w() / pk;  // y's row length (pooled when pk > 1)
+  const std::int64_t out_plane = static_cast<std::int64_t>(g.out_h() / pk) * yw;
 
   // The region's outputs are the flat columns from its first output to its
   // last, run in chunks of two panels; the columns between its rows are
@@ -165,13 +200,23 @@ void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
           for (int j = 0; j < span; j += chunk) {
             const int wc = std::min(chunk, span - j);
             kt.axpy(vals, offs, nnz, src + j, nr, stage + j, wc,
-                    /*pair=*/wc > nr, /*epi=*/true, bias[u], relu);
+                    /*pair=*/wc > nr, /*epi=*/true, bias[u], epi.relu && !bn);
+          }
+          if (bn) {
+            bn_relu_rows(stage, wq, rh, rw, epi.bn_mean[u], epi.bn_inv_std[u],
+                         epi.bn_gamma[u], epi.bn_beta[u], epi.relu);
           }
           float* out = y + (static_cast<std::int64_t>(i0 + i) * g.out_c + u) *
                                out_plane;
+          if (pk > 1) {
+            maxpool_plane(stage, wq, rh / pk, rw / pk, pk,
+                          out + static_cast<std::int64_t>(reg.r0 / pk) * yw +
+                              reg.c0 / pk,
+                          yw);
+            continue;
+          }
           for (int r = 0; r < rh; ++r) {
-            std::memcpy(out + static_cast<std::int64_t>(reg.r0 + r) * g.out_w() +
-                            reg.c0,
+            std::memcpy(out + static_cast<std::int64_t>(reg.r0 + r) * yw + reg.c0,
                         stage + static_cast<std::int64_t>(r) * wq,
                         sizeof(float) * static_cast<std::size_t>(rw));
           }

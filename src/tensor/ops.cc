@@ -320,14 +320,51 @@ void col2im(const float* cols, const Conv2dGeometry& g, float* x) {
 // to serial for any thread count.
 // ---------------------------------------------------------------------------
 
+void maxpool_plane(const float* x, std::int64_t ldx, int oh, int ow, int k,
+                   float* y, std::int64_t ldy) {
+  // `v > m ? v : m` keeps the first strict maximum and never takes a NaN,
+  // exactly the branchy scan's test; written as a select it vectorizes.
+  constexpr float kStart = -std::numeric_limits<float>::infinity();
+  if (k == 2) {
+    for (int r = 0; r < oh; ++r) {
+      const float* a = x + 2 * r * ldx;
+      const float* b = a + ldx;
+      float* out = y + r * ldy;
+      for (int c = 0; c < ow; ++c) {
+        float m = kStart;
+        float v = a[2 * c];
+        m = v > m ? v : m;
+        v = a[2 * c + 1];
+        m = v > m ? v : m;
+        v = b[2 * c];
+        m = v > m ? v : m;
+        v = b[2 * c + 1];
+        m = v > m ? v : m;
+        out[c] = m;
+      }
+    }
+    return;
+  }
+  for (int r = 0; r < oh; ++r) {
+    float* out = y + r * ldy;
+    for (int c = 0; c < ow; ++c) {
+      float m = kStart;
+      for (int dy = 0; dy < k; ++dy) {
+        const float* row = x + (static_cast<std::int64_t>(r) * k + dy) * ldx +
+                           static_cast<std::int64_t>(c) * k;
+        for (int dx = 0; dx < k; ++dx) m = row[dx] > m ? row[dx] : m;
+      }
+      out[c] = m;
+    }
+  }
+}
+
 namespace {
 
-/// The max-pool scan: each window's first strict maximum in (dy, dx) order,
-/// and with kRecord its flat input index for the backward pass. A template
-/// parameter rather than a run-time test, so the inference instantiation
-/// carries no index bookkeeping.
-template <bool kRecord>
-void maxpool_scan(const Tensor& x, int k, Tensor& y, int* pam) {
+/// The training max-pool scan: each window's first strict maximum in
+/// (dy, dx) order, as maxpool_plane takes it, and its flat input index for
+/// the backward pass.
+void maxpool_scan_argmax(const Tensor& x, int k, Tensor& y, int* pam) {
   const int h = x.dim(2), w = x.dim(3);
   const int oh = y.dim(2), ow = y.dim(3);
   const float* px = x.data();
@@ -354,10 +391,8 @@ void maxpool_scan(const Tensor& x, int k, Tensor& y, int* pam) {
             }
           }
           py[oi] = best;
-          if constexpr (kRecord) {
-            pam[oi] = static_cast<int>(static_cast<std::size_t>(pl) * h * w) +
-                      best_idx;
-          }
+          pam[oi] = static_cast<int>(static_cast<std::size_t>(pl) * h * w) +
+                    best_idx;
           ++oi;
         }
       }
@@ -371,15 +406,26 @@ void maxpool_forward(const Tensor& x, int k, Tensor& y,
                      std::vector<int>* argmax) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "maxpool");
   assert(x.rank() == 4);
-  const int oh = x.dim(2) / k, ow = x.dim(3) / k;
+  const int h = x.dim(2), w = x.dim(3);
+  const int oh = h / k, ow = w / k;
   assert(oh > 0 && ow > 0);
   y = Tensor({x.dim(0), x.dim(1), oh, ow});
   if (argmax == nullptr) {
-    maxpool_scan<false>(x, k, y, nullptr);
+    const float* px = x.data();
+    float* py = y.data();
+    const std::int64_t in_plane = static_cast<std::int64_t>(h) * w;
+    const std::int64_t out_plane = static_cast<std::int64_t>(oh) * ow;
+    parallel_for_cost(0, static_cast<std::int64_t>(x.dim(0)) * x.dim(1),
+                      out_plane * k * k,
+                      [&](std::int64_t pl0, std::int64_t pl1) {
+      for (std::int64_t pl = pl0; pl < pl1; ++pl) {
+        maxpool_plane(px + pl * in_plane, w, oh, ow, k, py + pl * out_plane, ow);
+      }
+    });
     return;
   }
   argmax->resize(static_cast<std::size_t>(y.numel()));
-  maxpool_scan<true>(x, k, y, argmax->data());
+  maxpool_scan_argmax(x, k, y, argmax->data());
 }
 
 void maxpool_backward(const Tensor& grad_y, const std::vector<int>& argmax,

@@ -3,7 +3,9 @@
 // Every fp32 Conv2d forward runs conv2d_implicit: the packed GEMM's axpy
 // micro-kernel straight off a zero-padded copy of the input planes, so no
 // such forward builds or packs an im2col matrix (nor does the int8 conv,
-// which gathers byte windows, quant/prepared.h). im2col + GEMM remains the
+// which gathers byte windows, quant/prepared.h). Its epilogue also runs
+// the BatchNorm2d, ReLU and MaxPool2d of a fused inference stage (nn/stage.h)
+// on each computed row before write-back. im2col + GEMM remains the
 // lowering of the conv backward and the Slimmable baseline, and the
 // explicit oracle the implicit and int8 routes are tested against.
 //
@@ -151,6 +153,11 @@ struct SpatialRegion {
     return r;
   }
   static SpatialRegion full(int h, int w) { return {0, h, 0, w}; }
+  /// Every position of the k x k pool windows (stride k) the region
+  /// touches: the region's preimage under a k x k max pool's output map.
+  SpatialRegion pool_aligned(int k) const {
+    return {r0 / k * k, (r1 + k - 1) / k * k, c0 / k * k, (c1 + k - 1) / k * k};
+  }
 
   bool operator==(const SpatialRegion& o) const {
     return r0 == o.r0 && r1 == o.r1 && c0 == o.c0 && c1 == o.c1;
@@ -167,36 +174,59 @@ struct SpatialRegion {
 SpatialRegion conv_dirty_out_region(const Conv2dGeometry& g,
                                     const SpatialRegion& in);
 
-/// Implicit-GEMM convolution, the route of every fp32 Conv2d forward. For
-/// each image i of the (n, in_c, in_h, in_w) batch x and each row u with
-/// rows[u] != 0, writes
-///   y(i, u, r, c) = relu?(bias[u] + sum_p w(u, p) * cols(p, r, c)),
+/// What conv2d_implicit does to each computed row after the bias, in this
+/// order: BatchNorm2d's inference transform when `bn_mean` is set, ReLU
+/// when `relu`, and a k x k stride-k max pool when `pool` > 1. Each step
+/// is the same per-element expression the layer runs, so a fused stage's
+/// output equals the layer walk's bit for bit: BN computes
+/// xv = (y - mean[u]) * inv_std[u], then gamma[u] * xv + beta[u]
+/// (BatchNorm2d::forward's expression; inv_std as
+/// BatchNorm2d::inference_inv_std gives it), ReLU maps y to y > 0 ? y : +0,
+/// and the pool is maxpool_plane. The default is no epilogue.
+struct ConvEpilogue {
+  const float* bn_mean = nullptr;  ///< per output unit; null = no BN
+  const float* bn_inv_std = nullptr;
+  const float* bn_gamma = nullptr;
+  const float* bn_beta = nullptr;
+  bool relu = false;
+  int pool = 1;  ///< max-pool window and stride; 1 = no pool
+};
+
+/// Implicit-GEMM convolution, the route of every fp32 Conv2d forward and
+/// of every fused conv stage. For each image i of the (n, in_c, in_h,
+/// in_w) batch x and each row u with rows[u] != 0, computes
+///   z(i, u, r, c) = epi(bias[u] + sum_p w(u, p) * cols(p, r, c)),
 /// cols being the im2col matrix of the listed channels, at the output
-/// positions (r, c) of `region` (clipped to the plane; empty writes
-/// nothing) of the (n, out_c, out_h, out_w) tensor y. Other rows and
-/// positions are not touched. The contraction runs over the listed input channels
-/// `channels` (ascending ids): w holds row u at w + u * ld, ld =
-/// channels.size() * kernel^2, in (channel, kh, kw) order. Rows not flagged
-/// are never read.
+/// positions (r, c) of `region` (clipped to the conv plane; empty writes
+/// nothing), and stores it into y. Without a pool y is the (n, out_c,
+/// out_h, out_w) conv plane. With a pool of k, the region is first widened
+/// to whole pool windows (SpatialRegion::pool_aligned), and y is the (n,
+/// out_c, out_h / k, out_w / k) pooled plane, of which only the windows in
+/// the region are written. Other rows and positions are not touched. The
+/// contraction runs over the listed input channels `channels` (ascending
+/// ids): w holds row u at w + u * ld, ld = channels.size() * kernel^2, in
+/// (channel, kh, kw) order. Rows not flagged are never read.
 ///
 /// The route copies the listed channels once into a zero-padded buffer,
 /// split into stride phases when stride > 1. It compacts each flagged row's
 /// nonzero weights into (value, offset) terms in ascending (channel, kh, kw)
 /// order. Then it runs the active tier's axpy micro-kernel over the output
 /// positions, read as flat columns of that buffer, into a zeroed staging
-/// row, and writes back only the valid positions. Per output element that
-/// is exactly the sequence im2col + gemm_rows_bias runs: ascending p, terms
-/// with a zero weight skipped, the tier's multiply-add, then bias, then
-/// ReLU. Padding stays a real zero term, so an Inf or NaN weight still
-/// makes NaN at the border. The bits therefore equal the explicit route's
-/// under every blocking, thread count and pack-cache state of the active
-/// tier. (Where two different NaNs meet in one sum, which one survives is
-/// up to how the add was compiled, and only that may differ.) Work is
-/// split over flagged rows.
+/// row, applies the rest of the epilogue to that row and writes back only
+/// the valid positions. Per output element that is exactly the sequence
+/// im2col + gemm_rows_bias runs: ascending p, terms with a zero weight
+/// skipped, the tier's multiply-add, then bias (then ReLU, with no BN),
+/// followed by the layers the epilogue stands for. Padding stays a real
+/// zero term, so an Inf or NaN weight still makes NaN at the border. The
+/// bits therefore equal the explicit route's under every blocking, thread
+/// count and pack-cache state of the active tier. (Where two different NaNs
+/// meet in one sum, which one survives is up to how the add was compiled,
+/// and only that may differ.) Work is split over flagged rows.
 void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
                      const std::vector<int>& channels, const float* w,
-                     const unsigned char* rows, const float* bias, bool relu,
-                     const SpatialRegion& region, float* y);
+                     const unsigned char* rows, const float* bias,
+                     const ConvEpilogue& epi, const SpatialRegion& region,
+                     float* y);
 
 /// col2im scatter-add, inverse of im2col (for input gradients).
 void col2im(const float* cols, const Conv2dGeometry& g, float* x);
@@ -207,9 +237,20 @@ void col2im(const float* cols, const Conv2dGeometry& g, float* x);
 
 /// 2x2 (or kxk) max pooling, stride == k. When `argmax` is non-null it also
 /// records the argmax indices for the backward pass (same shape as output);
-/// inference passes null and skips that work — y is the same either way.
+/// inference passes null, runs maxpool_plane and skips that work — y is
+/// the same either way.
 void maxpool_forward(const Tensor& x, int k, Tensor& y,
                      std::vector<int>* argmax = nullptr);
+
+/// The inference max-pool scan over one plane: y(r, c) for r < oh, c < ow
+/// is the first strict maximum of x's k x k window at (r * k, c * k), read
+/// in (dy, dx) order from a start of -Inf. A NaN is never selected (an
+/// all-NaN window gives -Inf), and of +0 and -0 the first one seen wins.
+/// Rows of x are ldx floats apart, rows of y ldy. At k = 2 the output
+/// columns run innermost so the scan vectorizes; the bits are the same.
+/// maxpool_forward and conv2d_implicit's pooling epilogue both call it.
+void maxpool_plane(const float* x, std::int64_t ldx, int oh, int ow, int k,
+                   float* y, std::int64_t ldy);
 void maxpool_backward(const Tensor& grad_y, const std::vector<int>& argmax,
                       Tensor& grad_x);
 

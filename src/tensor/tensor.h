@@ -36,8 +36,14 @@ class Tensor {
   std::int64_t numel() const { return static_cast<std::int64_t>(data_.size()); }
   bool empty() const { return data_.empty(); }
 
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
+  /// Never null: an empty tensor's data() points at zero readable floats
+  /// (a shared slot that must not be written), so a memcpy or memcmp of
+  /// numel() floats is defined for every tensor — a ladder state keeps
+  /// empty entries inside fused stages (core/incremental.h).
+  float* data() { return data_.empty() ? &empty_slot_ : data_.data(); }
+  const float* data() const {
+    return data_.empty() ? &empty_slot_ : data_.data();
+  }
 
   float& operator[](std::int64_t i) {
     assert(i >= 0 && i < numel());
@@ -102,6 +108,7 @@ class Tensor {
 
   std::vector<int> shape_;
   std::vector<float> data_;
+  static inline float empty_slot_ = 0.0f;
 };
 
 }  // namespace stepping

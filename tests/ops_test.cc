@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -212,6 +215,90 @@ TEST(MaxPool, NegativeValuesHandled) {
   std::vector<int> argmax;
   maxpool_forward(x, 2, y, &argmax);
   EXPECT_EQ(y[0], -1.0f);
+}
+
+// The inference pool scan (maxpool_plane, shared by MaxPool2d and the fused
+// conv stage's epilogue) against a naive branchy scan, at widths 1-17 so
+// every vector tail runs, with NaN, ±Inf and ±0 at every window position.
+float naive_window_max(const float* x, std::int64_t ldx, int r, int c, int k) {
+  float best = -std::numeric_limits<float>::infinity();
+  for (int dy = 0; dy < k; ++dy) {
+    for (int dx = 0; dx < k; ++dx) {
+      const float v = x[(static_cast<std::int64_t>(r) * k + dy) * ldx + c * k + dx];
+      if (v > best) best = v;
+    }
+  }
+  return best;
+}
+
+TEST(MaxPoolPlane, MatchesNaiveScanWithNonFiniteAndSignedZeros) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan, inf, -inf, 0.0f, -0.0f};
+  const float mix[] = {nan, inf, -inf, 0.0f, -0.0f, 1.0f, -1.0f};
+  Rng rng(21);
+  for (const int k : {2, 3}) {
+    for (int ow = 1; ow <= 17; ++ow) {
+      const int oh = 3;
+      const std::int64_t ldx = static_cast<std::int64_t>(ow) * k + 2;
+      const std::int64_t ldy = ow + 1;
+      std::vector<float> x(static_cast<std::size_t>(oh * k * ldx));
+      std::vector<float> y(static_cast<std::size_t>(oh * ldy));
+      std::vector<float> want(y.size());
+      const auto check = [&](const std::string& what) {
+        std::fill(y.begin(), y.end(), 7.0f);  // slack columns stay untouched
+        std::fill(want.begin(), want.end(), 7.0f);
+        maxpool_plane(x.data(), ldx, oh, ow, k, y.data(), ldy);
+        for (int r = 0; r < oh; ++r) {
+          for (int c = 0; c < ow; ++c) {
+            want[static_cast<std::size_t>(r * ldy + c)] =
+                naive_window_max(x.data(), ldx, r, c, k);
+          }
+        }
+        EXPECT_EQ(0, std::memcmp(y.data(), want.data(), sizeof(float) * y.size()))
+            << "k=" << k << " ow=" << ow << " " << what;
+      };
+      for (const float sp : specials) {
+        for (int dy = 0; dy < k; ++dy) {
+          for (int dx = 0; dx < k; ++dx) {
+            for (float& v : x) v = static_cast<float>(rng.normal());
+            for (int r = 0; r < oh; ++r) {
+              for (int c = 0; c < ow; ++c) {
+                x[static_cast<std::size_t>((r * k + dy) * ldx + c * k + dx)] = sp;
+              }
+            }
+            check("special " + std::to_string(sp) + " at (" + std::to_string(dy) +
+                  "," + std::to_string(dx) + ")");
+          }
+        }
+      }
+      // Every window drawn from the specials and ±1: all-NaN windows, ±0
+      // ties, Inf against NaN, in every order.
+      for (int rep = 0; rep < 16; ++rep) {
+        for (float& v : x) v = mix[static_cast<int>(rng.uniform(0.0, 7.0 - 1e-9))];
+        check("mixed rep " + std::to_string(rep));
+      }
+    }
+  }
+}
+
+TEST(MaxPoolPlane, InferenceAndTrainingScansAgree) {
+  Rng rng(22);
+  for (const int k : {2, 3}) {
+    Tensor x({2, 3, 6 * k, 7 * k});
+    fill_normal(x, 0.0f, 1.0f, rng);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::int64_t i = 0; i < x.numel(); i += 5) x[i] = nan;
+    for (std::int64_t i = 2; i < x.numel(); i += 7) x[i] = -0.0f;
+    Tensor y_inf, y_train;
+    std::vector<int> argmax;
+    maxpool_forward(x, k, y_inf);
+    maxpool_forward(x, k, y_train, &argmax);
+    ASSERT_EQ(y_inf.shape(), y_train.shape());
+    EXPECT_EQ(0, std::memcmp(y_inf.data(), y_train.data(),
+                             sizeof(float) * static_cast<std::size_t>(y_inf.numel())))
+        << "k=" << k;
+  }
 }
 
 TEST(Softmax, RowsSumToOne) {

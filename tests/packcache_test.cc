@@ -226,6 +226,46 @@ TEST_F(EpilogueParity, GridOverBlockingsThreadsAndOddShapes) {
   }
 }
 
+TEST_F(EpilogueParity, HeadShapesTakeTheFallbackAndMatchUnfused) {
+  // Dense heads: batch rows, a flattened plane, a few classes. At the
+  // default blocking these run the tier's small-shape fallback, which
+  // carries several columns' dot products side by side.
+  const Shape shapes[] = {{1, 928, 10}, {4, 928, 10}, {1, 230, 100}, {3, 37, 13}};
+  set_gemm_blocking(GemmBlocking{});
+  const auto check = [&](const Shape& s, const std::string& where) {
+    EXPECT_FALSE(gemm_uses_blocked(s.m, s.k, s.n, gemm_blocking()));
+    const Tensor a = make_operand(s.m, s.k, 11);
+    const Tensor bt = make_operand(s.n, s.k, 44);
+    const Tensor bias = make_operand(1, s.n, 55);
+    for (const int period : {2, 3, 1000}) {  // every 2nd/3rd column masked, or 1
+      const auto mask = make_mask(s.n, period);
+      for (const bool relu : {false, true}) {
+        const std::string tag = "m=" + std::to_string(s.m) +
+                                " k=" + std::to_string(s.k) +
+                                " n=" + std::to_string(s.n) + " mask period " +
+                                std::to_string(period) + (relu ? " relu " : " ") +
+                                where;
+        const Tensor want = nt_cols_unfused(a, bt, mask.data(), bias, relu);
+        Tensor got({s.m, s.n});
+        gemm_nt_cols_bias(a, bt, got, mask.data(), bias.data(), relu, 0);
+        EXPECT_TRUE(bitwise_equal(want, got, "head " + tag));
+      }
+    }
+  };
+  for (int t = 0; t <= static_cast<int>(detected_isa_tier()); ++t) {
+    const IsaTier tier = static_cast<IsaTier>(t);
+    if (!isa_tier_compiled(tier)) continue;
+    set_isa_tier(tier);
+    for (const int threads : {1, 3}) {
+      ThreadPool::set_global_threads(threads);
+      for (const Shape& s : shapes) {
+        check(s, std::string("tier=") + isa_tier_name(tier) +
+                     " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
 TEST_F(EpilogueParity, RefFusedWrappersMatchRefUnfused) {
   // The pure reference wrappers are tier-independent by construction; this
   // keeps gemmref::*_bias honest without routing through the dispatcher.
