@@ -18,11 +18,6 @@
 //    single `smoke: parity=...` line for CI to grep; --shutdown sends the
 //    kShutdown opcode afterwards so the server exits and dumps counters.
 //
-//  * --precision auto|int8 (ISSUE 7): open-loop comparison of the fp32-only
-//    ladder against the requested precision policy at IDENTICAL offered
-//    load and deadline — reports the miss-rate and mean-exit movement the
-//    int8 rung buys. Prints a `precision summary:` line for CI to grep.
-//
 // The default mode also measures the flight recorder's cost (ISSUE 8):
 // identical closed-loop load with the recorder on vs off, plus the idle
 // per-event-site cost with recording disabled, and writes every run
@@ -49,7 +44,6 @@
 #include "obs/flight.h"
 #include "core/serialize.h"
 #include "models/models.h"
-#include "quant/policy.h"
 #include "serve/server.h"
 #include "serve/tcp.h"
 #include "tensor/gemm_kernel.h"
@@ -554,79 +548,6 @@ int run_load(const ServeBenchConfig& c) {
   return 0;
 }
 
-/// fp32-only vs `precision` (auto or int8) at identical offered load: same
-/// inputs, same arrival rate, same per-request deadline. The servers
-/// self-calibrate (random-input calibration — representative enough for
-/// latency work; accuracy comparisons live in `steppingnet eval`).
-int run_precision(const ServeBenchConfig& c, quant::Precision precision) {
-  const BenchScale scale = bench_scale();
-  const int per_client =
-      c.requests > 0 ? c.requests : (scale == BenchScale::kQuick ? 16 : 64);
-  const int total = per_client * c.clients;
-  Network net = make_model(c);
-  const std::vector<Tensor> inputs = make_inputs(net, total, c.seed + 303);
-  const DeviceModel host = calibrate_device(net, c.subnets);
-
-  std::printf(
-      "bench_serve precision  scale=%s  model=%s subnets=%d workers=%d "
-      "batch=%d requests=%d policy=%s\n",
-      to_string(scale), c.model.c_str(), c.subnets, c.workers, c.batch, total,
-      quant::precision_name(precision));
-
-  auto make_server = [&](quant::Precision p) {
-    serve::ServeConfig cfg;
-    cfg.max_subnet = c.subnets;
-    cfg.num_workers = c.workers;
-    cfg.max_batch = c.batch;
-    cfg.device = host;
-    cfg.precision = p;
-    return std::make_unique<serve::Server>(net, cfg);
-  };
-
-  // Offered load calibrated once, from the fp32 server's closed-loop
-  // capacity, so both open-loop runs face the same arrival schedule.
-  double rate = 0.0, deadline = 0.0;
-  {
-    auto server = make_server(quant::Precision::kFp32);
-    deadline = server->planner().ladder_ms(c.subnets, c.batch);
-    LoadStats closed = closed_loop(*server, inputs, c.clients, 0.0);
-    rate = 0.75 * static_cast<double>(closed.completed) / closed.seconds;
-  }
-
-  const quant::Precision modes[2] = {quant::Precision::kFp32, precision};
-  const char* labels[2] = {"open-loop fp32-only",
-                           precision == quant::Precision::kAuto
-                               ? "open-loop auto"
-                               : "open-loop int8"};
-  LoadStats res[2];
-  std::uint64_t int8_passes[2] = {0, 0};
-  for (int m = 0; m < 2; ++m) {
-    auto server = make_server(modes[m]);
-    LoadStats open = open_loop(*server, inputs, rate, deadline);
-    open.print(labels[m]);
-    int8_passes[m] =
-        server->metrics().counter("serve_int8_passes_total").value();
-    res[m] = std::move(open);
-    server->shutdown();
-  }
-  const auto miss_pct = [](const LoadStats& s) {
-    return s.completed ? 100.0 * static_cast<double>(s.misses) /
-                             static_cast<double>(s.completed)
-                       : 0.0;
-  };
-  const auto mean_exit = [](const LoadStats& s) {
-    return s.completed ? s.exit_sum / static_cast<double>(s.completed) : 0.0;
-  };
-  std::printf(
-      "precision summary: rate=%.1f req/s deadline=%.2fms  "
-      "miss fp32=%.1f%% %s=%.1f%%  mean_exit fp32=%.2f %s=%.2f  "
-      "int8_passes=%llu\n",
-      rate, deadline, miss_pct(res[0]), quant::precision_name(precision),
-      miss_pct(res[1]), mean_exit(res[0]), quant::precision_name(precision),
-      mean_exit(res[1]), static_cast<unsigned long long>(int8_passes[1]));
-  return 0;
-}
-
 int run_smoke(const ServeBenchConfig& c, int port, bool send_shutdown) {
   Network net = make_model(c);
 
@@ -763,7 +684,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> known = {
       "model",   "classes", "expansion", "width",    "subnets",
       "seed",    "in",      "workers",   "batch",    "clients",
-      "requests", "port",   "smoke",     "shutdown", "precision"};
+      "requests", "port",   "smoke",     "shutdown"};
   CliArgs args(argc, argv, known);
   if (!args.ok()) {
     for (const auto& e : args.errors()) std::fprintf(stderr, "%s\n", e.c_str());
@@ -785,16 +706,6 @@ int main(int argc, char** argv) {
     if (args.has("smoke")) {
       return run_smoke(c, static_cast<int>(args.get_int("port", 0)),
                        args.has("shutdown"));
-    }
-    if (args.has("precision")) {
-      quant::Precision p = quant::Precision::kAuto;
-      const std::string s = args.get("precision", "auto");
-      if (!quant::parse_precision(s, &p) || p == quant::Precision::kFp32) {
-        std::fprintf(stderr,
-                     "bench_serve: --precision must be auto or int8\n");
-        return 2;
-      }
-      return run_precision(c, p);
     }
     return run_load(c);
   } catch (const std::exception& e) {

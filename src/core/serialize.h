@@ -22,7 +22,11 @@ bool save_network(Network& net, const std::string& path);
 
 /// Load into `net`, which must have been built with the same topology
 /// (layer kinds, unit counts, weight shapes). Throws std::runtime_error on
-/// format/topology mismatch; returns false on I/O failure.
+/// format/topology mismatch or a unit subnet id below 1; returns false on
+/// I/O failure, a truncated file included. The whole file is parsed and
+/// checked before anything is written, so on either failure `net` (every
+/// parameter and its version, assignment, mask and BatchNorm statistic) is
+/// unchanged.
 bool load_network(Network& net, std::istream& in);
 bool load_network(Network& net, const std::string& path);
 

@@ -46,8 +46,8 @@ struct SubnetContext {
   bool harvest_importance = false;
   /// Numeric precision of this forward (ISSUE 7). Layers run int8 only for
   /// kInt8 at inference with a calibrated entry in `calibration`; anything
-  /// else (including kAuto, which only the serve planner interprets) is the
-  /// bitwise-deterministic fp32 path.
+  /// else is the bitwise-deterministic fp32 path. `steppingnet eval`, the
+  /// benches and direct callers set it; serve::Server never does.
   quant::Precision precision = quant::Precision::kFp32;
   /// Activation scales for the int8 path, keyed (layer name, subnet level).
   /// Null => every layer falls back to fp32.

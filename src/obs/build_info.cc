@@ -15,12 +15,10 @@ const char* build_version() { return STEPPING_VERSION; }
 
 const char* build_git_sha() { return STEPPING_GIT_SHA; }
 
-void register_build_info(Registry& reg, const std::string& isa,
-                         const std::string& precision) {
+void register_build_info(Registry& reg, const std::string& isa) {
   reg.set_info("stepping_build_info", {{"version", build_version()},
                                        {"git_sha", build_git_sha()},
-                                       {"isa", isa},
-                                       {"precision", precision}});
+                                       {"isa", isa}});
 }
 
 }  // namespace stepping::obs

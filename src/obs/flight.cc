@@ -122,13 +122,12 @@ void FlightRecorder::event(FlightHandle h, FlightEventKind k, double t_ms,
 
 void FlightRecorder::set_batch(FlightHandle h, std::uint64_t batch_id,
                                int batch_size, int planned_target,
-                               int precision, int isa_tier) {
+                               int isa_tier) {
   if (!h) return;
   FlightData& d = static_cast<Slot*>(h.slot)->d;
   d.batch_id = batch_id;
   d.batch_size = batch_size;
   d.planned_target = planned_target;
-  d.precision = precision;
   d.isa_tier = isa_tier;
 }
 
@@ -205,8 +204,7 @@ void append_event_json(std::string& out, const FlightEvent& e) {
       break;
     case FlightEventKind::kStepStart:
       out += ",\"level\":" + std::to_string(e.a0) +
-             ",\"int8\":" + std::to_string(e.a1) +
-             ",\"isa\":" + std::to_string(e.a2);
+             ",\"isa\":" + std::to_string(e.a1);
       break;
     case FlightEventKind::kStepEnd:
       out += ",\"level\":" + std::to_string(e.a0) +
@@ -262,7 +260,6 @@ void append_record_json(std::string& out, const FlightData& d,
          ",\"planned_target\":" + std::to_string(d.planned_target) +
          ",\"batch_id\":" + std::to_string(d.batch_id) +
          ",\"batch_size\":" + std::to_string(d.batch_size) +
-         ",\"precision\":" + std::to_string(d.precision) +
          ",\"isa_tier\":" + std::to_string(d.isa_tier) +
          ",\"exit_level\":" + std::to_string(d.exit_level) +
          std::string(",\"halt_reason\":\"") + halt_reason_name(d.halt) +

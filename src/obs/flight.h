@@ -46,7 +46,7 @@ enum class FlightEventKind : int {
   kEnqueue = 0,       ///< admitted into the EDF queue
   kAdmit = 1,         ///< popped by a worker; a0 = worker id
   kBatchJoin = 2,     ///< joined a micro-batch; a0 = batch id, a1 = size
-  kStepStart = 3,     ///< ladder pass begins; a0 = level, a1 = int8, a2 = isa
+  kStepStart = 3,     ///< ladder pass begins; a0 = level, a1 = isa
   kStepEnd = 4,       ///< pass done; a0 = level, a1 = MACs, a2 = conf ppm
   kPrelimPublish = 5, ///< first answer out; a0 = level, a1 = conf ppm
   kHalt = 6,          ///< refinement stops; a0 = reason, a1 = level
@@ -110,7 +110,6 @@ struct FlightData {
   int planned_target = 0;
   std::uint64_t batch_id = 0;
   int batch_size = 0;
-  int precision = 0;  ///< quant::Precision as int
   int isa_tier = 0;   ///< stepping::IsaTier as int
   int exit_level = 0;
   HaltReason halt = HaltReason::kNone;
@@ -169,7 +168,7 @@ class FlightRecorder {
 
   /// Record batch membership + the plan context (once, at batch join).
   void set_batch(FlightHandle h, std::uint64_t batch_id, int batch_size,
-                 int planned_target, int precision, int isa_tier);
+                 int planned_target, int isa_tier);
 
   /// Record one ladder level's predicted-vs-actual cost. Levels beyond
   /// kFlightMaxLevels are ignored (the JSON stays bounded).

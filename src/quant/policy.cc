@@ -1,48 +1,16 @@
 #include "quant/policy.h"
 
-#include "util/env.h"
-#include "util/log.h"
-
 namespace stepping::quant {
-
-const char* precision_name(Precision p) {
-  switch (p) {
-    case Precision::kFp32:
-      return "fp32";
-    case Precision::kInt8:
-      return "int8";
-    case Precision::kAuto:
-      return "auto";
-  }
-  return "fp32";
-}
 
 bool parse_precision(const std::string& s, Precision* out) {
   if (s == "fp32") {
     *out = Precision::kFp32;
   } else if (s == "int8") {
     *out = Precision::kInt8;
-  } else if (s == "auto") {
-    *out = Precision::kAuto;
   } else {
     return false;
   }
   return true;
-}
-
-Precision precision_from_env() {
-  const std::string v = env_or("STEPPING_PRECISION", "");
-  if (v.empty()) return Precision::kFp32;
-  Precision p = Precision::kFp32;
-  if (!parse_precision(v, &p)) {
-    static bool warned = false;
-    if (!warned) {
-      warned = true;
-      LOG_WARN << "STEPPING_PRECISION=" << v
-               << " is not fp32|int8|auto; using fp32";
-    }
-  }
-  return p;
 }
 
 }  // namespace stepping::quant

@@ -49,15 +49,6 @@ Planner::Planner(LevelCosts costs, DeviceModel dev)
   }
 }
 
-void Planner::set_int8_scale(double s) { int8_scale_ = s < 0.05 ? 0.05 : s; }
-
-double Planner::int8_full_ms(int level, int batch) const {
-  assert(level >= 1 && level <= max_level());
-  return int8_scale_ *
-         dev_.latency_ms(costs_.full[static_cast<std::size_t>(level - 1)] *
-                         batch);
-}
-
 double Planner::step_ms(int from, int to, int batch) const {
   return dev_.latency_ms(costs_.step_macs(from, to) * batch);
 }
@@ -71,8 +62,6 @@ double Planner::predicted_level_ms(int level, int batch,
     case LadderMode::kFromScratch:
       return dev_.latency_ms(costs_.full[static_cast<std::size_t>(level - 1)] *
                              batch);
-    case LadderMode::kInt8:
-      return int8_full_ms(level, batch);
   }
   return 0.0;
 }

@@ -45,8 +45,7 @@ struct LevelCosts {
 LevelCosts measure_level_costs(Network& net, int max_level);
 
 /// Pure scheduling decisions over a LevelCosts table and a DeviceModel.
-/// Immutable after construction (set_int8_scale runs once during server
-/// startup, before workers exist); safe to share across worker threads.
+/// Immutable after construction; safe to share across worker threads.
 class Planner {
  public:
   Planner(LevelCosts costs, DeviceModel dev);
@@ -55,27 +54,13 @@ class Planner {
   const LevelCosts& costs() const { return costs_; }
   const DeviceModel& device() const { return dev_; }
 
-  /// Measured wall-clock ratio int8 / fp32 of a full forward (ISSUE 7);
-  /// 1.0 until the server measures the host. Floored at 0.05 and otherwise
-  /// taken as measured: on a host where int8 is slower than fp32 the ratio
-  /// is above 1 and int8 rungs are priced that much higher.
-  double int8_scale() const { return int8_scale_; }
-  void set_int8_scale(double s);
-
-  /// Estimated wall-clock of one from-scratch int8 pass of subnet `level`
-  /// (the auto policy's preliminary rung): the fp32 full-forward estimate
-  /// scaled by int8_scale(). MAC counts are precision-independent, so only
-  /// time scales.
-  double int8_full_ms(int level, int batch = 1) const;
-
   /// Estimated wall-clock of one step `from -> to` on a micro-batch of
   /// `batch` inputs (the batch steps together; MACs scale linearly).
   double step_ms(int from, int to, int batch = 1) const;
 
   /// Execution mode of one ladder pass, for cost prediction: incremental
-  /// reuse (the default fp32 ladder), from-scratch fp32 (the no-reuse
-  /// baseline), or from-scratch int8 (ISSUE 7 rungs).
-  enum class LadderMode { kReuse, kFromScratch, kInt8 };
+  /// reuse (the default ladder) or from scratch (the no-reuse baseline).
+  enum class LadderMode { kReuse, kFromScratch };
 
   /// Predicted wall-clock of the batched pass that brings the ladder to
   /// `level` under `mode` — exactly the figure the server's planning is
@@ -145,7 +130,6 @@ class Planner {
  private:
   LevelCosts costs_;
   DeviceModel dev_;
-  double int8_scale_ = 1.0;
 };
 
 }  // namespace stepping::serve

@@ -20,8 +20,7 @@ struct StepUpdate {
   std::int64_t macs = 0;
   double confidence = 0.0;
   bool final = false;
-  /// True when this update came from an int8 pass (the preliminary of the
-  /// auto precision policy, or any rung of an int8-only ladder — ISSUE 7).
+  /// Always false: every served pass is fp32.
   bool int8 = false;
 };
 

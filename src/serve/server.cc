@@ -14,7 +14,6 @@
 #include "tensor/gemm_isa.h"
 #include "tensor/ops.h"
 #include "util/env.h"
-#include "util/rng.h"
 
 namespace stepping::serve {
 
@@ -146,12 +145,9 @@ Server::Server(const Network& model, ServeConfig cfg)
     cfg_.admit = p;
   }
   // Streaming inference (ISSUE 10): resolve the env surface once, like
-  // admit above. The delta path is an fp32 bitwise property, so int8
-  // ladders keep stream ids inert (kAuto still qualifies — its finals are
-  // fp32, and stream frames skip the int8 preliminary entirely).
+  // admit above.
   stream_cfg_ = stream::stream_config_from_env();
   if (cfg_.stream >= 0) stream_cfg_.enabled = cfg_.stream != 0;
-  if (cfg_.precision == quant::Precision::kInt8) stream_cfg_.enabled = false;
   cfg_.stream = stream_cfg_.enabled ? 1 : 0;
 
   replicas_.reserve(static_cast<std::size_t>(cfg_.num_workers));
@@ -169,55 +165,6 @@ Server::Server(const Network& model, ServeConfig cfg)
     warm_ctx.num_subnets = cfg_.max_subnet;
     Tensor x0({1, model.input_channels(), model.input_h(), model.input_w()});
     for (Network& r : replicas_) r.forward(x0, warm_ctx);
-  }
-
-  // Int8 setup: resolve the calibration table, warm every level's
-  // int8 operand, and measure this host's int8/fp32 speed ratio so the
-  // planner prices int8 rungs from data, not assumption.
-  if (cfg_.precision != quant::Precision::kFp32) {
-    calib_ = cfg_.calibration;
-    if (!calib_) {
-      // Deterministic self-calibration on standard-normal inputs: both
-      // signs covered, so every (layer, level) pair gets a usable range.
-      constexpr int kCalibImages = 8;
-      Rng rng(0xca11b8a7edULL);
-      Tensor xs({kCalibImages, model.input_channels(), model.input_h(),
-                 model.input_w()});
-      for (std::int64_t i = 0; i < xs.numel(); ++i) {
-        xs.data()[i] = static_cast<float>(rng.normal());
-      }
-      calib_ = calibrate_int8(replicas_.front(), xs, kCalibImages,
-                              cfg_.max_subnet);
-    }
-    SubnetContext i8_ctx;
-    i8_ctx.subnet_id = cfg_.max_subnet;
-    i8_ctx.num_subnets = cfg_.max_subnet;
-    i8_ctx.precision = quant::Precision::kInt8;
-    i8_ctx.calibration = calib_.get();
-    SubnetContext fp_ctx;
-    fp_ctx.subnet_id = cfg_.max_subnet;
-    fp_ctx.num_subnets = cfg_.max_subnet;
-    Tensor x0({1, model.input_channels(), model.input_h(), model.input_w()});
-    // The int8 operand is per level (quant/prepared.h), so each level packs
-    // its own; warm them all, or the first request at a lower level would
-    // pack inside a served pass.
-    for (Network& r : replicas_) {
-      for (int l = 1; l <= cfg_.max_subnet; ++l) {
-        i8_ctx.subnet_id = l;
-        r.forward(x0, i8_ctx);
-      }
-    }
-    i8_ctx.subnet_id = cfg_.max_subnet;
-    const auto time_forward = [&](const SubnetContext& ctx) {
-      constexpr int kReps = 3;
-      Network& r = replicas_.front();
-      Timer t;
-      for (int i = 0; i < kReps; ++i) r.forward(x0, ctx);
-      return t.milliseconds() / kReps;
-    };
-    const double fp_ms = time_forward(fp_ctx);
-    const double i8_ms = time_forward(i8_ctx);
-    if (fp_ms > 0.0) planner_->set_int8_scale(i8_ms / fp_ms);
   }
 
   // Scheduling constants: the per-step MAC table passes attribute from
@@ -247,7 +194,6 @@ Server::Server(const Network& model, ServeConfig cfg)
   m_.batched_inputs = &registry_.counter("serve_batched_inputs_total");
   m_.total_macs = &registry_.counter("serve_macs_total");
   m_.reuse_macs_saved = &registry_.counter("serve_reuse_macs_saved_total");
-  m_.int8_passes = &registry_.counter("serve_int8_passes_total");
   m_.passes = &registry_.counter("serve_passes_total");
   m_.pass_rows = &registry_.counter("serve_pass_rows_total");
   m_.admit_accepted = &registry_.counter("serve_admit_accepted_total");
@@ -282,11 +228,10 @@ Server::Server(const Network& model, ServeConfig cfg)
   }
 
   // Build / deployment identity (ISSUE 8): the stepping_build_info labeled
-  // gauge lets dashboards slice every other metric by version, git sha, ISA
-  // tier and precision mode.
+  // gauge lets dashboards slice every other metric by version, git sha and
+  // ISA tier.
   isa_tier_int_ = static_cast<int>(isa_tier());
-  obs::register_build_info(registry_, isa_tier_name(isa_tier()),
-                           quant::precision_name(cfg_.precision));
+  obs::register_build_info(registry_, isa_tier_name(isa_tier()));
   // An empty SLO window reads as a perfect hit rate.
   m_.slo_hit_rate_ppm->set(1000000);
 
@@ -300,9 +245,6 @@ Server::Server(const Network& model, ServeConfig cfg)
 Server::~Server() { shutdown(); }
 
 Planner::LadderMode Server::ladder_mode() const {
-  if (cfg_.precision == quant::Precision::kInt8 && calib_ != nullptr) {
-    return Planner::LadderMode::kInt8;
-  }
   return cfg_.reuse ? Planner::LadderMode::kReuse
                     : Planner::LadderMode::kFromScratch;
 }
@@ -528,7 +470,7 @@ void Server::process_stream_job(Network& net, Job& job,
   if (job.admit_target > 0) target = std::min(target, job.admit_target);
   target = std::max(1, target);
   flight_.set_batch(job.flight, next_batch_id_.fetch_add(1), 1, target,
-                    static_cast<int>(cfg_.precision), isa_tier_int_);
+                    isa_tier_int_);
 
   bool hit = false;
   std::shared_ptr<stream::StreamState> state =
@@ -541,7 +483,7 @@ void Server::process_stream_job(Network& net, Job& job,
     // the next frame can reuse this one's state.
     std::lock_guard<std::mutex> lock(state->mu);
     flight_.event(job.flight, obs::FlightEventKind::kStepStart, now_ms(),
-                  target, 0, isa_tier_int_);
+                  target, isa_tier_int_);
     // A throw leaves the state empty: the stream's next frame rebuilds cold.
     r = stream::stream_delta_forward(net, *state, job.input, target,
                                      stream_cfg_, stream_sig_);
@@ -689,10 +631,6 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
   const double start_ms = now_ms();
   const std::uint64_t batch_id = next_batch_id_.fetch_add(1);
 
-  const bool int8_ladder =
-      cfg_.precision == quant::Precision::kInt8 && calib_ != nullptr;
-  const bool reuse = cfg_.reuse && !int8_ladder;
-
   // Halting rows, the survivors (indices into `jobs`), and the activation
   // state the survivors carry on.
   struct Done {
@@ -741,8 +679,7 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
                       static_cast<std::int64_t>(worker_id));
         flight_.event(job.flight, obs::FlightEventKind::kBatchJoin, start_ms,
                       static_cast<std::int64_t>(batch_id), b);
-        flight_.set_batch(job.flight, batch_id, b, job.target,
-                          static_cast<int>(cfg_.precision), isa_tier_int_);
+        flight_.set_batch(job.flight, batch_id, b, job.target, isa_tier_int_);
       } else {
         flight_.event(job.flight, obs::FlightEventKind::kBatchRejoin, start_ms,
                       static_cast<std::int64_t>(batch_id), b, level);
@@ -757,64 +694,6 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
     m_.passes->inc();
     m_.pass_rows->inc(static_cast<std::uint64_t>(b));
 
-    Tensor probs;
-
-    // Auto policy: fresh batches get one cheap int8 pass at the highest
-    // planned target before the fp32 ladder starts. It publishes a
-    // preliminary answer for every row and counts toward MACs and budgets.
-    if (from == 0 && cfg_.precision == quant::Precision::kAuto &&
-        calib_ != nullptr) {
-      int prelim = 1;
-      for (const Job& job : jobs) prelim = std::max(prelim, job.target);
-      obs::TraceScope prelim_span("serve.int8_prelim", "serve");
-      const double prelim_start = now_ms();
-      const double prelim_predicted = planner_->int8_full_ms(prelim, b);
-      SubnetContext ctx;
-      ctx.subnet_id = prelim;
-      ctx.num_subnets = cfg_.max_subnet;
-      ctx.precision = quant::Precision::kInt8;
-      ctx.calibration = calib_.get();
-      Tensor y = net.forward(x, ctx);
-      prelim_span.arg("batch", b);
-      prelim_span.arg("level", prelim);
-      m_.int8_passes->inc();
-      const std::int64_t prelim_img =
-          planner_->costs().full[static_cast<std::size_t>(prelim - 1)];
-      m_.total_macs->inc(static_cast<std::uint64_t>(prelim_img * b));
-      const double now = now_ms();
-      if (prelim_predicted > 0.0) {
-        m_.plan_error[static_cast<std::size_t>(prelim - 1)]->observe(
-            (now - prelim_start) / prelim_predicted);
-      }
-      softmax_rows(y, probs);
-      const int classes = y.dim(1);
-      for (int j = 0; j < b; ++j) {
-        Job& job = jobs[j];
-        job.macs += prelim_img;
-        double top1 = 0.0;
-        for (int k = 0; k < classes; ++k) {
-          top1 = std::max(top1, static_cast<double>(probs.at(j, k)));
-        }
-        job.confidence = top1;
-        job.first_ms = now - job.submit_ms;
-        flight_.event(job.flight, obs::FlightEventKind::kStepStart,
-                      prelim_start, prelim, 1, isa_tier_int_);
-        flight_.event(job.flight, obs::FlightEventKind::kStepEnd, now, prelim,
-                      prelim_img, conf_ppm(top1));
-        flight_.event(job.flight, obs::FlightEventKind::kPrelimPublish, now,
-                      prelim, conf_ppm(top1));
-        StepUpdate update;
-        update.subnet = prelim;
-        update.at_ms = job.first_ms;
-        update.macs = job.macs;
-        update.confidence = top1;
-        update.final = false;
-        update.int8 = true;
-        job.steps.push_back(update);
-        if (job.on_step) job.on_step(update);
-      }
-    }
-
     // The batched step itself. Reuse mode re-stacks the cached stage
     // outputs of the source batches into fresh batch tensors first — the
     // state migration that lets rows from different earlier batches (and
@@ -823,7 +702,7 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
     obs::TraceScope step_span(step_span_name(level), "serve");
     const double level_start = now_ms();
     Tensor y;
-    if (reuse) {
+    if (cfg_.reuse) {
       acts = std::make_shared<std::vector<Tensor>>();
       if (from > 0) {
         STEPPING_TRACE_SCOPE_CAT("serve", "serve.form");
@@ -849,16 +728,11 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
       y = ladder_step(net, x, *acts, from, level);
       step_img = step_macs_[static_cast<std::size_t>(from)];
     } else {
-      // No-reuse baseline and int8 ladders run each level from scratch, so no
-      // activation state migrates — only the job's scalar ladder state does.
+      // The no-reuse baseline runs each level from scratch, so no activation
+      // state migrates — only the job's scalar ladder state does.
       SubnetContext ctx;
       ctx.subnet_id = level;
       ctx.num_subnets = cfg_.max_subnet;
-      if (int8_ladder) {
-        ctx.precision = quant::Precision::kInt8;
-        ctx.calibration = calib_.get();
-        m_.int8_passes->inc();
-      }
       y = net.forward(x, ctx);
       step_img = planner_->costs().full[static_cast<std::size_t>(level - 1)];
     }
@@ -873,10 +747,11 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
       m_.plan_error[static_cast<std::size_t>(level - 1)]->observe(pass_ms /
                                                                   predicted_ms);
     }
+    Tensor probs;
     softmax_rows(y, probs);
     m_.step_passes[static_cast<std::size_t>(level - 1)]->inc();
     m_.total_macs->inc(static_cast<std::uint64_t>(step_img * b));
-    if (reuse) {
+    if (cfg_.reuse) {
       const std::int64_t full =
           planner_->costs().full[static_cast<std::size_t>(level - 1)];
       const std::int64_t saved = (full - step_img) * b;
@@ -897,11 +772,11 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
       }
       job.confidence = top1;
       flight_.event(job.flight, obs::FlightEventKind::kStepStart, level_start,
-                    level, int8_ladder ? 1 : 0, isa_tier_int_);
+                    level, isa_tier_int_);
       flight_.event(job.flight, obs::FlightEventKind::kStepEnd, now, level,
                     step_img, conf_ppm(top1));
       flight_.set_level(job.flight, level, predicted_ms, pass_ms, step_img);
-      if (level == 1 && job.first_ms == 0.0) {
+      if (level == 1) {
         job.first_ms = now - job.submit_ms;
         flight_.event(job.flight, obs::FlightEventKind::kPrelimPublish, now,
                       level, conf_ppm(top1));
@@ -944,7 +819,6 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
       update.macs = job.macs;
       update.confidence = top1;
       update.final = stop;
-      update.int8 = int8_ladder;
       job.steps.push_back(update);
       if (job.on_step) job.on_step(update);
 
@@ -986,7 +860,7 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
   for (std::size_t idx : survivors) {
     Job& job = jobs[idx];
     job.level = level;
-    if (reuse) {
+    if (cfg_.reuse) {
       job.acts = acts;
       job.acts_row = static_cast<int>(idx);
     }

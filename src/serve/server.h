@@ -29,7 +29,10 @@
 // a batched pass are computed independently and ladder-step reuse is exact,
 // so batching, re-merging and stepping change *when* work happens, never the
 // answer. A throw inside a pass (a callback, an allocation) fails that pass's
-// requests and leaves the server serving.
+// requests and leaves the server serving. Every served pass is fp32: the
+// int8 layer route (src/quant/) runs in `steppingnet eval --precision int8`
+// and the benches, not here, because its passes are slower than the fp32
+// steps they would precede.
 //
 // Thread-safety: Server is internally synchronized; submit()/counters()/
 // metrics_json() may be called from any thread. Each worker owns its Network
@@ -70,7 +73,6 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "quant/calibration.h"
 #include "quant/policy.h"
 #include "serve/planner.h"
 #include "serve/queue.h"
@@ -123,19 +125,8 @@ struct ServeConfig {
   /// Latency model used for planning (calibrate_device() for the real
   /// host, or a preset/synthetic model in tests).
   DeviceModel device;
-  /// Precision policy of the ladder (ISSUE 7). kFp32 (default): the
-  /// bitwise-deterministic reference ladder, exactly as before. kInt8:
-  /// every rung runs the u8 x i8 providers from scratch (the incremental
-  /// executor's exact-reuse invariant is an fp32 property, so int8 rungs
-  /// never reuse). kAuto: one cheap int8 pass at the planned target level
-  /// publishes a preliminary for every request, then the fp32 ladder
-  /// refines as usual — the anytime contract with a faster first answer.
+  /// Has no effect: every setting serves the fp32 ladder.
   quant::Precision precision = quant::Precision::kFp32;
-  /// Activation calibration for int8 rungs. When null and precision is not
-  /// kFp32, the server self-calibrates at startup on deterministic random
-  /// inputs (fine for latency work; pass a table calibrated on real data
-  /// for accuracy-sensitive serving).
-  std::shared_ptr<const quant::CalibrationTable> calibration;
   /// Flight-recorder knobs (ISSUE 8). Defaults resolve from the
   /// STEPPING_FLIGHT_RING / _RETAIN / _STRAGGLERS env vars; set ring = 0 to
   /// disable recording entirely.
@@ -156,9 +147,7 @@ struct ServeConfig {
   /// the planned level, bitwise identical to a full pass. 0: stream ids are
   /// ignored. < 0 resolves from STEPPING_STREAM ("exact" enables; default
   /// off). The tile edge is StreamConfig's default (8 pixels); stream-cache
-  /// capacity comes from STEPPING_STREAM_STREAMS. Only offered for the fp32
-  /// ladder — int8 rungs never reuse (same reason the incremental executor
-  /// is fp32-only).
+  /// capacity comes from STEPPING_STREAM_STREAMS.
   int stream = -1;
 };
 
@@ -291,10 +280,6 @@ class Server {
 
   ServeConfig cfg_;
   std::unique_ptr<Planner> planner_;
-  /// Effective calibration table (cfg_.calibration or the startup
-  /// self-calibration); null iff precision is kFp32. Immutable once workers
-  /// start.
-  std::shared_ptr<const quant::CalibrationTable> calib_;
   std::vector<Network> replicas_;  ///< one per worker
   LevelRunQueue runq_;
   /// Slack threshold of the run-queue's urgency override: about two level-1
@@ -335,7 +320,6 @@ class Server {
     obs::Counter* batched_inputs = nullptr;
     obs::Counter* total_macs = nullptr;
     obs::Counter* reuse_macs_saved = nullptr;
-    obs::Counter* int8_passes = nullptr;  ///< int8 forwards (prelim or rung)
     obs::Counter* passes = nullptr;       ///< executed ladder passes
     obs::Counter* pass_rows = nullptr;    ///< live rows across those passes
     obs::Counter* admit_accepted = nullptr;

@@ -54,7 +54,7 @@ TEST(FlightRecorder, DisabledRingRecordsNothingAndCountsNoDrops) {
   EXPECT_EQ(rec.ring_dropped(), 0u);
   // Null-handle calls are no-ops, not errors.
   rec.event(h, FlightEventKind::kEnqueue, 0.0);
-  rec.set_batch(h, 1, 1, 1, 0, 0);
+  rec.set_batch(h, 1, 1, 1, 0);
   rec.set_level(h, 1, 1.0, 1.0, 100);
   rec.finish(h, 1, HaltReason::kMaxLevel, false, 0.0, 0.0, 1.0);
   EXPECT_EQ(rec.records(), 0u);
@@ -165,8 +165,8 @@ TEST(FlightRecorder, PostmortemJsonCarriesTimelineAndPlanError) {
   rec.event(h, FlightEventKind::kEnqueue, 1.5);
   rec.event(h, FlightEventKind::kAdmit, 1.75, /*worker=*/3);
   rec.event(h, FlightEventKind::kBatchJoin, 1.75, /*batch_id=*/9, /*size=*/2);
-  rec.set_batch(h, 9, 2, 1, 0, 0);
-  rec.event(h, FlightEventKind::kStepStart, 1.8, 1, 0, 2);
+  rec.set_batch(h, 9, 2, 1, 0);
+  rec.event(h, FlightEventKind::kStepStart, 1.8, 1, 2);
   rec.event(h, FlightEventKind::kStepEnd, 4.5, 1, 100, 812000);
   rec.set_level(h, 1, 0.5, 2.7, 100);
   rec.event(h, FlightEventKind::kPrelimPublish, 4.5, 1, 812000);
@@ -322,34 +322,12 @@ TEST(PlannerPrediction, LadderModesReproducePlanningFigures) {
       EXPECT_EQ(
           p.predicted_level_ms(level, batch, Planner::LadderMode::kFromScratch),
           dev.latency_ms(c.full[static_cast<std::size_t>(level - 1)] * batch));
-      EXPECT_EQ(p.predicted_level_ms(level, batch, Planner::LadderMode::kInt8),
-                p.int8_full_ms(level, batch));
       // Deterministic: same inputs, same figure, every call.
       EXPECT_EQ(p.predicted_level_ms(level, batch, Planner::LadderMode::kReuse),
                 p.predicted_level_ms(level, batch,
                                      Planner::LadderMode::kReuse));
     }
   }
-
-  // The int8 rung is priced at the measured int8/fp32 ratio, above 1 too
-  // (int8 slower than fp32); only a floor of 0.05 applies.
-  Planner slow(c, dev);
-  slow.set_int8_scale(2.5);
-  EXPECT_EQ(slow.int8_scale(), 2.5);
-  for (int level = 1; level <= 4; ++level) {
-    for (int batch : {1, 3}) {
-      EXPECT_EQ(
-          slow.predicted_level_ms(level, batch, Planner::LadderMode::kInt8),
-          2.5 * dev.latency_ms(c.full[static_cast<std::size_t>(level - 1)] *
-                               batch));
-      EXPECT_GT(
-          slow.predicted_level_ms(level, batch, Planner::LadderMode::kInt8),
-          slow.predicted_level_ms(level, batch,
-                                  Planner::LadderMode::kFromScratch));
-    }
-  }
-  slow.set_int8_scale(0.001);
-  EXPECT_EQ(slow.int8_scale(), 0.05);
 }
 
 // ---------------------------------------------------------------------------

@@ -425,118 +425,55 @@ TEST(ServeServer, MetricsJsonReflectsRegistryAndReuseSavings) {
 }
 
 // ---------------------------------------------------------------------------
-// Precision policies (ISSUE 7): int8 as a rung of the anytime ladder.
+// One served precision: every ServeConfig::precision serves the fp32 ladder.
 // ---------------------------------------------------------------------------
 
-/// Calibration table for nested_net() over a few random inputs.
-std::shared_ptr<quant::CalibrationTable> nested_calibration(Network& net) {
-  Rng rng(77);
-  Tensor xs({4, 3, 32, 32});
-  fill_normal(xs, 0.0f, 1.0f, rng);
-  return calibrate_int8(net, xs, /*batch=*/4, /*max_level=*/3);
-}
-
-TEST(ServeQuant, AutoPublishesInt8PreliminaryThenFp32Refines) {
+TEST(ServeQuant, EveryPrecisionServesTheFp32Ladder) {
   Network net = nested_net();
-  ServeConfig cfg = base_config();
-  cfg.precision = quant::Precision::kAuto;
-  cfg.calibration = nested_calibration(net);
-  Server server(net, cfg);
-
-  Request req;
-  req.input = random_input(60);
-  std::vector<StepUpdate> seen;
-  std::mutex seen_mutex;
-  req.on_step = [&](const StepUpdate& s) {
-    std::lock_guard<std::mutex> lock(seen_mutex);
-    seen.push_back(s);
-  };
-  const ServedResult res = server.serve(std::move(req));
-  ASSERT_EQ(res.exit_subnet, 3);
-
-  // First update: the int8 preliminary at the planned target, never final.
-  ASSERT_GE(seen.size(), 2u);
-  EXPECT_TRUE(seen.front().int8);
-  EXPECT_FALSE(seen.front().final);
-  EXPECT_EQ(seen.front().subnet, 3) << "preliminary runs at the target level";
-  // Refinements are the fp32 ladder: the final answer stays bitwise equal to
-  // the pure-fp32 reference — auto only changes WHEN a first answer exists.
-  EXPECT_FALSE(seen.back().int8);
-  EXPECT_TRUE(seen.back().final);
-  SubnetContext ctx;
-  ctx.subnet_id = 3;
-  const Tensor direct = net.forward(random_input(60), ctx);
-  ASSERT_EQ(res.logits.shape(), direct.shape());
-  EXPECT_EQ(0, std::memcmp(res.logits.data(), direct.data(),
-                           sizeof(float) *
-                               static_cast<std::size_t>(direct.numel())));
-  EXPECT_GT(server.metrics().counter("serve_int8_passes_total").value(), 0u);
-  EXPECT_LE(res.first_result_ms, res.final_ms);
-}
-
-TEST(ServeQuant, Int8LadderMatchesDirectInt8ForwardBitwise) {
-  Network net = nested_net();
-  ServeConfig cfg = base_config();
-  cfg.precision = quant::Precision::kInt8;
-  cfg.calibration = nested_calibration(net);
-  Server server(net, cfg);
-
-  const Tensor x = random_input(61);
-  Request req;
-  req.input = x;
-  std::vector<StepUpdate> seen;
-  std::mutex seen_mutex;
-  req.on_step = [&](const StepUpdate& s) {
-    std::lock_guard<std::mutex> lock(seen_mutex);
-    seen.push_back(s);
-  };
-  const ServedResult res = server.serve(std::move(req));
-  ASSERT_EQ(res.exit_subnet, 3);
-  ASSERT_EQ(seen.size(), 3u);
-  for (const StepUpdate& s : seen) EXPECT_TRUE(s.int8);
-
-  // The int8 ladder never reuses (exact-reuse is an fp32-only property), so
-  // no reuse savings may be attributed...
-  EXPECT_EQ(server.metrics().counter("serve_reuse_macs_saved_total").value(),
-            0u);
-  // ...and the answer equals a direct int8 forward of the exit subnet (the
-  // single-TU dequant makes int8 outputs deterministic too).
-  SubnetContext ctx;
-  ctx.subnet_id = 3;
-  ctx.num_subnets = 3;
-  ctx.precision = quant::Precision::kInt8;
-  ctx.calibration = cfg.calibration.get();
-  const Tensor direct = net.forward(x, ctx);
-  ASSERT_EQ(res.logits.shape(), direct.shape());
-  EXPECT_EQ(0, std::memcmp(res.logits.data(), direct.data(),
-                           sizeof(float) *
-                               static_cast<std::size_t>(direct.numel())));
-}
-
-TEST(ServeInt8, FirstRequestAtEveryLevelPacksNothing) {
-  // The int8 operand is per level, so the server warms every level's at
-  // start-up: a request that climbs L1 -> L3 must find each one cached.
-  Network net = nested_net();
-  ServeConfig cfg = base_config();
-  cfg.precision = quant::Precision::kInt8;
-  cfg.calibration = nested_calibration(net);
   const obs::Counter& packs =
       obs::Registry::global().counter("stepping_quant_packs_total");
-  Server server(net, cfg);
-  const std::uint64_t after_start = packs.value();
+  for (const quant::Precision p :
+       {quant::Precision::kAuto, quant::Precision::kInt8}) {
+    ServeConfig cfg = base_config();
+    cfg.precision = p;
+    cfg.stream = 1;
+    const std::uint64_t packs_before = packs.value();
+    Server server(net, cfg);
 
-  Request req;  // no deadline: the ladder climbs to max_subnet
-  req.input = random_input(62);
-  std::vector<int> levels;
-  std::mutex seen_mutex;
-  req.on_step = [&](const StepUpdate& s) {
-    std::lock_guard<std::mutex> lock(seen_mutex);
-    levels.push_back(s.subnet);
-  };
-  const ServedResult res = server.serve(std::move(req));
-  ASSERT_EQ(res.exit_subnet, 3);
-  EXPECT_EQ(levels, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(packs.value(), after_start);
+    // A no-deadline request climbs to max_subnet; a stream frame takes the
+    // delta path at the planned level.
+    for (const std::uint64_t stream_id : {std::uint64_t{0}, std::uint64_t{7}}) {
+      const Tensor x = random_input(60 + stream_id);
+      Request req;
+      req.input = x;
+      req.stream_id = stream_id;
+      std::vector<StepUpdate> seen;
+      std::mutex seen_mutex;
+      req.on_step = [&](const StepUpdate& s) {
+        std::lock_guard<std::mutex> lock(seen_mutex);
+        seen.push_back(s);
+      };
+      const ServedResult res = server.serve(std::move(req));
+      ASSERT_EQ(res.exit_subnet, 3) << "stream_id=" << stream_id;
+      ASSERT_FALSE(seen.empty());
+      for (const StepUpdate& s : seen) {
+        EXPECT_FALSE(s.int8) << "level " << s.subnet;
+      }
+      EXPECT_TRUE(seen.back().final);
+
+      SubnetContext ctx;
+      ctx.subnet_id = res.exit_subnet;
+      const Tensor direct = net.forward(x, ctx);
+      ASSERT_EQ(res.logits.shape(), direct.shape());
+      EXPECT_EQ(0, std::memcmp(res.logits.data(), direct.data(),
+                               sizeof(float) *
+                                   static_cast<std::size_t>(direct.numel())))
+          << "stream_id=" << stream_id;
+    }
+    EXPECT_EQ(server.counters().completed, 2u);
+    // No int8 operand was packed, at start-up or while serving.
+    EXPECT_EQ(packs.value(), packs_before);
+  }
 }
 
 TEST(ServeServer, ThreeDInputIsNormalized) {

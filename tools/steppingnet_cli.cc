@@ -66,9 +66,8 @@ eval / info / latency / serve:
   --in PATH           load the model from here         (required)
   --deadline-ms MS    (latency) report the largest subnet meeting MS
                       (serve) default per-request deadline, 0 = none
-  --precision P       fp32 | int8 | auto               (default fp32)
-                      (eval) int8/auto print a per-subnet fp32-vs-int8 table
-                      (serve) precision policy of the anytime ladder
+  --precision P       (eval) fp32 | int8               (default fp32)
+                      int8 prints a per-subnet fp32-vs-int8 table
 
 serve:
   --port P            TCP port on 127.0.0.1, 0 = ephemeral (default 0)
@@ -219,27 +218,16 @@ int load_model(const CliArgs& args, const CommonConfig& c, Network& net) {
   return 0;
 }
 
-/// Parse --precision; when the flag is absent, fall back to the
-/// STEPPING_PRECISION environment variable (fp32 when that is unset too).
-bool cli_precision(const CliArgs& args, quant::Precision* out) {
-  if (!args.has("precision")) {
-    *out = quant::precision_from_env();
-    return true;
-  }
-  const std::string s = args.get("precision", "fp32");
-  if (!quant::parse_precision(s, out)) {
-    LOG_ERROR << "--precision must be fp32, int8 or auto (got \"" << s << "\")";
-    return false;
-  }
-  return true;
-}
-
 int cmd_eval(const CliArgs& args) {
   const CommonConfig c = common_config(args);
   Network net;
   if (const int rc = load_model(args, c, net)) return rc;
   quant::Precision precision = quant::Precision::kFp32;
-  if (!cli_precision(args, &precision)) return 2;
+  const std::string p = args.get("precision", "fp32");
+  if (!quant::parse_precision(p, &precision)) {
+    LOG_ERROR << "--precision must be fp32 or int8 (got \"" << p << "\")";
+    return 2;
+  }
   // Same generator call as training (the per-class counts position the RNG
   // stream, so the test set only matches train-time when they agree).
   const DataSplit data =
@@ -343,6 +331,10 @@ void handle_sigint(int) {
 }
 
 int cmd_serve(const CliArgs& args) {
+  if (args.has("precision")) {
+    LOG_ERROR << "--precision is an eval flag; serve always serves fp32";
+    return 2;
+  }
   const CommonConfig c = common_config(args);
   Network net;
   if (const int rc = load_model(args, c, net)) return rc;
@@ -365,30 +357,16 @@ int cmd_serve(const CliArgs& args) {
     }
   }
   cfg.device = calibrate_device(net, c.subnets);
-  if (!cli_precision(args, &cfg.precision)) return 2;
-  if (cfg.precision != quant::Precision::kFp32) {
-    // Calibrate on real (synthetic-train) data rather than the server's
-    // random-input fallback: activation ranges then match what inference
-    // actually sees.
-    const DataSplit data = make_data(
-        c, static_cast<int>(args.get_int("train-per-class", 100)), 30);
-    const int calib_n = std::min(data.train.size(), 256);
-    Tensor calib_x;
-    std::vector<int> calib_y;
-    data.train.batch(0, calib_n, calib_x, calib_y);
-    cfg.calibration = calibrate_int8(net, calib_x, 64, c.subnets);
-  }
 
   serve::Server server(net, cfg);
   serve::TcpServer tcp(server, static_cast<int>(args.get_int("port", 0)));
   g_tcp_server = &tcp;
   std::signal(SIGINT, handle_sigint);
   std::printf(
-      "serving %s on 127.0.0.1:%d (%d workers, batch %d, %s, %s, admit %s)\n",
+      "serving %s on 127.0.0.1:%d (%d workers, batch %d, %s, admit %s)\n",
       args.get("in").c_str(), tcp.port(), server.config().num_workers,
       server.config().max_batch,
       cfg.reuse ? "incremental reuse" : "no-reuse baseline",
-      quant::precision_name(cfg.precision),
       serve::admit_policy_name(server.config().admit));
   std::fflush(stdout);
 
