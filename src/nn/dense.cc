@@ -1,12 +1,16 @@
 #include "nn/dense.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "quant/calibration.h"
 #include "quant/prepared.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
+#include "util/arena.h"
 
 namespace stepping {
 
@@ -66,17 +70,17 @@ Tensor Dense::forward_impl(const Tensor& x, const SubnetContext& ctx,
     }
   }
 
-  // y (N x U) = x (N x F) * w^T, bias (and optionally ReLU) fused into the
-  // micro-kernel store. Training passes pack_id 0: weights change every step,
-  // so caching their packed panels would only thrash the cache.
-  const Tensor& w = effective_weights();  // refreshes pack_id()
-  gemm_nt_cols_bias(x, w, y, active_flags(ctx.subnet_id).data(),
-                    bias_.value.data(), relu, ctx.training ? 0 : pack_id());
-
-  if (ctx.training) {
-    x_cache_ = x;
-    preact_cache_ = y;
+  if (!ctx.training) {
+    forward_levels(x, 0, ctx.subnet_id, relu, y);
+    return y;
   }
+  // y (N x U) = x (N x F) * w^T over the full effective matrix, bias fused
+  // into the micro-kernel store. pack_id 0: weights change every step, so
+  // caching their packed panels would only thrash the cache.
+  gemm_nt_cols_bias(x, effective_weights(), y, active_flags(ctx.subnet_id).data(),
+                    bias_.value.data(), relu, 0);
+  x_cache_ = x;
+  preact_cache_ = y;
   return y;
 }
 
@@ -115,21 +119,68 @@ Tensor Dense::forward_step(const Tensor& x, const Tensor& cached_y,
   // Evaluate only the units joining in (from_subnet, subnet_id]; reused
   // units are skipped untouched.
   Tensor y = cached_y;
-  forward_rows(x, step_flags(from_subnet, ctx.subnet_id).data(), /*relu=*/false,
-               y);
+  forward_levels(x, from_subnet, ctx.subnet_id, /*relu=*/false, y);
   mask_inactive_units(y, *out_assign_, 1, ctx.subnet_id);
   return y;
 }
 
-void Dense::forward_rows(const Tensor& x, const unsigned char* rows, bool relu,
-                         Tensor& y) {
-  // The SAME dispatcher forward() uses: whatever multiply-add semantics the
-  // active ISA tier has, a step sees the identical per-element operation
-  // sequence, so results stay bit-identical to a from-scratch evaluation.
-  // A unit a step adds is zero in its cached output (masked when that was
-  // produced), so the kernel's accumulate-into-C is an overwrite for it.
-  const Tensor& w = effective_weights();  // refreshes pack_id()
-  gemm_nt_cols_bias(x, w, y, rows, bias_.value.data(), relu, pack_id());
+void Dense::forward_levels(const Tensor& x, int from, int to, bool relu,
+                           Tensor& y) {
+  assert(x.rank() == 2 && x.dim(1) == cols_ && y.dim(0) == x.dim(0));
+  if (to < 1) throw std::invalid_argument(name_ + ": subnet id below 1");
+  const int n = x.dim(0);
+  const Assignment& in = *in_assign_;
+  // A level above every assigned subnet adds no unit and no column.
+  int top = 1;
+  for (const int s : is_head_ ? in : *out_assign_) top = std::max(top, s);
+  top = std::min(top, to);
+  // A step's units and a cold pass's are the same blocks through the same
+  // dispatcher, so each unit's sum is one sequence whichever pass computes
+  // it: terms in ascending column order, starting from the unit's value in
+  // y (+0 for a joining unit, masked when y was produced).
+  for (int k = is_head_ ? top : from + 1; k <= top; ++k) {
+    const std::vector<std::uint8_t>& rows = step_flags(k - 1, k);
+    const int bu = static_cast<int>(std::count(rows.begin(), rows.end(), 1));
+    if (bu == 0) continue;
+    block_in_units_.clear();
+    for (std::size_t c = 0; c < in.size(); ++c) {
+      if (in[c] <= k) block_in_units_.push_back(static_cast<int>(c));
+    }
+    const int bc = static_cast<int>(block_in_units_.size()) * col_group_;
+    if (bu == units_ && bc == cols_) {
+      // The whole matrix: its packed panels stay in the pack cache.
+      const Tensor& w = effective_weights();  // refreshes pack_id()
+      gemm_nt_cols_bias(x, w, y, rows.data(), bias_.value.data(), relu,
+                        pack_id());
+      continue;
+    }
+    ArenaScope ws;
+    const float* xb = x.data();
+    if (bc != cols_) {
+      const std::size_t group_bytes =
+          sizeof(float) * static_cast<std::size_t>(col_group_);
+      float* g = ws.alloc_floats(static_cast<std::size_t>(n) * bc);
+      for (int i = 0; i < n; ++i) {
+        const float* xi = x.data() + static_cast<std::int64_t>(i) * cols_;
+        float* d = g + static_cast<std::int64_t>(i) * bc;
+        for (const int in_unit : block_in_units_) {
+          std::memcpy(d, xi + static_cast<std::int64_t>(in_unit) * col_group_,
+                      group_bytes);
+          d += col_group_;
+        }
+      }
+      xb = g;
+    }
+    // Rows outside the block are zeroed, not skipped: the blocked GEMM
+    // packs every row of its operand.
+    float* wb = ws.alloc_floats(static_cast<std::size_t>(units_) * bc);
+    if (bu != units_) {
+      std::fill(wb, wb + static_cast<std::size_t>(units_) * bc, 0.0f);
+    }
+    gather_weights(rows.data(), &block_in_units_, wb);
+    gemm_nt_cols_bias(xb, wb, y.data(), n, bc, units_, rows.data(),
+                      bias_.value.data(), relu, /*pack_id=*/0);
+  }
 }
 
 }  // namespace stepping

@@ -135,9 +135,11 @@ class MaskedLayer : public Layer {
   /// units x cols matrix, rewritten from the live weights on every call:
   /// weight values change on every optimizer step and masks during
   /// construction, and neither path can be trusted to invalidate a cache.
-  /// The fp32 Dense forward, int8_operand() and every backward read it; the
-  /// fp32 conv forwards gather only the rows and input units they compute
-  /// (gather_weights) instead.
+  /// The training forward, int8_operand() and every backward read it. The
+  /// fp32 inference forwards gather only what they compute instead
+  /// (gather_weights): a conv its rows over the input units they read, a
+  /// Dense one subnet block at a time (nn/dense.h), reading this matrix
+  /// only when a block is all of it.
   const Tensor& effective_weights();
 
   /// Pack-cache identity of the current effective weights (see

@@ -83,8 +83,7 @@ Tensor Stage::forward_step(const Tensor& x, const Tensor& cached, int from,
   Tensor y = cached;
   const int level = ctx.subnet_id;
   if (dense_ != nullptr) {
-    dense_->forward_rows(x, dense_->step_flags(from, level).data(),
-                         /*relu=*/true, y);
+    dense_->forward_levels(x, from, level, /*relu=*/true, y);
   } else {
     const Conv2dGeometry& g = conv_->geometry();
     run_conv(x, conv_->step_flags(from, level).data(), level,

@@ -10,9 +10,9 @@
 // output — the pooled plane — is ever written: every active unit from
 // scratch, only the joining units on a ladder step, and only the whole
 // pool windows over a dirty rectangle on a stream delta. A dense stage is
-// one GEMM with the ReLU in its store. Training, int8 and calibration
-// passes, and a stage whose conv or dense is the head, walk the stage's
-// layers one by one instead.
+// one GEMM per joining subnet block (nn/dense.h) with the ReLU in its
+// store. Training, int8 and calibration passes, and a stage whose conv or
+// dense is the head, walk the stage's layers one by one instead.
 //
 // Either way a stage's output is bitwise the output of its last layer in a
 // layer-by-layer walk, on every ISA tier and thread count: the epilogue

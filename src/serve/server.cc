@@ -155,10 +155,10 @@ Server::Server(const Network& model, ServeConfig cfg)
   planner_ = std::make_unique<Planner>(
       measure_level_costs(replicas_.front(), cfg_.max_subnet), cfg_.device);
 
-  // Warm every replica's packed-weight cache before workers start: one
-  // forward per replica packs each masked layer's effective weights (the
-  // packed panels are subnet-independent — masking zeroes output rows, not
-  // the operand), so the first real request never pays the pack cost.
+  // Warm every replica before workers start: one forward at the top level
+  // packs every operand the pack cache keeps for it (a Dense block that is
+  // the layer's whole matrix), so the first real request never pays the
+  // pack cost.
   {
     SubnetContext warm_ctx;
     warm_ctx.subnet_id = cfg_.max_subnet;

@@ -19,6 +19,15 @@
 //    up to 2*NR - 1 floats beyond the last needed column (the caller keeps
 //    them readable) and are never stored. `epi` applies the fused
 //    bias(+ReLU) store on the chunk completing the contraction.
+//  * axpy_rows — axpy over `rows` C rows (rows apart by cstride) that share
+//    one (offs, nnz) term pattern, each with its own values (vstride
+//    apart) and bias. Per element it is axpy's sequence, so each row's
+//    bits equal a single-row call's; each term's B vectors are loaded once
+//    for every row. `rows` is sized to the tier's register file (4 rows x
+//    2 panels of accumulators on avx512, 2 on avx2). conv2d_implicit sends
+//    runs of joining units whose compacted terms match through it. Tiers
+//    where it timed no faster than one row per call (scalar, sse) set
+//    rows = 1 and leave it null.
 //  * dot — an MR x NR register tile over the FULL contraction (this family
 //    never chunks k): accumulators start at zero and C is updated exactly
 //    once per element. rmask/cmask are null when that mask is absent;
@@ -48,6 +57,12 @@ using AxpyFn = void (*)(const float* vals, const int* offs, int nnz,
                         const float* bp0, std::ptrdiff_t pstride, float* crow,
                         int w, bool pair, bool epi, float bias, bool relu);
 
+using AxpyRowsFn = void (*)(const float* vals, std::ptrdiff_t vstride,
+                            const int* offs, int nnz, const float* bp0,
+                            std::ptrdiff_t pstride, float* crow,
+                            std::ptrdiff_t cstride, int w, bool pair,
+                            bool epi, const float* bias, bool relu);
+
 using DotFn = void (*)(const float* a, float* c, int k, int n,
                        std::int64_t i0, int h, int j0, int w, int bk,
                        const float* bp, const unsigned char* rmask,
@@ -67,6 +82,8 @@ struct KernelTable {
   const char* name;  ///< == isa_tier_name(tier)
   int nr;            ///< packed-panel width in floats
   AxpyFn axpy;
+  int rows;          ///< C rows per axpy_rows call; 1 = no axpy_rows
+  AxpyRowsFn axpy_rows;
   DotFn dot;
   // Small-shape fallback family (reference loop structure, tier madd).
   FbGemmFn fb_gemm;

@@ -37,12 +37,18 @@ struct V8 {
   static void store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
 };
 
+// axpy_rows rows per call: two rows x four accumulators (two panels of
+// two vectors) plus a term's four B vectors and the splats fit the 16 ymm
+// registers.
+constexpr int kRows = 2;
 constexpr int kNr = 16;
 
 const KernelTable kTable = {IsaTier::kAvx2,
                             "avx2",
                             kNr,
                             &detail::axpy_entry<V8, kNr>,
+                            kRows,
+                            &detail::axpy_rows_entry<V8, kNr, kRows>,
                             &detail::dot_entry<V8, kNr>,
                             &detail::fb_gemm<FusedMadd>,
                             &detail::fb_gemm_tn<FusedMadd>,

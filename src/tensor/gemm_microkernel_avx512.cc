@@ -33,12 +33,18 @@ struct V16 {
   static void store(float* p, Vec v) { _mm512_storeu_ps(p, v); }
 };
 
+// axpy_rows rows per call: four rows x four accumulators (two panels of
+// two vectors) plus a term's four B vectors and the splats fit the 32 zmm
+// registers.
+constexpr int kRows = 4;
 constexpr int kNr = 32;
 
 const KernelTable kTable = {IsaTier::kAvx512,
                             "avx512",
                             kNr,
                             &detail::axpy_entry<V16, kNr>,
+                            kRows,
+                            &detail::axpy_rows_entry<V16, kNr, kRows>,
                             &detail::dot_entry<V16, kNr>,
                             &detail::fb_gemm<FusedMadd>,
                             &detail::fb_gemm_tn<FusedMadd>,

@@ -104,6 +104,63 @@ inline void axpy_row_panels(const float* vals, const int* offs, int nnz,
   }
 }
 
+/// Multi-row axpy: `Rows` C rows, row r at crow + r * cstride, that share
+/// one term pattern — the same nnz and offsets — each with its own values
+/// (row r's term t is vals[r * vstride + t]). Per element this is
+/// axpy_row_panels' sequence (one accumulator lane, terms in ascending
+/// order, then the epilogue with row r's bias[r]), so every row gets the
+/// bits a single-row call would give it; each term's B vectors are loaded
+/// once for all the rows, and the rows' accumulators are independent
+/// chains. Rows x (Pair ? 2 : 1) panels of accumulators must fit the
+/// tier's register file with the term's B vectors beside them.
+template <class V, int NR, int Rows, bool Pair>
+inline void axpy_rows_panels(const float* vals, std::ptrdiff_t vstride,
+                             const int* offs, int nnz, const float* bp0,
+                             std::ptrdiff_t pstride, float* crow,
+                             std::ptrdiff_t cstride, int w, bool epi,
+                             const float* bias, bool relu) {
+  constexpr int kL = V::kLanes;
+  constexpr int kW = Pair ? 2 * NR : NR;
+  constexpr int kNV = kW / kL;
+  constexpr int kPV = NR / kL;
+  static_assert(NR % kL == 0, "panel width must be a multiple of the lanes");
+  const float* bp1 = bp0 + pstride;
+  const float* pan[kNV];
+  for (int u = 0; u < kNV; ++u) {
+    pan[u] = (u < kPV ? bp0 : bp1) + (u % kPV) * kL;
+  }
+  typename V::Vec acc[Rows][kNV];
+  for (int r = 0; r < Rows; ++r) {
+    float init[kW];
+    const float* c = crow + r * cstride;
+    for (int j = 0; j < kW; ++j) init[j] = (j < w) ? c[j] : 0.0f;
+    for (int u = 0; u < kNV; ++u) acc[r][u] = V::load(init + kL * u);
+  }
+  for (int t = 0; t < nnz; ++t) {
+    const int off = offs[t];
+    typename V::Vec b[kNV];
+    for (int u = 0; u < kNV; ++u) b[u] = V::load(pan[u] + off);
+    for (int r = 0; r < Rows; ++r) {
+      const typename V::Vec av = V::splat(vals[r * vstride + t]);
+      for (int u = 0; u < kNV; ++u) acc[r][u] = V::fmadd(acc[r][u], av, b[u]);
+    }
+  }
+  for (int r = 0; r < Rows; ++r) {
+    float out[kW];
+    for (int u = 0; u < kNV; ++u) V::store(out + kL * u, acc[r][u]);
+    float* c = crow + r * cstride;
+    if (epi) {
+      for (int j = 0; j < w; ++j) {
+        float v = out[j] + bias[r];
+        if (relu) v = v > 0.0f ? v : 0.0f;
+        c[j] = v;
+      }
+    } else {
+      for (int j = 0; j < w; ++j) c[j] = out[j];
+    }
+  }
+}
+
 /// Dot-family MR x NR register tile over the FULL contraction (this family
 /// never chunks k): accumulators start at zero, add every term in
 /// ascending-p order, and C is updated exactly once per element — the
@@ -169,6 +226,23 @@ void axpy_entry(const float* vals, const int* offs, int nnz, const float* bp0,
   } else {
     axpy_row_panels<V, NR, false>(vals, offs, nnz, bp0, pstride, crow, w, epi,
                                   bias, relu);
+  }
+}
+
+/// KernelTable::axpy_rows body, `Rows` rows per call.
+template <class V, int NR, int Rows>
+void axpy_rows_entry(const float* vals, std::ptrdiff_t vstride,
+                     const int* offs, int nnz, const float* bp0,
+                     std::ptrdiff_t pstride, float* crow,
+                     std::ptrdiff_t cstride, int w, bool pair, bool epi,
+                     const float* bias, bool relu) {
+  if (pair) {
+    axpy_rows_panels<V, NR, Rows, true>(vals, vstride, offs, nnz, bp0, pstride,
+                                        crow, cstride, w, epi, bias, relu);
+  } else {
+    axpy_rows_panels<V, NR, Rows, false>(vals, vstride, offs, nnz, bp0,
+                                         pstride, crow, cstride, w, epi, bias,
+                                         relu);
   }
 }
 

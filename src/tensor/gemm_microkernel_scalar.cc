@@ -27,11 +27,16 @@ struct V1 {
 constexpr int kNr = 8;
 
 // Fallbacks alias gemmref: the reference kernels ARE the two-rounding
-// fallback instantiation, kept under their own name for tests.
+// fallback instantiation, kept under their own name for tests. No
+// multi-row conv kernel (rows 1, axpy_rows null): two rows' pairs of
+// panels are 32 scalar accumulators, and a LeNet climb ran 2.0-2.4x
+// slower with it than with one row per call.
 const KernelTable kTable = {IsaTier::kScalar,
                             "scalar",
                             kNr,
                             &detail::axpy_entry<V1, kNr>,
+                            1,
+                            nullptr,
                             &detail::dot_entry<V1, kNr>,
                             &gemmref::gemm,
                             &gemmref::gemm_tn,

@@ -36,11 +36,15 @@ struct V4 {
 constexpr int kNr = 8;
 
 // Fallbacks alias gemmref: small shapes ran the reference loops before the
-// dispatch layer existed, and this tier preserves that bit for bit.
+// dispatch layer existed, and this tier preserves that bit for bit. No
+// multi-row conv kernel (rows 1, axpy_rows null): with two rows per call
+// a LeNet climb took 0.99-1.04x the time of one row per call.
 const KernelTable kTable = {IsaTier::kSse,
                             "sse",
                             kNr,
                             &detail::axpy_entry<V4, kNr>,
+                            1,
+                            nullptr,
                             &detail::dot_entry<V4, kNr>,
                             &gemmref::gemm,
                             &gemmref::gemm_tn,

@@ -12,11 +12,23 @@
 // and they are dropped on write-back. At stride 1 there is one phase and
 // the buffer is the plain padded plane.
 //
-// Bits. Each output element owns one accumulator lane; its terms run in
-// ascending (channel, kh, kw) order with zero weights skipped, starting
-// from +0, then the bias (and, with no BN, ReLU) is applied in the store —
-// the sequence gemm_rows_bias runs on the im2col matrix, whose entries are
-// exactly the buffer values read here (padding included).
+// Rows. Each flagged row's nonzero weights compact to (value, offset)
+// terms. Consecutive rows whose zero weights sit at the same positions
+// have the same terms' offsets — units joining at one step read the same
+// channels, so unpruned ones compact to one pattern — and run
+// KernelTable::rows at a time through axpy_rows, which loads each term's
+// input vectors once for all of them; a shorter run and a row with
+// another pattern take the single-row axpy, as does every row on a tier
+// without axpy_rows (rows 1). The input decides which kernel a row takes,
+// and the row counters stepping_conv_multirow_rows_total and
+// stepping_conv_single_rows_total count both.
+//
+// Bits. Each output element owns one accumulator lane in either kernel;
+// its terms run in ascending (channel, kh, kw) order with zero weights
+// skipped, starting from +0, then the bias (and, with no BN, ReLU) is
+// applied in the store — the sequence gemm_rows_bias runs on the im2col
+// matrix, whose entries are exactly the buffer values read here (padding
+// included).
 //
 // Epilogue. A fused stage's BN and ReLU then rewrite the staging row in
 // place, position by position, and its max pool reads whole windows of
@@ -31,6 +43,7 @@
 #include <cstring>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/gemm_microkernel.h"
 #include "tensor/ops.h"
@@ -44,6 +57,21 @@ namespace {
 /// Padded-copy floats per image group (1 MiB): a whole LeNet batch, a few
 /// images at VGG-16's widest layers. Bounds the buffer in training batches.
 constexpr std::int64_t kGroupFloats = std::int64_t{1} << 18;
+
+/// Upper bound on KernelTable::rows.
+constexpr int kMaxRows = 8;
+
+obs::Counter& multi_rows() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("stepping_conv_multirow_rows_total");
+  return c;
+}
+
+obs::Counter& single_rows() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("stepping_conv_single_rows_total");
+  return c;
+}
 
 /// Copy `count` images' listed channels into `dst` in the phase layout
 /// above (zero padding included), one (image, channel) block of s*s planes
@@ -170,58 +198,114 @@ void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
   }
 
   const std::int64_t in_img = static_cast<std::int64_t>(g.in_c) * g.in_h * g.in_w;
+  const int rpc = kt.rows;  // rows per axpy_rows call
+  assert(rpc >= 1 && rpc <= kMaxRows && (rpc == 1 || kt.axpy_rows != nullptr));
   for (int i0 = 0; i0 < n; i0 += group) {
     const int count = std::min(group, n - i0);
     copy_padded(x + i0 * in_img, count, g, channels, hq, wq, buf);
     parallel_for_cost(0, nrows, static_cast<std::int64_t>(ld) * span * count,
                       [&](std::int64_t l0, std::int64_t l1) {
       ArenaScope ts(Arena::this_thread());
-      float* vals = ts.alloc_floats(static_cast<std::size_t>(ld));
+      // rpc term slots of ld entries each, and one staging row per slot.
+      float* vals = ts.alloc_floats(static_cast<std::size_t>(rpc) * ld);
       int* offs = static_cast<int*>(
-          ts.alloc(sizeof(int) * static_cast<std::size_t>(ld)));
-      float* stage = ts.alloc_floats(static_cast<std::size_t>(span));
-      for (std::int64_t l = l0; l < l1; ++l) {
-        const int u = list[l];
-        const float* wrow = w + static_cast<std::int64_t>(u) * ld;
-        int nnz = 0;
+          ts.alloc(sizeof(int) * static_cast<std::size_t>(rpc) * ld));
+      float* stage = ts.alloc_floats(static_cast<std::size_t>(rpc) * span);
+      int nnz[kMaxRows];
+      float row_bias[kMaxRows];
+      // Row list[l]'s nonzero weights as (value, offset) terms in slot s.
+      const auto compact = [&](std::int64_t l, int slot) {
+        const float* wrow = w + static_cast<std::int64_t>(list[l]) * ld;
+        float* v = vals + static_cast<std::ptrdiff_t>(slot) * ld;
+        int* o = offs + static_cast<std::ptrdiff_t>(slot) * ld;
+        int z = 0;
         for (int ci = 0; ci < nch; ++ci) {
           const int base = static_cast<int>(ci * chan);
           for (int t = 0; t < kk; ++t) {
             const float av = wrow[ci * kk + t];
             if (av == 0.0f) continue;  // the GEMM's masked-weight skip
-            vals[nnz] = av;
-            offs[nnz] = base + tap[t];
-            ++nnz;
+            v[z] = av;
+            o[z] = base + tap[t];
+            ++z;
           }
+        }
+        return z;
+      };
+      // Whether rows a and b have their zero weights at the same positions,
+      // so that they compact to the same offsets.
+      const auto same_zeros = [&](int a, int b) {
+        const float* wa = w + static_cast<std::int64_t>(a) * ld;
+        const float* wb = w + static_cast<std::int64_t>(b) * ld;
+        for (int p = 0; p < ld; ++p) {
+          if ((wa[p] == 0.0f) != (wb[p] == 0.0f)) return false;
+        }
+        return true;
+      };
+      // The rest of the epilogue for unit u's staging row of image i, then
+      // write-back.
+      const auto finish = [&](int u, float* row, int i) {
+        if (bn) {
+          bn_relu_rows(row, wq, rh, rw, epi.bn_mean[u], epi.bn_inv_std[u],
+                       epi.bn_gamma[u], epi.bn_beta[u], epi.relu);
+        }
+        float* out =
+            y + (static_cast<std::int64_t>(i0 + i) * g.out_c + u) * out_plane;
+        if (pk > 1) {
+          maxpool_plane(row, wq, rh / pk, rw / pk, pk,
+                        out + static_cast<std::int64_t>(reg.r0 / pk) * yw +
+                            reg.c0 / pk,
+                        yw);
+          return;
+        }
+        for (int r = 0; r < rh; ++r) {
+          std::memcpy(out + static_cast<std::int64_t>(reg.r0 + r) * yw + reg.c0,
+                      row + static_cast<std::int64_t>(r) * wq,
+                      sizeof(float) * static_cast<std::size_t>(rw));
+        }
+      };
+      std::uint64_t multi = 0;
+      for (std::int64_t l = l0; l < l1;) {
+        // Row l and the rows after it with the same terms' offsets, up to
+        // rpc: the rows whose zero weights sit where row l's do.
+        int rows_here = 1;
+        while (rows_here < rpc && l + rows_here < l1 &&
+               same_zeros(list[l], list[l + rows_here])) {
+          ++rows_here;
+        }
+        const bool together = rpc > 1 && rows_here == rpc;
+        for (int s = 0; s < rows_here; ++s) {
+          nnz[s] = compact(l + s, s);
+          row_bias[s] = bias[list[l + s]];
         }
         for (int i = 0; i < count; ++i) {
           const float* src = buf + i * img + jbase;
-          std::fill(stage, stage + span, 0.0f);
+          std::fill(stage, stage + static_cast<std::ptrdiff_t>(rows_here) * span,
+                    0.0f);
           for (int j = 0; j < span; j += chunk) {
             const int wc = std::min(chunk, span - j);
-            kt.axpy(vals, offs, nnz, src + j, nr, stage + j, wc,
-                    /*pair=*/wc > nr, /*epi=*/true, bias[u], epi.relu && !bn);
+            if (together) {
+              kt.axpy_rows(vals, ld, offs, nnz[0], src + j, nr, stage + j, span,
+                           wc, /*pair=*/wc > nr, /*epi=*/true, row_bias,
+                           epi.relu && !bn);
+              continue;
+            }
+            for (int s = 0; s < rows_here; ++s) {
+              kt.axpy(vals + static_cast<std::ptrdiff_t>(s) * ld,
+                      offs + static_cast<std::ptrdiff_t>(s) * ld, nnz[s],
+                      src + j, nr, stage + static_cast<std::ptrdiff_t>(s) * span + j,
+                      wc, /*pair=*/wc > nr, /*epi=*/true, row_bias[s],
+                      epi.relu && !bn);
+            }
           }
-          if (bn) {
-            bn_relu_rows(stage, wq, rh, rw, epi.bn_mean[u], epi.bn_inv_std[u],
-                         epi.bn_gamma[u], epi.bn_beta[u], epi.relu);
-          }
-          float* out = y + (static_cast<std::int64_t>(i0 + i) * g.out_c + u) *
-                               out_plane;
-          if (pk > 1) {
-            maxpool_plane(stage, wq, rh / pk, rw / pk, pk,
-                          out + static_cast<std::int64_t>(reg.r0 / pk) * yw +
-                              reg.c0 / pk,
-                          yw);
-            continue;
-          }
-          for (int r = 0; r < rh; ++r) {
-            std::memcpy(out + static_cast<std::int64_t>(reg.r0 + r) * yw + reg.c0,
-                        stage + static_cast<std::int64_t>(r) * wq,
-                        sizeof(float) * static_cast<std::size_t>(rw));
+          for (int s = 0; s < rows_here; ++s) {
+            finish(list[l + s], stage + static_cast<std::ptrdiff_t>(s) * span, i);
           }
         }
+        if (together) multi += static_cast<std::uint64_t>(rows_here);
+        l += rows_here;
       }
+      multi_rows().inc(multi);
+      single_rows().inc(static_cast<std::uint64_t>(l1 - l0) - multi);
     });
   }
 }

@@ -213,7 +213,12 @@ struct ConvEpilogue {
 /// order. Then it runs the active tier's axpy micro-kernel over the output
 /// positions, read as flat columns of that buffer, into a zeroed staging
 /// row, applies the rest of the epilogue to that row and writes back only
-/// the valid positions. Per output element that is exactly the sequence
+/// the valid positions. On a tier with a multi-row kernel (avx2, avx512),
+/// consecutive flagged rows whose terms have the same offsets run
+/// KernelTable::rows at a time through it (axpy_rows), which loads each
+/// term's input vectors once for all of them; shorter runs and rows with
+/// other patterns run one at a time. Per output element that is exactly
+/// the sequence
 /// im2col + gemm_rows_bias runs: ascending p, terms with a zero weight
 /// skipped, the tier's multiply-add, then bias (then ReLU, with no BN),
 /// followed by the layers the epilogue stands for. Padding stays a real

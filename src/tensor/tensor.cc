@@ -6,6 +6,11 @@
 
 namespace stepping {
 
+float* Tensor::empty_slot() {
+  static float slot = 0.0f;
+  return &slot;
+}
+
 std::int64_t Tensor::numel_of(const std::vector<int>& shape) {
   std::int64_t n = 1;
   for (const int d : shape) {

@@ -39,10 +39,13 @@ class Tensor {
   /// Never null: an empty tensor's data() points at zero readable floats
   /// (a shared slot that must not be written), so a memcpy or memcmp of
   /// numel() floats is defined for every tensor — a ladder state keeps
-  /// empty entries inside fused stages (core/incremental.h).
-  float* data() { return data_.empty() ? &empty_slot_ : data_.data(); }
+  /// empty entries inside fused stages (core/incremental.h). The slot is
+  /// defined out of line: a one-float object the compiler can see lets
+  /// gcc 12 flag a loop over a tensor it cannot prove non-empty with
+  /// -Warray-bounds.
+  float* data() { return data_.empty() ? empty_slot() : data_.data(); }
   const float* data() const {
-    return data_.empty() ? &empty_slot_ : data_.data();
+    return data_.empty() ? empty_slot() : data_.data();
   }
 
   float& operator[](std::int64_t i) {
@@ -106,9 +109,10 @@ class Tensor {
            static_cast<std::size_t>(w);
   }
 
+  static float* empty_slot();
+
   std::vector<int> shape_;
   std::vector<float> data_;
-  static inline float empty_slot_ = 0.0f;
 };
 
 }  // namespace stepping

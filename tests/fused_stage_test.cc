@@ -271,20 +271,22 @@ TEST_F(FusedStage, MatchesLayerWalkEverywhere) {
             EXPECT_TRUE(same_bits(cur, want[s.last()]))
                 << lt << " stage forward ending at " << net.layers()[s.last()]->name();
           }
-          // ladder_step from scratch and from every lower level. (A step
-          // is compared with the layers' own steps, not with a cold pass: a
-          // body Dense multiplies its structurally zero weights, so an Inf
-          // reaching a unit's unread input turns a cold pass's value NaN
-          // where the reused one stays finite.)
+          // ladder_step from scratch and from every lower level.
           std::vector<Tensor> outs;
           ladder_step(net, x, outs, 0, level);
           expect_stage_outputs(net, outs, want, lt + " ladder_step from 0");
           for (int from = 1; from < level; ++from) {
             ladder_step(net, x, outs, 0, from);
             ladder_step(net, x, outs, from, level);
-            expect_stage_outputs(
-                net, outs, layer_step_walk(net, x, walk[from], from, level),
-                lt + " ladder_step from L" + std::to_string(from));
+            expect_stage_outputs(net, outs, want,
+                                 lt + " ladder_step from L" + std::to_string(from));
+            const std::vector<Tensor> stepped =
+                layer_step_walk(net, x, walk[from], from, level);
+            for (std::size_t i = 0; i < stepped.size(); ++i) {
+              EXPECT_TRUE(same_bits(stepped[i], want[i]))
+                  << lt << " forward_step from L" << from << " at "
+                  << net.layers()[i]->name();
+            }
           }
           // A delta frame at this level (the dirty tiles' rectangle is not
           // pool-aligned), then a mask-down to every lower level.
