@@ -299,138 +299,13 @@ void run_gemm_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// Packed-weight cache sweep (ISSUE 5 acceptance: >= 1.2x warm vs cold on a
-// repeated forward of a paper shape, bitwise parity at every cache state).
-// Modes: cold (cache flushed before every rep — each call repacks), warm
-// (packed once, every rep hits), off (STEPPING_PACK_CACHE_MB=0 semantics —
-// caching disabled, per-call packing without cache bookkeeping).
-// ---------------------------------------------------------------------------
-
-struct PackRow {
-  int m, k, n;
-  double cold_ns, warm_ns, off_ns, warm_speedup;
-  bool bitwise;
-};
-
-PackRow packcache_shape(int m, int k, int n, int reps) {
-  Rng rng(43);
-  Tensor a({m, k}), w({n, k}), bias({n});
-  fill_normal(a, 0.0f, 1.0f, rng);
-  fill_normal(w, 0.0f, 1.0f, rng);
-  fill_normal(bias, 0.0f, 0.5f, rng);
-  float* pw = w.data();
-  for (std::int64_t i = 0; i < w.numel(); i += 5) pw[i] = 0.0f;
-  std::vector<unsigned char> active(static_cast<std::size_t>(n), 1);
-
-  // Ground truth: the same dispatcher with pack_id 0 (uncached route) —
-  // tier-correct at every ISA level; the sweep's verdict is bitwise
-  // stability ACROSS CACHE STATES, which must hold regardless of tier.
-  Tensor c_ref({m, n}), c({m, n});
-  gemm_nt_cols_bias(a, w, c_ref, active.data(), bias.data(), /*relu=*/true,
-                    /*pack_id=*/0);
-
-  const std::uint64_t id = new_pack_id();
-  const auto run = [&](std::uint64_t pack_id) {
-    c.zero();
-    gemm_nt_cols_bias(a, w, c, active.data(), bias.data(), /*relu=*/true,
-                      pack_id);
-  };
-  const auto matches_ref = [&] {
-    return std::memcmp(c_ref.data(), c.data(),
-                       sizeof(float) * static_cast<std::size_t>(c.numel())) == 0;
-  };
-
-  const long saved_limit = pack_cache_limit_mb();
-  bool bitwise = true;
-
-  // Cold: flush before every rep so each call pays a full pack (miss).
-  flush_pack_cache();
-  run(id);
-  bitwise = bitwise && matches_ref();
-  const double cold_s = median_seconds(reps, [&] {
-    flush_pack_cache();
-    run(id);
-  });
-
-  // Warm: one packing call, then every timed rep hits the cache.
-  flush_pack_cache();
-  run(id);
-  bitwise = bitwise && matches_ref();
-  const double warm_s = median_seconds(reps, [&] { run(id); });
-  bitwise = bitwise && matches_ref();
-
-  // Off: limit 0 disables the cache entirely (pack per call, no lookups).
-  set_pack_cache_limit_mb(0);
-  run(id);
-  bitwise = bitwise && matches_ref();
-  const double off_s = median_seconds(reps, [&] { run(id); });
-  set_pack_cache_limit_mb(saved_limit);
-
-  PackRow row;
-  row.m = m;
-  row.k = k;
-  row.n = n;
-  row.cold_ns = cold_s * 1e9;
-  row.warm_ns = warm_s * 1e9;
-  row.off_ns = off_s * 1e9;
-  row.warm_speedup = cold_s / warm_s;
-  row.bitwise = bitwise;
-  return row;
-}
-
-void run_packcache_sweep() {
-  // Dense-head shapes from the paper models (x (m x k) * w^T, w is (n x k)):
-  // small m is the serving case where packing dominates the GEMM itself.
-  const struct { int m, k, n; } shapes[] = {
-      {1, 400, 1024},    // lenet3c1l dense head, single request
-      {4, 400, 1024},    // small serving micro-batch
-      {128, 400, 1024},  // full training-size batch (pack cost amortized)
-      {1, 512, 128},     // classifier tail, single request
-  };
-  int reps = 7;
-  if (const char* e = std::getenv("STEPPING_BENCH_REPS")) {
-    reps = std::max(1, std::atoi(e));
-  }
-  std::vector<PackRow> rows;
-  std::printf("pack-cache sweep: cold vs warm vs disabled (reps=%d)\n", reps);
-  for (const auto& s : shapes) {
-    const PackRow row = packcache_shape(s.m, s.k, s.n, reps);
-    rows.push_back(row);
-    std::printf(
-        "packcache m=%d k=%d n=%d cold=%.0fns warm=%.0fns off=%.0fns "
-        "warm_speedup=%.2fx %s\n",
-        row.m, row.k, row.n, row.cold_ns, row.warm_ns, row.off_ns,
-        row.warm_speedup, row.bitwise ? "bitwise=ok" : "bitwise=MISMATCH");
-  }
-
-  if (std::FILE* f = std::fopen("BENCH_packcache.json", "w")) {
-    std::fprintf(f, "[\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const PackRow& r = rows[i];
-      std::fprintf(f,
-                   "  {\"isa\": \"%s\", \"m\": %d, \"k\": %d, \"n\": %d, "
-                   "\"cold_ns\": %.1f, \"warm_ns\": %.1f, \"off_ns\": %.1f, "
-                   "\"warm_speedup\": %.3f, \"bitwise\": %s}%s\n",
-                   isa_tier_name(isa_tier()), r.m, r.k, r.n, r.cold_ns,
-                   r.warm_ns, r.off_ns,
-                   r.warm_speedup, r.bitwise ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_packcache.json (%zu rows)\n", rows.size());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Int8 GEMM sweep (ISSUE 7 acceptance: the int8 path beats the fp32 blocked
 // path on the paper deep-k shapes; every provider's i32 accumulators are
 // bit-identical to the scalar reference).
 //
-// The timed int8 path is the per-call work a serving forward actually pays
-// with a warm pack cache: quantize activations + u8 x i8 GEMM + fp32 dequant.
-// Weight quantization/packing is one-time (cached per pack_id) and excluded,
-// matching the fp32 side's packed-panel caching.
+// The timed int8 path is quantize activations + u8 x i8 GEMM + fp32
+// dequant. Its weights are quantized and packed once, outside the timing;
+// the fp32 side's gemm packs B inside it, as every fp32 call does.
 // ---------------------------------------------------------------------------
 
 struct I8Row {
@@ -566,7 +441,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   stepping::run_gemm_sweep();
-  stepping::run_packcache_sweep();
   stepping::run_i8_sweep();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

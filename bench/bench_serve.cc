@@ -46,7 +46,6 @@
 #include "models/models.h"
 #include "serve/server.h"
 #include "serve/tcp.h"
-#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "util/cli.h"
 #include "util/env.h"
@@ -325,45 +324,6 @@ int run_load(const ServeBenchConfig& c) {
           : 0.0,
       percentile(stats[0].latency_ms, 0.95),
       percentile(stats[1].latency_ms, 0.95));
-
-  // Per-level latency with the packed-weight cache on vs off (ISSUE 5):
-  // no deadline, so every request climbs the full ladder; the per-step
-  // timestamps in each reply give the incremental cost of every level.
-  // Cache off = STEPPING_PACK_CACHE_MB=0 semantics (pack per call).
-  {
-    const long saved_limit = pack_cache_limit_mb();
-    const std::size_t probe = std::min<std::size_t>(inputs.size(), 64);
-    for (const bool cache_on : {true, false}) {
-      flush_pack_cache();
-      set_pack_cache_limit_mb(cache_on ? saved_limit : 0);
-      serve::ServeConfig cfg;
-      cfg.max_subnet = c.subnets;
-      cfg.num_workers = c.workers;
-      cfg.max_batch = c.batch;
-      cfg.device = host;
-      serve::Server server(net, cfg);
-      std::vector<std::vector<double>> level_ms(
-          static_cast<std::size_t>(c.subnets));
-      for (std::size_t i = 0; i < probe; ++i) {
-        serve::Request req;
-        req.input = inputs[i];
-        const serve::ServedResult r = server.serve(std::move(req));
-        double prev = 0.0;
-        for (const serve::StepUpdate& s : r.steps) {
-          level_ms[static_cast<std::size_t>(s.subnet - 1)].push_back(s.at_ms -
-                                                                     prev);
-          prev = s.at_ms;
-        }
-      }
-      std::printf("per-level ms (p50) packcache=%-3s", cache_on ? "on" : "off");
-      for (std::size_t l = 0; l < level_ms.size(); ++l) {
-        std::printf("  L%zu=%.3f", l + 1, percentile(level_ms[l], 0.50));
-      }
-      std::printf("\n");
-      server.shutdown();
-    }
-    set_pack_cache_limit_mb(saved_limit);
-  }
 
   // Step-down under load: a deadline near the ladder's midpoint forces the
   // planner to settle for smaller subnets once queueing eats the slack.

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/incremental.h"
 #include "nn/network.h"
@@ -54,15 +53,6 @@ class AdaptiveExecutor {
   AdaptiveConfig cfg_;
   IncrementalExecutor exec_;
   int max_level_;
-};
-
-/// Dataset-level sweep: accuracy and mean MACs/input of the adaptive policy
-/// at a given threshold (used by bench_adaptive).
-struct AdaptiveSweepPoint {
-  double threshold = 0.0;
-  double accuracy = 0.0;
-  double mean_macs = 0.0;
-  std::vector<int> exit_histogram;  ///< inputs exiting at each level
 };
 
 }  // namespace stepping

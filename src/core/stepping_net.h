@@ -58,10 +58,6 @@ class SteppingNet {
   /// Logits of subnet `subnet_id` for a batch.
   Tensor predict(const Tensor& x, int subnet_id);
 
-  /// Whether pretrain() captured teacher targets yet.
-  bool has_teacher() const { return !teacher_probs_.empty(); }
-  const Tensor& teacher_probs() const { return teacher_probs_; }
-
  private:
   Network net_;
   SteppingConfig cfg_;

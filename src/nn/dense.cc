@@ -75,10 +75,9 @@ Tensor Dense::forward_impl(const Tensor& x, const SubnetContext& ctx,
     return y;
   }
   // y (N x U) = x (N x F) * w^T over the full effective matrix, bias fused
-  // into the micro-kernel store. pack_id 0: weights change every step, so
-  // caching their packed panels would only thrash the cache.
+  // into the micro-kernel store.
   gemm_nt_cols_bias(x, effective_weights(), y, active_flags(ctx.subnet_id).data(),
-                    bias_.value.data(), relu, 0);
+                    bias_.value.data(), relu);
   x_cache_ = x;
   preact_cache_ = y;
   return y;
@@ -147,13 +146,6 @@ void Dense::forward_levels(const Tensor& x, int from, int to, bool relu,
       if (in[c] <= k) block_in_units_.push_back(static_cast<int>(c));
     }
     const int bc = static_cast<int>(block_in_units_.size()) * col_group_;
-    if (bu == units_ && bc == cols_) {
-      // The whole matrix: its packed panels stay in the pack cache.
-      const Tensor& w = effective_weights();  // refreshes pack_id()
-      gemm_nt_cols_bias(x, w, y, rows.data(), bias_.value.data(), relu,
-                        pack_id());
-      continue;
-    }
     ArenaScope ws;
     const float* xb = x.data();
     if (bc != cols_) {
@@ -179,7 +171,7 @@ void Dense::forward_levels(const Tensor& x, int from, int to, bool relu,
     }
     gather_weights(rows.data(), &block_in_units_, wb);
     gemm_nt_cols_bias(xb, wb, y.data(), n, bc, units_, rows.data(),
-                      bias_.value.data(), relu, /*pack_id=*/0);
+                      bias_.value.data(), relu);
   }
 }
 

@@ -13,11 +13,9 @@
 // ladder step to level l runs the blocks of the subnets that join. No pass
 // multiplies a structurally zero weight, so an Inf or NaN in an input a
 // unit cannot read never reaches it and a cold pass equals the ladder step
-// that reuses the unit. A block that is the whole matrix is
-// effective_weights(), whose packed panels the pack cache keeps under
-// pack_id(). A Network runs a body Dense and the ReLU after it as one stage
-// (nn/stage.h) through forward_levels. Training, backward and int8 use
-// effective_weights().
+// that reuses the unit. A Network runs a body Dense and the ReLU after it
+// as one stage (nn/stage.h) through forward_levels. Training, backward and
+// int8 use effective_weights().
 #pragma once
 
 #include <vector>

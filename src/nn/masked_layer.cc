@@ -1,12 +1,9 @@
 #include "nn/masked_layer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
-
-#include "tensor/gemm_kernel.h"
-#include "tensor/ops.h"
-#include "util/arena.h"
 
 namespace stepping {
 
@@ -234,29 +231,10 @@ void MaskedLayer::gather_weights(const unsigned char* rows,
 }
 
 const Tensor& MaskedLayer::effective_weights() {
-  // The pack-cache identity must only change when the bytes do: the fresh
-  // matrix is gathered into scratch and byte-compared with the previous one
-  // (so ±0 and NaN payloads count as changes — exactly what a packed-byte
-  // cache cares about), and a fresh pack_id is drawn when anything differed.
-  // (The ISA tier is NOT part of this identity — panel layout varies with
-  // the tier's NR, so the pack cache folds the active tier into its own key
-  // and flushes on set_isa_tier; pack_id only names the weight bytes.) The
-  // per-Param version counter (SGD::step, deserialization) is folded in as
-  // belt-and-braces for writers that mutate the value tensor in place
-  // without changing any bit we could see mid-race.
-  const bool shape_change = w_eff_.shape() != weight_.value.shape();
-  if (shape_change) w_eff_ = Tensor(weight_.value.shape());
-  const std::size_t bytes = sizeof(float) * static_cast<std::size_t>(w_eff_.numel());
-  ArenaScope ws;
-  float* fresh = ws.alloc_floats(static_cast<std::size_t>(w_eff_.numel()));
-  gather_weights(nullptr, nullptr, fresh);
-  const bool changed = std::memcmp(fresh, w_eff_.data(), bytes) != 0;
-  if (changed) std::memcpy(w_eff_.data(), fresh, bytes);
-  if (shape_change || changed || pack_id_ == 0 ||
-      seen_weight_version_ != weight_.version) {
-    pack_id_ = new_pack_id();
+  if (w_eff_.shape() != weight_.value.shape()) {
+    w_eff_ = Tensor(weight_.value.shape());
   }
-  seen_weight_version_ = weight_.version;
+  gather_weights(nullptr, nullptr, w_eff_.data());
   return w_eff_;
 }
 
@@ -270,15 +248,14 @@ const std::vector<int>& MaskedLayer::readable_in_units(int subnet_id) {
 }
 
 quant::PreparedInt8 MaskedLayer::int8_operand(int subnet_id) {
-  const Tensor& w = effective_weights();  // refreshes pack_id()
+  const Tensor& w = effective_weights();
   int8_units_.clear();
   for (int u = 0; u < units_; ++u) {
     if (is_head_ || (*out_assign_)[static_cast<std::size_t>(u)] <= subnet_id) {
       int8_units_.push_back(u);
     }
   }
-  return quant::prepare_int8_weights(pack_id_, w.data(), cols_, col_group_,
-                                     int8_units_,
+  return quant::prepare_int8_weights(w.data(), cols_, col_group_, int8_units_,
                                      readable_in_units(subnet_id));
 }
 
@@ -291,12 +268,6 @@ const std::vector<std::uint8_t>& MaskedLayer::step_flags(int from, int to) {
     }
   }
   return step_flags_;
-}
-
-void MaskedLayer::mask_inactive_grad_rows(Tensor& grad, int per_unit,
-                                          const SubnetContext& ctx) const {
-  if (is_head_) return;
-  mask_inactive_units(grad, *out_assign_, per_unit, ctx.subnet_id);
 }
 
 void MaskedLayer::harvest_importance(const Tensor& grad_preact,

@@ -15,7 +15,7 @@
 //  * subnet selection — units with s(v) > subnet_id are not computed (their
 //    output rows stay zero).
 // gather_weights() applies the first two for any subset of rows and input
-// units; effective_weights() is its full-matrix, cached form.
+// units; effective_weights() is its full-matrix form.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,6 @@ class MaskedLayer : public Layer {
   int num_cols() const { return cols_; }
 
   const Assignment& unit_subnet() const { return *out_assign_; }
-  AssignmentPtr unit_subnet_ptr() { return out_assign_; }
   const Assignment& in_subnet() const { return *in_assign_; }
 
   /// Move a unit to another subnet (construction only); synapse revival is
@@ -138,15 +137,8 @@ class MaskedLayer : public Layer {
   /// The training forward, int8_operand() and every backward read it. The
   /// fp32 inference forwards gather only what they compute instead
   /// (gather_weights): a conv its rows over the input units they read, a
-  /// Dense one subnet block at a time (nn/dense.h), reading this matrix
-  /// only when a block is all of it.
+  /// Dense one subnet block at a time (nn/dense.h).
   const Tensor& effective_weights();
-
-  /// Pack-cache identity of the current effective weights (see
-  /// tensor/gemm_kernel.h). Valid after the last effective_weights() call;
-  /// refreshed whenever the effective bytes change, so inference paths can
-  /// key the persistent packed-weight cache on it. 0 until first use.
-  std::uint64_t pack_id() const { return pack_id_; }
 
   /// Write the effective weights of the rows with rows[u] != 0 (every row if
   /// null), restricted to the column groups `groups` (ascending; every group
@@ -181,8 +173,7 @@ class MaskedLayer : public Layer {
   /// The compact int8 operand of subnet `subnet_id` (quant/prepared.h):
   /// the effective weights of the units it computes over the input units it
   /// reads, quantized per row and packed for the active provider. Built on
-  /// the first call per (weights, level), then served from the pack cache.
-  /// Conv2d and Dense run their int8 forwards on it.
+  /// every call. Conv2d and Dense run their int8 forwards on it.
   quant::PreparedInt8 int8_operand(int subnet_id);
 
   /// Per-unit activity flags for the executing subnet (1 = compute this
@@ -190,11 +181,6 @@ class MaskedLayer : public Layer {
   const std::vector<std::uint8_t>& active_flags(int subnet_id) {
     return step_flags(0, subnet_id);
   }
-
-  /// Zero grad rows of inactive units, mirroring forward's output masking.
-  /// `rows_are_units`: grad laid out (units x anything) after reshape.
-  void mask_inactive_grad_rows(Tensor& grad, int per_unit,
-                               const SubnetContext& ctx) const;
 
   /// Harvest dL/dr for all active units: imp[ctx.subnet][j] +=
   /// |sum(grad_preact_j * (preact_j - bias_j))| (paper Eq. 2).
@@ -217,8 +203,6 @@ class MaskedLayer : public Layer {
 
   std::vector<std::uint8_t> prune_mask_;  // 1 = keep
   Tensor w_eff_;
-  std::uint64_t pack_id_ = 0;  ///< cache identity of w_eff_'s current bytes
-  std::uint64_t seen_weight_version_ = 0;  ///< weight_.version at last refresh
   std::vector<std::uint8_t> step_flags_;  // scratch for step_flags()
   std::vector<int> readable_;             // scratch for readable_in_units()
   std::vector<int> int8_units_;           // scratch for int8_operand()

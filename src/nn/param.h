@@ -23,9 +23,9 @@ struct Param {
   const std::vector<float>* elem_lr_scale = nullptr;
   /// Whether weight decay applies (false for biases / BN affine params).
   bool apply_decay = true;
-  /// Bumped by every optimizer step and by deserialization, so caches keyed
-  /// on the value (the GEMM packed-weight cache) can detect staleness even
-  /// though those writers bypass the owning layer's dirty flag.
+  /// Bumped by every optimizer step and by deserialization, so state keyed
+  /// on the value (a ladder state's network_signature, core/incremental.h)
+  /// can detect staleness.
   std::uint64_t version = 0;
 
   void zero_grad() {

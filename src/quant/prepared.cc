@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "util/arena.h"
 #include "util/thread_pool.h"
@@ -94,8 +93,7 @@ void gather_windows(const std::uint8_t* planes, std::int64_t img_bytes, int oh,
 
 }  // namespace
 
-PreparedInt8 prepare_int8_weights(std::uint64_t pack_id, const float* w,
-                                  int cols, int group_cols,
+PreparedInt8 prepare_int8_weights(const float* w, int cols, int group_cols,
                                   const std::vector<int>& units,
                                   const std::vector<int>& groups) {
   const I8GemmKernel& kr = i8gemm_kernel();
@@ -103,17 +101,6 @@ PreparedInt8 prepare_int8_weights(std::uint64_t pack_id, const float* w,
   const int ng = static_cast<int>(groups.size());
   const int k = ng * group_cols;
   STEPPING_TRACE_SCOPE_CAT("kernel", "quant.prepare");
-  if (pack_id != 0) {
-    if (auto found = pack_cache_find_kind(pack_id, k, n, /*nc=*/n, kr.id,
-                                          /*kind=*/1)) {
-      PreparedInt8 pw = view_blob(std::move(found), n, k, group_cols, kr);
-      if (std::equal(units.begin(), units.end(), pw.units) &&
-          std::equal(groups.begin(), groups.end(), pw.groups)) {
-        return pw;
-      }
-    }
-  }
-
   ArenaScope ws;
   float* wt = ws.alloc_floats(static_cast<std::size_t>(n) * k);
   for (int j = 0; j < n; ++j) {
@@ -137,14 +124,7 @@ PreparedInt8 prepare_int8_weights(std::uint64_t pack_id, const float* w,
   put_words(words + pf + 2 * un, units.data(), un);
   put_words(words + pf + 3 * un, groups.data(), static_cast<std::size_t>(ng));
   quant_packs().inc();
-
-  std::shared_ptr<const std::vector<float>> shared = std::move(blob);
-  if (pack_id != 0) {
-    // A no-op when a stale blob holds the key: this operand then stays
-    // transient until the weights' pack_id moves on.
-    pack_cache_insert_kind(pack_id, k, n, /*nc=*/n, kr.id, /*kind=*/1, shared);
-  }
-  return view_blob(std::move(shared), n, k, group_cols, kr);
+  return view_blob(std::move(blob), n, k, group_cols, kr);
 }
 
 void int8_dense_forward(const float* x, int m, int cols,

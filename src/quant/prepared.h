@@ -3,17 +3,10 @@
 // A layer's int8 operand is compact and per subnet level: the effective
 // weights of only the units the level computes, over only the input units
 // it can read (s(in) <= level), quantized per row and packed for the active
-// provider. It is one blob per (weight snapshot, level, provider) — the i8
-// panel packing (tensor/i8gemm.h layout) followed by the per-row
-// compensation sums and scales and the unit and input-unit lists it covers.
-// Blobs live in the SAME LRU pack cache as the fp32 panels (gemm_kernel.h,
-// pack kind 1), keyed on the layer's pack_id and the operand's (k, n) —
-// levels nest, so within one assignment (k, n) names exactly one (input
-// unit, unit) set. A hit is still checked against the lists it was built
-// for, so an assignment edit that leaves the weight bytes alone cannot serve
-// a stale operand. SGD steps, deserialization and mask edits retire int8
-// blobs through exactly the version bumps that retire fp32 panels, and
-// STEPPING_PACK_CACHE_MB bounds both.
+// provider. It is one blob per call — the i8 panel packing
+// (tensor/i8gemm.h layout) followed by the per-row compensation sums and
+// scales and the unit and input-unit lists it covers — built from the live
+// weights, so no weight, mask or assignment edit can serve a stale operand.
 //
 // Dropping columns cannot change a bit. Every dropped weight of a computed
 // unit is structurally zero (s(in) > level >= s(unit)), so its row's absmax,
@@ -35,9 +28,8 @@ struct Conv2dGeometry;
 
 namespace stepping::quant {
 
-/// A ready-to-run int8 operand: a shared handle on the cached blob plus
-/// typed views into it. Valid while `blob` is held (cache eviction cannot
-/// free it under a reader).
+/// A ready-to-run int8 operand: a shared handle on its blob plus typed views
+/// into it. Valid while `blob` is held.
 struct PreparedInt8 {
   std::shared_ptr<const std::vector<float>> blob;
   const std::int8_t* packed = nullptr;   ///< i8gemm panel layout
@@ -51,13 +43,11 @@ struct PreparedInt8 {
   int group_cols = 1;  ///< weight columns per input unit
 };
 
-/// Get-or-build the active provider's int8 operand of `w` (rows x cols
-/// row-major effective weights) restricted to the rows `units` and the
-/// column groups `groups` (both ascending; group g is columns
-/// [g * group_cols, (g + 1) * group_cols)). Weights are gathered only on a
-/// miss. `pack_id` keys the cache (0 = transient: build without caching).
-PreparedInt8 prepare_int8_weights(std::uint64_t pack_id, const float* w,
-                                  int cols, int group_cols,
+/// Build the active provider's int8 operand of `w` (rows x cols row-major
+/// effective weights) restricted to the rows `units` and the column groups
+/// `groups` (both ascending; group g is columns
+/// [g * group_cols, (g + 1) * group_cols)).
+PreparedInt8 prepare_int8_weights(const float* w, int cols, int group_cols,
                                   const std::vector<int>& units,
                                   const std::vector<int>& groups);
 

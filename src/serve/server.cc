@@ -155,18 +155,6 @@ Server::Server(const Network& model, ServeConfig cfg)
   planner_ = std::make_unique<Planner>(
       measure_level_costs(replicas_.front(), cfg_.max_subnet), cfg_.device);
 
-  // Warm every replica before workers start: one forward at the top level
-  // packs every operand the pack cache keeps for it (a Dense block that is
-  // the layer's whole matrix), so the first real request never pays the
-  // pack cost.
-  {
-    SubnetContext warm_ctx;
-    warm_ctx.subnet_id = cfg_.max_subnet;
-    warm_ctx.num_subnets = cfg_.max_subnet;
-    Tensor x0({1, model.input_channels(), model.input_h(), model.input_w()});
-    for (Network& r : replicas_) r.forward(x0, warm_ctx);
-  }
-
   // Scheduling constants: the per-step MAC table passes attribute from
   // (identical to the executor's analytic count), and the run-queue's
   // urgency threshold — about two level-1 pass times of slack; below that a

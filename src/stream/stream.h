@@ -20,8 +20,7 @@
 //  * after the splice every downstream stage's input is exact, so stages
 //    without a delta path simply run their plain forward.
 //
-// Invalidation mirrors the packed-weight cache's versioned idiom
-// (tensor/gemm_pack_cache.h): a stream state remembers the network signature
+// Invalidation is by version: a stream state remembers the network signature
 // (every Param::version, bumped by optimizer steps and deserialization) it
 // was built under; a mismatch rebuilds cold. Network::clone() copies
 // versions verbatim, so all serve replicas share one signature and stream
@@ -66,10 +65,9 @@ struct StreamState : LadderState {
   std::mutex mu;
 };
 
-/// Keyed, lock-striped LRU over stream ids (generalizes the packed-weight
-/// cache's keyed retention to whole activation ladders). acquire() returns a
-/// shared_ptr so an evicted state stays alive for the frame currently using
-/// it; eviction only drops the cache's reference.
+/// Keyed, lock-striped LRU of whole activation ladders, one per stream id.
+/// acquire() returns a shared_ptr so an evicted state stays alive for the
+/// frame currently using it; eviction only drops the cache's reference.
 class StreamStateCache {
  public:
   explicit StreamStateCache(int capacity);

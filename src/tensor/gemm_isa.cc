@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "tensor/gemm_kernel.h"
 #include "tensor/gemm_microkernel.h"
 #include "util/cpuid.h"
 #include "util/env.h"
@@ -154,14 +153,9 @@ void set_isa_tier(IsaTier t) {
              << isa_tier_name(clamped);
     t = clamped;
   }
-  {
-    std::lock_guard<std::mutex> lock(tier_mutex());
-    tier_slot().store(static_cast<int>(t), std::memory_order_release);
-    isa_tier_gauge().set(static_cast<int>(t));
-  }
-  // Tiers pack to different panel widths; entries for the old tier are
-  // unreachable under the new cache key and would only pin capacity.
-  flush_pack_cache();
+  std::lock_guard<std::mutex> lock(tier_mutex());
+  tier_slot().store(static_cast<int>(t), std::memory_order_release);
+  isa_tier_gauge().set(static_cast<int>(t));
 }
 
 int gemm_panel_width() { return microkernel::active_table().nr; }

@@ -19,17 +19,13 @@
 //
 // Determinism contract (generalizes the STEPPING_GEMM_BLOCK contract):
 // outputs are BITWISE-STABLE PER TIER — for a fixed tier, every blocking
-// configuration, thread count and pack-cache state produces identical bits,
-// because the per-element FP operation sequence is fixed within a tier.
-// Across tiers bits may differ: the FMA tiers (avx2, avx512) fuse each
-// multiply-add into one rounding where scalar/sse round twice. The scalar
-// and sse tiers replay the reference kernels' exact operation order and so
-// reproduce the pre-dispatch (PR 4/5) results bit for bit; they are the
-// tiers the blocked-vs-reference parity tests pin.
-//
-// Panel width NR varies across tiers, so the packed-weight cache key
-// (gemm_kernel.h) includes the active tier; set_isa_tier additionally
-// flushes the cache so panels for a retired tier do not pin capacity.
+// configuration and thread count produces identical bits, because the
+// per-element FP operation sequence is fixed within a tier. Across tiers
+// bits may differ: the FMA tiers (avx2, avx512) fuse each multiply-add into
+// one rounding where scalar/sse round twice. The scalar and sse tiers
+// replay the reference kernels' exact operation order and so reproduce the
+// pre-dispatch (PR 4/5) results bit for bit; they are the tiers the
+// blocked-vs-reference parity tests pin.
 #pragma once
 
 #include <string>
@@ -66,9 +62,8 @@ IsaTier env_isa_tier();
 IsaTier isa_tier();
 
 /// Override the active tier (tests/benches). Clamps to detected_isa_tier()
-/// with a warning, updates the gauge, and flushes the pack cache. Not
-/// thread-safe against kernels in flight — call between phases, like
-/// set_gemm_blocking.
+/// with a warning and updates the gauge. Not thread-safe against kernels in
+/// flight — call between phases, like set_gemm_blocking.
 void set_isa_tier(IsaTier t);
 
 /// Packed-panel width (floats) of the active tier's micro-kernels.

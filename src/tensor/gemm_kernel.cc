@@ -1,17 +1,10 @@
 #include "tensor/gemm_kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdio>
-#include <cstring>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -62,36 +55,6 @@ obs::Counter& packs_performed() {
   return c;
 }
 
-obs::Counter& packcache_hits() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("stepping_packcache_hits_total");
-  return c;
-}
-
-obs::Counter& packcache_misses() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("stepping_packcache_misses_total");
-  return c;
-}
-
-obs::Counter& packcache_bytes_packed() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("stepping_packcache_bytes_total");
-  return c;
-}
-
-obs::Counter& packcache_evictions() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("stepping_packcache_evictions_total");
-  return c;
-}
-
-obs::Gauge& packcache_bytes_now() {
-  static obs::Gauge& g =
-      obs::Registry::global().gauge("stepping_packcache_bytes");
-  return g;
-}
-
 }  // namespace
 
 GemmBlocking env_gemm_blocking() {
@@ -125,14 +88,9 @@ GemmBlocking gemm_blocking() {
 }
 
 void set_gemm_blocking(const GemmBlocking& cfg) {
-  {
-    std::lock_guard<std::mutex> lock(cfg_mutex());
-    cfg_slot() = cfg;
-    cfg_initialized() = true;
-  }
-  // Block sizes change the packed-panel layout; cached buffers for the old
-  // blocking would be read with the new offsets. Drop them all.
-  flush_pack_cache();
+  std::lock_guard<std::mutex> lock(cfg_mutex());
+  cfg_slot() = cfg;
+  cfg_initialized() = true;
 }
 
 bool gemm_uses_blocked(std::int64_t m, std::int64_t k, std::int64_t n,
@@ -382,158 +340,6 @@ void pack_b_block(const float* b, int k_dim, int n_dim, int pc, int jc, int bk,
   packs_performed().inc();
 }
 
-// ---------------------------------------------------------------------------
-// Persistent packed-weight cache. Keyed on (pack_id, k, n, NC, tier):
-// pack_id is a never-reused identity for one snapshot of the operand bytes
-// (owners draw a new one on any change), k/n/NC pin the panel layout, and
-// the ISA tier pins the panel width NR (ISSUE 6) — panels packed for one
-// tier are laid out wrong for another. Values are shared_ptrs, so a buffer
-// being read can be evicted concurrently without invalidating the reader.
-// ---------------------------------------------------------------------------
-
-struct PackKey {
-  std::uint64_t id;
-  int k;
-  int n;
-  int nc;
-  int tier;
-  int kind;  ///< 0 = fp32 panels; 1 = int8 quant blob (ISSUE 7)
-  bool operator==(const PackKey& o) const {
-    return id == o.id && k == o.k && n == o.n && nc == o.nc &&
-           tier == o.tier && kind == o.kind;
-  }
-};
-
-struct PackKeyHash {
-  std::size_t operator()(const PackKey& key) const {
-    std::uint64_t h = key.id * 0x9e3779b97f4a7c15ULL;
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.k)) << 32;
-    h ^= static_cast<std::uint32_t>(key.n) ^
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.nc)) << 13);
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.tier)) << 47;
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.kind)) << 21;
-    return static_cast<std::size_t>(h ^ (h >> 29));
-  }
-};
-
-using PackedBuffer = std::shared_ptr<const std::vector<float>>;
-
-class PackCache {
- public:
-  PackedBuffer find(const PackKey& key) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second.pos);
-    return it->second.data;
-  }
-
-  void insert(const PackKey& key, PackedBuffer data, std::size_t limit_bytes) {
-    const std::size_t bytes = data->size() * sizeof(float);
-    if (bytes > limit_bytes) return;  // would only evict itself
-    std::lock_guard<std::mutex> lock(mu_);
-    if (map_.find(key) != map_.end()) return;  // racing packer won
-    lru_.push_front(key);
-    map_.emplace(key, Slot{std::move(data), lru_.begin()});
-    bytes_ += bytes;
-    evict_to(limit_bytes);
-    packcache_bytes_now().set(static_cast<std::int64_t>(bytes_));
-  }
-
-  void trim(std::size_t limit_bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    evict_to(limit_bytes);
-    packcache_bytes_now().set(static_cast<std::int64_t>(bytes_));
-  }
-
-  void flush() {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    lru_.clear();
-    bytes_ = 0;
-    packcache_bytes_now().set(0);
-  }
-
-  std::size_t bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bytes_;
-  }
-
-  std::size_t entries() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-  }
-
- private:
-  struct Slot {
-    PackedBuffer data;
-    std::list<PackKey>::iterator pos;
-  };
-
-  void evict_to(std::size_t limit_bytes) {  // caller holds mu_
-    while (bytes_ > limit_bytes && !lru_.empty()) {
-      auto vit = map_.find(lru_.back());
-      bytes_ -= vit->second.data->size() * sizeof(float);
-      map_.erase(vit);
-      lru_.pop_back();
-      packcache_evictions().inc();
-    }
-  }
-
-  mutable std::mutex mu_;
-  std::list<PackKey> lru_;  ///< front = most recently used
-  std::unordered_map<PackKey, Slot, PackKeyHash> map_;
-  std::size_t bytes_ = 0;
-};
-
-PackCache& pack_cache() {
-  // Leaked: kernels may run during static destruction of other objects.
-  static PackCache* c = new PackCache;
-  return *c;
-}
-
-std::atomic<long>& pack_limit_slot() {
-  static std::atomic<long> v{-1};  // -1 = read STEPPING_PACK_CACHE_MB lazily
-  return v;
-}
-
-/// Look up (or pack + insert) the fully packed Bt for a dot-family call.
-/// Returns nullptr when caching is disabled; the caller then packs into its
-/// arena per block as before. The miss path packs every NC block at its
-/// deterministic offset with the same pack_b_block the uncached path uses,
-/// so cached and uncached panels are byte-identical.
-PackedBuffer acquire_packed(std::uint64_t pack_id, const float* bt, int k,
-                            int n, int nc, int nr, IsaTier tier, bool* hit) {
-  const long limit_mb = pack_cache_limit_mb();
-  if (limit_mb <= 0) return nullptr;
-  const PackKey key{pack_id, k, n, nc, static_cast<int>(tier), /*kind=*/0};
-  STEPPING_TRACE_SCOPE_CAT("kernel", "gemm.packcache");
-  if (PackedBuffer found = pack_cache().find(key)) {
-    packcache_hits().inc();
-    *hit = true;
-    return found;
-  }
-  packcache_misses().inc();
-  std::size_t total = 0;
-  for (int jc = 0; jc < n; jc += nc) {
-    const int bn = std::min(nc, n - jc);
-    total += static_cast<std::size_t>((bn + nr - 1) / nr) * nr *
-             static_cast<std::size_t>(k);
-  }
-  auto buf = std::make_shared<std::vector<float>>(total);
-  std::size_t off = 0;
-  for (int jc = 0; jc < n; jc += nc) {
-    const int bn = std::min(nc, n - jc);
-    pack_b_block<true>(bt, k, n, 0, jc, k, bn, nr, buf->data() + off);
-    off += static_cast<std::size_t>((bn + nr - 1) / nr) * nr *
-           static_cast<std::size_t>(k);
-  }
-  packcache_bytes_packed().inc(total * sizeof(float));
-  PackedBuffer out = std::move(buf);
-  pack_cache().insert(key, out, static_cast<std::size_t>(limit_mb) << 20);
-  return out;
-}
-
 // The micro-kernels themselves (axpy_row_panels / dot_tile) moved to
 // gemm_microkernel_impl.h for ISSUE 6: they are compiled once per ISA tier
 // with that tier's -m flags (gemm_microkernel_{scalar,sse,avx2,avx512}.cc)
@@ -545,8 +351,7 @@ template <Fam F, bool ATrans, bool RowMask, bool ColMask, bool KMask>
 void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
                  const unsigned char* rmask, const unsigned char* cmask,
                  const unsigned char* kmask, const GemmBlocking& cfg,
-                 const float* bias = nullptr, bool relu = false,
-                 std::uint64_t pack_id = 0) {
+                 const float* bias = nullptr, bool relu = false) {
   obs::TraceScope span("gemm.blocked", "kernel");
   const microkernel::KernelTable& kt = microkernel::active_table();
   const int nr = kt.nr;
@@ -555,49 +360,23 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
   // Dot-family contraction is never chunked: accumulators must span the
   // full k so C sees exactly one update (determinism contract).
   const int kc = (F == Fam::kDot) ? k : std::max(1, std::min(cfg.kc, k));
-
-  // Persistent packed-weight cache (dot family only: its packed layout is
-  // chunk-free, one contiguous run of NC blocks). Cached panels are the
-  // same bytes pack_b_block writes into the arena, so hit and miss paths
-  // are bitwise interchangeable.
-  bool cache_hit = false;
-  PackedBuffer cached;
-  if constexpr (F == Fam::kDot) {
-    if (pack_id != 0) {
-      cached = acquire_packed(pack_id, b, k, n, nc, nr, kt.tier, &cache_hit);
-    }
-  }
   span.arg("m", m);
   span.arg("k", k);
   span.arg("n", n);
-  span.arg("hit", cache_hit ? 1 : 0);
   span.arg("isa", static_cast<int>(kt.tier));
 
   ArenaScope scope;
   const int max_bn = std::min(nc, n);
   const int max_panels = (max_bn + nr - 1) / nr;
-  float* pack = nullptr;
-  if (cached == nullptr) {
-    pack = scope.alloc_floats(static_cast<std::size_t>(max_panels) * nr *
-                              static_cast<std::size_t>(kc));
-  }
+  float* packed = scope.alloc_floats(static_cast<std::size_t>(max_panels) * nr *
+                                     static_cast<std::size_t>(kc));
 
-  std::size_t cache_off = 0;  ///< float offset of this jc block in `cached`
   for (int jc = 0; jc < n; jc += nc) {
     const int bn = std::min(nc, n - jc);
     const int panels = (bn + nr - 1) / nr;
-    const std::size_t block_off = cache_off;
-    cache_off += static_cast<std::size_t>(panels) * nr *
-                 static_cast<std::size_t>(k);
     for (int pc = 0; pc < k; pc += kc) {
       const int bk = std::min(kc, k - pc);
-      const float* packed;
-      if (cached != nullptr) {
-        packed = cached->data() + block_off;  // dot family: bk == k
-      } else {
-        pack_b_block<F == Fam::kDot>(b, k, n, pc, jc, bk, bn, nr, pack);
-        packed = pack;
-      }
+      pack_b_block<F == Fam::kDot>(b, k, n, pc, jc, bk, bn, nr, packed);
       // Fused epilogue fires on the chunk that completes the contraction
       // (the dot family never chunks, so always there).
       const bool epi = bias != nullptr && pc + bk == k;
@@ -703,65 +482,6 @@ void blocked_run(const float* a, const float* b, float* c, int m, int k, int n,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Pack-cache public API.
-// ---------------------------------------------------------------------------
-
-std::uint64_t new_pack_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void flush_pack_cache() { pack_cache().flush(); }
-
-long pack_cache_limit_mb() {
-  long v = pack_limit_slot().load(std::memory_order_relaxed);
-  if (v >= 0) return v;
-  const long env = env_or_int("STEPPING_PACK_CACHE_MB", 64);
-  long expected = -1;
-  pack_limit_slot().compare_exchange_strong(expected, env < 0 ? 0 : env,
-                                            std::memory_order_relaxed);
-  return pack_limit_slot().load(std::memory_order_relaxed);
-}
-
-void set_pack_cache_limit_mb(long mb) {
-  if (mb < 0) mb = 0;
-  pack_limit_slot().store(mb, std::memory_order_relaxed);
-  if (mb == 0) {
-    pack_cache().flush();
-  } else {
-    pack_cache().trim(static_cast<std::size_t>(mb) << 20);
-  }
-}
-
-std::size_t pack_cache_bytes() { return pack_cache().bytes(); }
-
-std::size_t pack_cache_entries() { return pack_cache().entries(); }
-
-std::shared_ptr<const std::vector<float>> pack_cache_find_kind(
-    std::uint64_t pack_id, int k, int n, int nc, int tier, int kind) {
-  if (pack_cache_limit_mb() <= 0 || pack_id == 0) return nullptr;
-  const PackKey key{pack_id, k, n, nc, tier, kind};
-  PackedBuffer found = pack_cache().find(key);
-  if (found != nullptr) {
-    packcache_hits().inc();
-  } else {
-    packcache_misses().inc();
-  }
-  return found;
-}
-
-void pack_cache_insert_kind(std::uint64_t pack_id, int k, int n, int nc,
-                            int tier, int kind,
-                            std::shared_ptr<const std::vector<float>> data) {
-  const long limit_mb = pack_cache_limit_mb();
-  if (limit_mb <= 0 || pack_id == 0 || data == nullptr) return;
-  packcache_bytes_packed().inc(data->size() * sizeof(float));
-  const PackKey key{pack_id, k, n, nc, tier, kind};
-  pack_cache().insert(key, std::move(data),
-                      static_cast<std::size_t>(limit_mb) << 20);
-}
-
-// ---------------------------------------------------------------------------
 // Dispatchers.
 // ---------------------------------------------------------------------------
 
@@ -862,7 +582,7 @@ void gemm_tn_rows(const float* at, const float* b, float* c, int m, int k,
 
 void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
                        int n, const unsigned char* col_active,
-                       const float* bias, bool relu, std::uint64_t pack_id) {
+                       const float* bias, bool relu) {
   const GemmBlocking cfg = gemm_blocking();
   if (!gemm_uses_blocked(m, k, n, cfg)) {
     ref_dispatches().inc();
@@ -871,8 +591,7 @@ void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
   }
   blocked_dispatches().inc();
   blocked_run<Fam::kDot, false, false, true, false>(
-      a, bt, c, m, k, n, nullptr, col_active, nullptr, cfg, bias, relu,
-      pack_id);
+      a, bt, c, m, k, n, nullptr, col_active, nullptr, cfg, bias, relu);
 }
 
 void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,

@@ -13,12 +13,12 @@
 //
 // Determinism contract (the repo-wide invariant from PR 1-3, generalized
 // per ISA tier in ISSUE 6): for every kernel, every block-size
-// configuration, every STEPPING_THREADS value and every pack-cache state,
-// the blocked path's output is BITWISE STABLE within the active ISA tier
-// (tensor/gemm_isa.h). On the scalar and sse tiers that output is
-// additionally BITWISE IDENTICAL to the reference kernels; the FMA tiers
-// (avx2, avx512) fuse each multiply-add into a single rounding, so their
-// bits differ from the reference but are equally stable within the tier.
+// configuration and every STEPPING_THREADS value, the blocked path's output
+// is BITWISE STABLE within the active ISA tier (tensor/gemm_isa.h). On the
+// scalar and sse tiers that output is additionally BITWISE IDENTICAL to the
+// reference kernels; the FMA tiers (avx2, avx512) fuse each multiply-add
+// into a single rounding, so their bits differ from the reference but are
+// equally stable within the tier.
 // This holds by construction, because per output element C(i,j) all paths
 // apply the same floating-point operations in the same per-element order
 // (each element owns one accumulator lane; vector width never reorders a
@@ -43,20 +43,6 @@
 // a ~256 KiB L2 share. Dispatch, packing and arena usage are instrumented
 // with stepping_gemm_* counters and kernel.gemm.* trace spans.
 //
-// Persistent packed-weight cache (ISSUE 5): dot-family kernels that take a
-// `pack_id` (gemm_nt_cols_bias) can skip the pack stage entirely. The cache
-// keys fully packed B buffers on (pack_id, k, n, NC, isa tier) — the tier
-// is part of the key because panel width NR varies per tier (ISSUE 6), so
-// panels packed for one tier are meaningless to another. `pack_id` values come
-// from new_pack_id() and owners (MaskedLayer) draw a fresh id whenever the
-// weight bytes change — bumping the per-Param `version` counter in
-// SGD::step/deserialization feeds that staleness check. The cached bytes are
-// exactly what pack_b would produce, so the bitwise-vs-reference contract
-// holds by construction at every cache state. Capacity is bounded by
-// STEPPING_PACK_CACHE_MB (default 64, 0 disables) with LRU eviction;
-// instrumented with stepping_packcache_{hits,misses,bytes}_total (+
-// evictions, current-bytes gauge) and `gemm.packcache` spans.
-//
 // Fused epilogues: *_bias kernels apply per-element bias-add (and optional
 // ReLU) inside the micro-kernel store, in the exact per-element op order of
 // the separate-kernel sequence gemm -> add bias -> relu. Per output element
@@ -64,10 +50,7 @@
 // bit-exact, so fusing is bitwise identical to the unfused sequence.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 namespace stepping {
 
@@ -95,7 +78,6 @@ GemmBlocking gemm_blocking();
 
 /// Override the configuration (tests/benches). Not thread-safe against
 /// kernels in flight — call between phases, like set_global_threads.
-/// Flushes the pack cache: block sizes change the packed-panel layout.
 void set_gemm_blocking(const GemmBlocking& cfg);
 
 /// The STEPPING_GEMM_BLOCK-derived default (what gemm_blocking() returns
@@ -105,40 +87,6 @@ GemmBlocking env_gemm_blocking();
 /// True if (m, k, n) routes to the blocked path under cfg.
 bool gemm_uses_blocked(std::int64_t m, std::int64_t k, std::int64_t n,
                        const GemmBlocking& cfg);
-
-// ---------------------------------------------------------------------------
-// Persistent packed-weight cache.
-// ---------------------------------------------------------------------------
-
-/// Globally unique, nonzero cache identity for one packed-operand snapshot.
-/// Owners draw a fresh id whenever the operand's bytes change; ids are never
-/// reused, so a stale entry can only ever miss (no pointer-aliasing hazard).
-std::uint64_t new_pack_id();
-
-/// Drop every cached packed buffer (blocking-config change, tests).
-void flush_pack_cache();
-
-/// Capacity override in MiB; <= 0 disables caching and flushes. Overrides
-/// STEPPING_PACK_CACHE_MB (read once on first use, default 64).
-void set_pack_cache_limit_mb(long mb);
-long pack_cache_limit_mb();
-
-/// Current cache occupancy (for tests / introspection).
-std::size_t pack_cache_bytes();
-std::size_t pack_cache_entries();
-
-/// Alternate pack kinds (ISSUE 7) share the fp32 LRU cache — one capacity
-/// budget, one eviction policy, the same id-based invalidation (a fresh
-/// pack_id can only miss). Kind 0 is the fp32 panel layout owned by the
-/// blocked path; kind 1 is the quant subsystem's int8 panel blob (packed
-/// i8 panels + per-channel compensation sums + scales, stored as raw bytes
-/// in the float vector). Other subsystems go through these two calls; the
-/// `tier` field pins the layout-defining provider id.
-std::shared_ptr<const std::vector<float>> pack_cache_find_kind(
-    std::uint64_t pack_id, int k, int n, int nc, int tier, int kind);
-void pack_cache_insert_kind(std::uint64_t pack_id, int k, int n, int nc,
-                            int tier, int kind,
-                            std::shared_ptr<const std::vector<float>> data);
 
 // ---------------------------------------------------------------------------
 // Dispatching raw-pointer kernels. Same math and dimension conventions as
@@ -183,19 +131,16 @@ void gemm_tn_rows(const float* at, const float* b, float* c, int m, int k,
 /// C(i,j) = max(C(i,j), 0) — fused into the single C store, bitwise
 /// identical to the unfused sequence (inactive columns stay untouched; a
 /// zero-filled C then matches the reference's relu(0) == +0 bit for bit).
-/// `pack_id` != 0 additionally routes Bt's packed panels through the
-/// persistent cache (pass 0 for transient operands, e.g. during training).
 void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
                        int n, const unsigned char* col_active,
-                       const float* bias, bool relu, std::uint64_t pack_id);
+                       const float* bias, bool relu);
 
 /// gemm_rows, then per active row i: C(i,j) += bias[i] for every j, plus the
 /// optional ReLU (bias per output unit). Over an im2col matrix this is the
 /// explicit conv forward: no Conv2d forward calls it any more (they run
 /// conv2d_implicit in tensor/ops.h, which replays this kernel's per-element
 /// sequence off a padded input copy), but it stays the oracle that route is
-/// pinned against and the conv GEMM the benchmark probes time. Both
-/// operands are transient, so there is no pack_id here.
+/// pinned against and the conv GEMM the benchmark probes time.
 void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,
                     int n, const unsigned char* row_active, const float* bias,
                     bool relu);

@@ -88,13 +88,13 @@ void gemm_tn_rows(const Tensor& at, const Tensor& b, Tensor& c,
 
 void gemm_nt_cols_bias(const Tensor& a, const Tensor& bt, Tensor& c,
                        const unsigned char* col_active, const float* bias,
-                       bool relu, std::uint64_t pack_id) {
+                       bool relu) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "gemm_nt_cols_bias");
   assert(a.rank() == 2 && bt.rank() == 2 && c.rank() == 2);
   const int m = a.dim(0), k = a.dim(1), n = bt.dim(0);
   assert(bt.dim(1) == k && c.dim(0) == m && c.dim(1) == n);
   gemm_nt_cols_bias(a.data(), bt.data(), c.data(), m, k, n, col_active, bias,
-                    relu, pack_id);
+                    relu);
 }
 
 void gemm_rows_bias(const Tensor& a, const Tensor& b, Tensor& c,
@@ -449,42 +449,6 @@ void maxpool_backward(const Tensor& grad_y, const std::vector<int>& argmax,
   });
 }
 
-void global_avgpool_forward(const Tensor& x, Tensor& y) {
-  STEPPING_TRACE_SCOPE_CAT("kernel", "global_avgpool");
-  assert(x.rank() == 4);
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  y = Tensor({n, c});
-  const float inv = 1.0f / static_cast<float>(h * w);
-  const float* px = x.data();
-  float* py = y.data();
-  parallel_for_cost(0, static_cast<std::int64_t>(n) * c, h * w,
-                    [&](std::int64_t pl0, std::int64_t pl1) {
-    for (std::int64_t pl = pl0; pl < pl1; ++pl) {
-      const float* plane = px + static_cast<std::size_t>(pl) * h * w;
-      float s = 0.0f;
-      for (int i = 0; i < h * w; ++i) s += plane[i];
-      py[pl] = s * inv;
-    }
-  });
-}
-
-void global_avgpool_backward(const Tensor& grad_y, int h, int w, Tensor& grad_x) {
-  STEPPING_TRACE_SCOPE_CAT("kernel", "global_avgpool_backward");
-  assert(grad_y.rank() == 2 && grad_x.rank() == 4);
-  const int n = grad_y.dim(0), c = grad_y.dim(1);
-  const float inv = 1.0f / static_cast<float>(h * w);
-  const float* gy = grad_y.data();
-  float* gx = grad_x.data();
-  parallel_for_cost(0, static_cast<std::int64_t>(n) * c, h * w,
-                    [&](std::int64_t pl0, std::int64_t pl1) {
-    for (std::int64_t pl = pl0; pl < pl1; ++pl) {
-      const float g = gy[pl] * inv;
-      float* plane = gx + static_cast<std::size_t>(pl) * h * w;
-      for (int i = 0; i < h * w; ++i) plane[i] = g;
-    }
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Softmax / elementwise
 // ---------------------------------------------------------------------------
@@ -556,23 +520,6 @@ void relu_backward(const Tensor& grad_y, const std::vector<unsigned char>& mask,
     for (std::int64_t i = i0; i < i1; ++i) {
       gx[i] = pm[i] ? gy[i] : 0.0f;
     }
-  });
-}
-
-void add_inplace(Tensor& y, const Tensor& x) {
-  assert(y.shape() == x.shape());
-  float* py = y.data();
-  const float* px = x.data();
-  // Index-owned partition: each element touched by exactly one thread.
-  parallel_for_cost(0, y.numel(), 1, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) py[i] += px[i];
-  });
-}
-
-void scale_inplace(Tensor& y, float s) {
-  float* py = y.data();
-  parallel_for_cost(0, y.numel(), 1, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) py[i] *= s;
   });
 }
 

@@ -65,15 +65,13 @@ void gemm_tn_rows(const Tensor& at, const Tensor& b, Tensor& c,
 // Fused-epilogue variants (ISSUE 5): bias-add (+ optional ReLU) applied in
 // the micro-kernel store, in the exact per-element op order of the unfused
 // gemm -> bias -> relu sequence — bitwise identical, two fewer output
-// passes. `pack_id` != 0 (from stepping::new_pack_id(), owned by the layer)
-// routes the Bt packed panels through the persistent packed-weight cache;
-// pass 0 for transient or training-time operands.
+// passes.
 // ---------------------------------------------------------------------------
 
 /// gemm_nt_cols, then per active column j: C(i,j) += bias[j] (+ ReLU).
 void gemm_nt_cols_bias(const Tensor& a, const Tensor& bt, Tensor& c,
                        const unsigned char* col_active, const float* bias,
-                       bool relu, std::uint64_t pack_id);
+                       bool relu);
 
 /// gemm_rows, then per active row i: C(i,:) += bias[i] (+ ReLU).
 void gemm_rows_bias(const Tensor& a, const Tensor& b, Tensor& c,
@@ -259,10 +257,6 @@ void maxpool_plane(const float* x, std::int64_t ldx, int oh, int ow, int k,
 void maxpool_backward(const Tensor& grad_y, const std::vector<int>& argmax,
                       Tensor& grad_x);
 
-/// Global average pooling over H,W: (N,C,H,W) -> (N,C).
-void global_avgpool_forward(const Tensor& x, Tensor& y);
-void global_avgpool_backward(const Tensor& grad_y, int h, int w, Tensor& grad_x);
-
 // ---------------------------------------------------------------------------
 // Softmax / elementwise.
 // ---------------------------------------------------------------------------
@@ -278,12 +272,6 @@ void relu_forward(const Tensor& x, Tensor& y,
                   std::vector<unsigned char>* mask = nullptr);
 void relu_backward(const Tensor& grad_y, const std::vector<unsigned char>& mask,
                    Tensor& grad_x);
-
-/// y += x (shapes must match).
-void add_inplace(Tensor& y, const Tensor& x);
-
-/// y *= s.
-void scale_inplace(Tensor& y, float s);
 
 // ---------------------------------------------------------------------------
 // Random fills for initialization.

@@ -17,8 +17,7 @@
 // ISA tier (the CI isa-matrix job re-runs it under each STEPPING_ISA pin);
 // on the tiers without FMA the reference is additionally asserted equal to
 // gemmref::gemm_rows_bias. The effective_weights() tests pin the refresh's
-// bytes and its pack_id() change sequence against a per-element loop for
-// Conv2d, Dense and DepthwiseConv2d.
+// bytes against a per-element loop for Conv2d, Dense and DepthwiseConv2d.
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -498,7 +497,7 @@ TEST_F(CompactLowering, Im2colMatchesNaiveLowering) {
 }
 
 // ---------------------------------------------------------------------------
-// effective_weights(): bytes and pack_id() sequence.
+// effective_weights(): bytes after every kind of edit.
 // ---------------------------------------------------------------------------
 
 /// The per-element definition: value x prune mask x structural rule.
@@ -516,37 +515,17 @@ std::vector<float> per_element_effective(const MaskedLayer& layer) {
   return out;
 }
 
-/// Checks the refreshed bytes against the per-element loop, and that the
-/// pack id changed exactly when those bytes (or the weight version) did.
-struct EffectiveTracker {
-  explicit EffectiveTracker(MaskedLayer& l) : layer(l) {
-    refresh("first refresh");
-    EXPECT_NE(id, 0u);
-  }
-  void refresh(const std::string& what, bool version_bumped = false) {
+/// Drives one layer through every kind of edit the refresh must notice (or
+/// ignore), checking the refreshed bytes against the per-element loop after
+/// each, and checks gather_weights() sub-blocks against the full matrix.
+void check_refresh_sequence(MaskedLayer& layer, Rng& rng) {
+  const auto refresh = [&](const std::string& what) {
     const std::vector<float> want = per_element_effective(layer);
-    const bool bytes_changed =
-        prev.size() != want.size() ||
-        std::memcmp(prev.data(), want.data(), want.size() * sizeof(float)) != 0;
     const Tensor& got = layer.effective_weights();
     same_bytes(want.data(), got.data(), want.size(), what);
-    const std::uint64_t now = layer.pack_id();
-    if (id != 0) {
-      EXPECT_EQ(now != id, bytes_changed || version_bumped) << what;
-    }
-    id = now;
-    prev = want;
-  }
-  MaskedLayer& layer;
-  std::uint64_t id = 0;
-  std::vector<float> prev;
-};
-
-/// Drives one layer through every kind of edit the refresh must notice (or
-/// ignore) and checks gather_weights() sub-blocks against the full matrix.
-void check_refresh_sequence(MaskedLayer& layer, Rng& rng) {
-  EffectiveTracker t(layer);
-  t.refresh("unchanged");
+  };
+  refresh("first refresh");
+  refresh("unchanged");
   const int cols = layer.num_cols();
   float* w = layer.weight().value.data();
   // Find one kept and one structurally masked element.
@@ -558,27 +537,25 @@ void check_refresh_sequence(MaskedLayer& layer, Rng& rng) {
   }
   ASSERT_GE(kept, 0);
   w[kept] = 0.0f;
-  t.refresh("kept weight -> +0");
+  refresh("kept weight -> +0");
   w[kept] = -0.0f;
-  t.refresh("kept weight +0 -> -0");
+  refresh("kept weight +0 -> -0");
   w[kept] = std::numeric_limits<float>::quiet_NaN();
-  t.refresh("kept weight -> NaN");
+  refresh("kept weight -> NaN");
   if (masked >= 0) {
     w[masked] = 123.0f;
-    t.refresh("structurally masked weight edited");
+    refresh("structurally masked weight edited");
   }
   std::vector<std::uint8_t> mask = layer.prune_mask();
   mask[static_cast<std::size_t>(kept)] = 0;
   layer.set_prune_mask(mask);
-  t.refresh("prune kept weight");
+  refresh("prune kept weight");
   if (layer.units_movable()) {
     layer.set_unit_subnet(0, layer.unit_subnet()[0] == 1 ? kLevels : 1);
-    t.refresh("unit moved");
+    refresh("unit moved");
   }
-  ++layer.weight().version;
-  t.refresh("version bump", /*version_bumped=*/true);
   layer.set_prune_mask(random_prune_mask(mask.size(), rng));
-  t.refresh("new prune mask");
+  refresh("new prune mask");
 
   // gather_weights over a row subset and an input-unit subset is the
   // matching sub-block of the full matrix.

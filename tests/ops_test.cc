@@ -337,16 +337,6 @@ TEST(Relu, ForwardBackwardConsistent) {
   EXPECT_EQ(gx[2], 1.0f);
 }
 
-TEST(GlobalAvgPool, ForwardAveragesPlanes) {
-  Tensor x({1, 2, 2, 2});
-  for (int i = 0; i < 8; ++i) x[i] = static_cast<float>(i);
-  Tensor y;
-  global_avgpool_forward(x, y);
-  EXPECT_EQ(y.shape(), (std::vector<int>{1, 2}));
-  EXPECT_NEAR(y[0], 1.5f, 1e-6f);
-  EXPECT_NEAR(y[1], 5.5f, 1e-6f);
-}
-
 TEST(Fills, KaimingStddevApproximatelyCorrect) {
   Rng rng(9);
   Tensor t({200, 50});

@@ -9,13 +9,11 @@
 //  * QuantProviderParity: every int8 GEMM provider this binary + host can
 //    run produces BIT-IDENTICAL i32 accumulators (the i8gemm.h exactness
 //    contract — the documented cross-provider error bound is zero).
-//  * QuantPackCache: int8 panel blobs share the fp32 pack cache's
-//    invalidation discipline — SGD steps, deserialization and prune-mask
-//    edits must all retire cached panels (pack kind 1).
 //  * QuantLayerPath: Dense/Conv2d int8 forwards track their fp32 forwards
 //    within quantization-noise tolerances, mask inactive units to exact
-//    zeros, and leave every fp32 path bitwise untouched (STEPPING_PRECISION
-//    unset is a pure no-op, including during a calibration pass).
+//    zeros, and leave every fp32 path bitwise untouched (a context whose
+//    precision is fp32 is a pure no-op, including during a calibration
+//    pass).
 //  * QuantAccuracyGate: the ISSUE 7 acceptance bound — the int8 ladder
 //    loses at most 1.0 top-1 percentage point vs fp32 at every level.
 //
@@ -25,14 +23,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/any_width.h"
 #include "core/macs.h"
-#include "core/serialize.h"
 #include "core/train_loops.h"
 #include "data/loader.h"
 #include "data/synthetic.h"
@@ -41,22 +37,16 @@
 #include "nn/dense.h"
 #include "nn/sgd.h"
 #include "nn/trainer.h"
-#include "obs/metrics.h"
 #include "quant/calibration.h"
 #include "quant/policy.h"
 #include "quant/prepared.h"
 #include "tensor/gemm_isa.h"
-#include "tensor/gemm_kernel.h"
 #include "tensor/i8gemm.h"
 #include "tensor/ops.h"
 #include "util/thread_pool.h"
 
 namespace stepping {
 namespace {
-
-obs::Counter& quant_packs() {
-  return obs::Registry::global().counter("stepping_quant_packs_total");
-}
 
 ::testing::AssertionResult bitwise_equal(const Tensor& a, const Tensor& b,
                                          const std::string& what) {
@@ -135,7 +125,7 @@ TEST(QuantWeights, ZeroRangeChannelDegeneratesToBias) {
   std::vector<int> columns(static_cast<std::size_t>(k));
   for (int j = 0; j < k; ++j) columns[static_cast<std::size_t>(j)] = j;
   const quant::PreparedInt8 pw = quant::prepare_int8_weights(
-      /*pack_id=*/0, wt.data(), k, /*group_cols=*/1, {0, 1}, columns);
+      wt.data(), k, /*group_cols=*/1, {0, 1}, columns);
   const int m = 3;
   Tensor x({m, k});
   fill_normal(x, 0.0f, 1.0f, rng);
@@ -191,7 +181,6 @@ class QuantProviderParity : public ::testing::Test {
   void TearDown() override {
     set_isa_tier(env_isa_tier());
     ThreadPool::set_global_threads(ThreadPool::default_threads());
-    flush_pack_cache();
   }
 };
 
@@ -280,135 +269,17 @@ struct DenseRig {
   quant::CalibrationTable table;
 };
 
-class QuantPackCache : public ::testing::Test {
- protected:
-  void SetUp() override {
-    saved_limit_ = pack_cache_limit_mb();
-    flush_pack_cache();
-  }
-  void TearDown() override {
-    set_pack_cache_limit_mb(saved_limit_);
-    flush_pack_cache();
-    set_isa_tier(env_isa_tier());
-    ThreadPool::set_global_threads(ThreadPool::default_threads());
-  }
-  long saved_limit_ = 0;
-};
-
-TEST_F(QuantPackCache, WarmHitsThenSgdStepRetiresPanels) {
-  DenseRig rig(/*units=*/96, /*k=*/64, 41);
-  Rng rng(2);
-  Tensor x({4, 64});
-  fill_normal(x, 0.0f, 1.0f, rng);
-  SubnetContext ctx = rig.int8_ctx(x);
-
-  const std::uint64_t p0 = quant_packs().value();
-  const Tensor y0 = rig.layer.forward(x, ctx);  // cold: quantize + pack
-  EXPECT_GT(quant_packs().value(), p0);
-  const std::uint64_t p1 = quant_packs().value();
-  const Tensor y1 = rig.layer.forward(x, ctx);  // warm: blob served from cache
-  EXPECT_EQ(quant_packs().value(), p1);
-  EXPECT_TRUE(bitwise_equal(y0, y1, "warm int8 forward"));
-
-  // An optimizer step rewrites weight bytes behind the cache; the pack_id
-  // bump must retire the int8 blob exactly like the fp32 panels.
-  for (Param* p : rig.layer.params()) {
-    p->grad = Tensor(p->value.shape());
-    fill_normal(p->grad, 0.1f, 0.5f, rng);
-  }
-  Sgd sgd(SgdConfig{.lr = 0.05});
-  sgd.step(rig.layer.params());
-
-  const Tensor y2 = rig.layer.forward(x, ctx);
-  EXPECT_GT(quant_packs().value(), p1);
-  flush_pack_cache();
-  const Tensor want = rig.layer.forward(x, ctx);
-  EXPECT_TRUE(bitwise_equal(want, y2, "int8 forward after SGD step"));
-}
-
-TEST_F(QuantPackCache, MaskChangeRetiresPanels) {
-  DenseRig rig(96, 64, 42);
-  Rng rng(3);
-  Tensor x({2, 64});
-  fill_normal(x, 0.0f, 1.0f, rng);
-  SubnetContext ctx = rig.int8_ctx(x);
-
-  rig.layer.forward(x, ctx);  // populate
-  const std::uint64_t p0 = quant_packs().value();
-
-  // A prune-mask edit changes the effective weights; cached panels for the
-  // old mask must not serve the new forward.
-  std::vector<std::uint8_t> mask(
-      static_cast<std::size_t>(rig.layer.num_units() * rig.layer.num_cols()),
-      1);
-  for (std::size_t i = 0; i < mask.size(); i += 3) mask[i] = 0;
-  rig.layer.set_prune_mask(mask);
-
-  const Tensor y = rig.layer.forward(x, ctx);
-  EXPECT_GT(quant_packs().value(), p0);
-  flush_pack_cache();
-  const Tensor want = rig.layer.forward(x, ctx);
-  EXPECT_TRUE(bitwise_equal(want, y, "int8 forward after mask change"));
-}
-
-TEST_F(QuantPackCache, UnitMoveThatKeepsWeightBytesRebuildsOperand) {
-  // Every input unit is in subnet 1, so moving output units between levels
-  // leaves the effective weights (and pack_id) as they are while level 1's
-  // unit set changes at the same size: the cached operand no longer covers
-  // the level and must not be served.
-  DenseRig rig(/*units=*/8, /*k=*/16, 43);
-  for (int u = 4; u < 8; ++u) rig.layer.set_unit_subnet(u, 2);
-  Rng rng(4);
-  Tensor x({3, 16});
-  fill_normal(x, 0.0f, 1.0f, rng);
-  SubnetContext ctx = rig.int8_ctx(x);
-  rig.layer.forward(x, ctx);  // caches level 1's operand: units 0..3
-  const std::uint64_t id = rig.layer.pack_id();
-
-  rig.layer.set_unit_subnet(0, 2);
-  rig.layer.set_unit_subnet(4, 1);
-  const Tensor y = rig.layer.forward(x, ctx);
-  EXPECT_EQ(rig.layer.pack_id(), id);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(y.at(i, 0), 0.0f) << "row " << i;
-  flush_pack_cache();
-  const Tensor want = rig.layer.forward(x, ctx);
-  EXPECT_TRUE(bitwise_equal(want, y, "int8 forward after a unit move"));
-}
-
-TEST_F(QuantPackCache, DeserializationRetiresPanels) {
-  ModelConfig mc{.classes = 10, .expansion = 1.5, .width_mult = 0.15,
-                 .seed = 7};
-  Network donor = build_model("lenet3c1l", mc);
-  mc.seed = 99;
-  Network net = build_model("lenet3c1l", mc);
-
-  Rng rng(5);
-  Tensor x({2, 3, 32, 32});
-  fill_normal(x, 0.0f, 1.0f, rng);
-  const std::shared_ptr<quant::CalibrationTable> table =
-      calibrate_int8(net, x, /*batch=*/2, /*max_level=*/1);
-  SubnetContext ctx;
-  ctx.training = false;
-  ctx.precision = quant::Precision::kInt8;
-  ctx.calibration = table.get();
-  net.forward(x, ctx);  // cache int8 blobs of the pre-load weights
-
-  // load_network writes raw tensor bytes behind the layers' backs.
-  std::stringstream buf;
-  ASSERT_TRUE(save_network(donor, buf));
-  ASSERT_TRUE(load_network(net, buf));
-
-  const Tensor y = net.forward(x, ctx);
-  flush_pack_cache();
-  const Tensor want = net.forward(x, ctx);
-  EXPECT_TRUE(bitwise_equal(want, y, "int8 forward after deserialization"));
-}
-
 // ---------------------------------------------------------------------------
 // Layer-level int8 paths + the fp32 no-op guarantee.
 // ---------------------------------------------------------------------------
 
-using QuantLayerPath = QuantPackCache;
+class QuantLayerPath : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    set_isa_tier(env_isa_tier());
+    ThreadPool::set_global_threads(ThreadPool::default_threads());
+  }
+};
 
 TEST_F(QuantLayerPath, DenseInt8TracksFp32AndMasksExactZeros) {
   DenseRig rig(/*units=*/48, /*k=*/64, 51);
@@ -714,9 +585,9 @@ TEST_F(QuantLayerPath, Int8ConvAndDenseMatchExplicitRouteAtEveryLevel) {
 }
 
 TEST_F(QuantLayerPath, Fp32PathIsPureNoOp) {
-  // STEPPING_PRECISION's default must leave fp32 bits untouched: a context
-  // carrying a calibration table (precision fp32) and a recording pass both
-  // produce outputs bitwise identical to the plain fp32 forward.
+  // The fp32 precision must leave fp32 bits untouched: a context carrying a
+  // calibration table (precision fp32) and a recording pass both produce
+  // outputs bitwise identical to the plain fp32 forward.
   ModelConfig mc{.classes = 10, .expansion = 1.5, .width_mult = 0.15,
                  .seed = 17};
   Network net = build_model("lenet3c1l", mc);

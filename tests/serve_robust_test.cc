@@ -2,21 +2,42 @@
 // the forward itself — fails exactly that pass's requests through their
 // futures, keeps the counters balanced, and leaves the server serving
 // bitwise-correct answers. A stream frame that fails mid-forward restarts its
-// stream cold, so a half-updated ladder is never reused.
+// stream cold, so a half-updated ladder is never reused. A shutdown() that
+// arrives while requests are mid-ladder and stream frames are in flight
+// resolves every future and joins every worker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "models/models.h"
 #include "serve/server.h"
 #include "tensor/ops.h"
+
+// ThreadSanitizer suppression, read by the TSan runtime when this binary is
+// built with -fsanitize=thread (and unused otherwise). A failed request's
+// future holds its exception through std::exception_ptr, whose owner count
+// libsupc++ keeps with atomics compiled without TSan instrumentation. When
+// a worker's promise is the last owner of the future's state, the worker
+// frees an exception the caller has already read and released, and TSan,
+// blind to that count's acquire/release, reports the caller's read (of the
+// message, or of the vtable for a type with no string) against the free.
+// A promise can only let go of the state after it has set the exception,
+// so no change on the server's side rules that order out. Only frees
+// reached from destroying a served request's future result are suppressed.
+extern "C" const char* __tsan_default_suppressions() {
+  return "race:std::__future_base::_Result<stepping::serve::ServedResult>::~_Result\n";
+}
 
 namespace stepping::serve {
 namespace {
@@ -192,6 +213,109 @@ TEST(ServeRobust, StreamFrameFaultRestartsTheStreamCold) {
   EXPECT_EQ(server.counters().failed, 1u);
   expect_balanced(server);
   server.shutdown();
+}
+
+TEST(ServeRobust, ShutdownUnderLoadResolvesEveryFutureAndJoinsTheWorkers) {
+  // One worker is parked inside the level-1 callback of a request that
+  // climbs to level 3, the other inside the callback of a stream frame whose
+  // delta pass has run. More requests and frames queue behind them, and
+  // submits keep arriving while shutdown() closes the queue.
+  Network net = nested_net();
+  ServeConfig cfg = robust_config(/*max_batch=*/4);
+  cfg.num_workers = 2;
+  cfg.stream = 1;
+  auto server = std::make_unique<Server>(net, cfg);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int parked = 0;
+  bool released = false;
+  const auto park = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    ++parked;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  };
+  const auto wait_parked = [&](int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(60),
+                       [&] { return parked >= n; });
+  };
+  // Every callback holds a copy: once the server is gone, nothing may.
+  const auto token = std::make_shared<int>(0);
+  std::vector<std::future<ServedResult>> futs;
+  enum class Gate { kNone, kLevelOne, kFinal };
+  // Returns whether the future resolved at once (the submit was refused).
+  const auto send = [&](std::uint64_t seed, std::uint64_t stream_id,
+                        Gate gate) {
+    Request req;
+    req.input = random_input(seed);
+    req.stream_id = stream_id;
+    req.on_step = [&park, gate, token](const StepUpdate& u) {
+      if ((gate == Gate::kLevelOne && u.subnet == 1 && !u.final) ||
+          (gate == Gate::kFinal && u.final)) {
+        park();
+      }
+    };
+    futs.push_back(server->submit(std::move(req)));
+    return futs.back().wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
+  };
+
+  send(100, 0, Gate::kLevelOne);
+  ASSERT_TRUE(wait_parked(1)) << "no worker reached the ladder callback";
+  send(101, 5, Gate::kFinal);
+  ASSERT_TRUE(wait_parked(2)) << "no worker reached the frame callback";
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    send(200 + i, i % 3 == 0 ? 5 + i % 2 : 0, Gate::kNone);
+  }
+
+  std::promise<void> stopped;
+  std::future<void> stopped_f = stopped.get_future();
+  std::thread stopper([&] {
+    server->shutdown();
+    stopped.set_value();
+  });
+  // Far fewer jobs than queue_capacity are queued, so the first submit that
+  // resolves at once found the queue closed.
+  bool refused = false;
+  for (std::uint64_t i = 0; i < 60000 && !refused; ++i) {
+    refused = send(300 + i, i % 2 == 0 ? 6 : 0, Gate::kNone);
+    if (!refused) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(refused) << "shutdown() never closed the queue";
+  EXPECT_EQ(stopped_f.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "shutdown() returned while workers were parked";
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  ASSERT_EQ(stopped_f.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready)
+      << "shutdown() did not return after the workers were released";
+  stopper.join();
+
+  std::uint64_t values = 0, errors = 0;
+  for (std::future<ServedResult>& f : futs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+    try {
+      EXPECT_EQ(f.get().logits.numel(), 10);
+      ++values;
+    } catch (const std::runtime_error&) {
+      ++errors;
+    }
+  }
+  const CounterSnapshot c = server->counters();
+  EXPECT_EQ(c.failed, 0u);
+  EXPECT_EQ(values, c.completed);
+  EXPECT_EQ(errors, c.rejected);
+  EXPECT_GE(values, 14u) << "requests queued before the close must drain";
+  expect_balanced(*server);
+
+  server.reset();
+  EXPECT_EQ(token.use_count(), 1) << "a job outlived the server";
 }
 
 }  // namespace
