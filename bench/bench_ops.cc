@@ -4,11 +4,12 @@
 //
 // Before the google-benchmark suite runs, main() executes a GEMM shape
 // sweep over the paper's layer shapes comparing the blocked dispatch path
-// against the reference kernels: each shape line reports ns/op and GFLOP/s
-// for both paths, the blocked/ref speedup, and a bitwise=ok / MISMATCH
-// verdict (CI greps for these). The verdict memcmps the blocked route
-// against the dispatcher's fallback route, which is tier-correct at every
-// STEPPING_ISA level; rows carry an "isa" field naming the active tier.
+// against the active tier's fallback (reference) loops, reached through
+// GemmBlocking::force_ref: each shape line reports ns/op and GFLOP/s for
+// both routes, the blocked/ref speedup, and a bitwise=ok / MISMATCH
+// verdict (CI greps for these). The verdict memcmps the two routes, which
+// must agree at every STEPPING_ISA level; rows carry an "isa" field naming
+// the active tier.
 // The sweep is also written machine-readably to BENCH_gemm.json in the
 // working directory. STEPPING_BENCH_REPS overrides the per-shape rep count.
 #include <benchmark/benchmark.h>
@@ -50,22 +51,23 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_GemmRowsHalfActive(benchmark::State& state) {
+void BM_GemmRowsBiasHalfActive(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(2);
   Tensor a({n, n}), b({n, n}), c({n, n});
   fill_normal(a, 0.0f, 1.0f, rng);
   fill_normal(b, 0.0f, 1.0f, rng);
+  const std::vector<float> bias(static_cast<std::size_t>(n), 0.5f);
   std::vector<unsigned char> active(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) active[static_cast<std::size_t>(i)] = i % 2;
   for (auto _ : state) {
     c.zero();
-    gemm_rows(a, b, c, active.data());
+    gemm_rows_bias(a, b, c, active.data(), bias.data(), /*relu=*/false);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n) * n * n / 2);
 }
-BENCHMARK(BM_GemmRowsHalfActive)->Arg(64)->Arg(128);
+BENCHMARK(BM_GemmRowsBiasHalfActive)->Arg(64)->Arg(128);
 
 void BM_Im2col(benchmark::State& state) {
   Conv2dGeometry g{16, 32, 32, 32, 3, 1, 1};
@@ -193,8 +195,8 @@ struct SweepRow {
   bool bitwise;
 };
 
-/// One shape at the current thread count: median-time ref and blocked gemm,
-/// memcmp outputs. Shapes come from the paper models' im2col lowerings
+/// One shape at the current thread count: median-time the fallback ("ref")
+/// and blocked routes of gemm, memcmp outputs. Shapes come from the paper models' im2col lowerings
 /// (LeNet/VGG-ish layers; see ROADMAP).
 SweepRow sweep_shape(int m, int k, int n, int threads, int reps) {
   Rng rng(42);
@@ -206,25 +208,22 @@ SweepRow sweep_shape(int m, int k, int n, int threads, int reps) {
   float* pa = a.data();
   for (std::int64_t i = 0; i < a.numel(); i += 5) pa[i] = 0.0f;
 
-  // Bitwise verdict: the blocked route against the dispatcher's small-shape
-  // fallback route — the within-tier routing invariant that holds at EVERY
-  // ISA tier. On scalar/sse the fallback aliases the reference kernels, so
-  // there this is exactly the historical vs-ref check.
-  Tensor c_fb({m, n});
+  // Bitwise verdict: the blocked route against the tier's fallback route —
+  // the within-tier routing invariant that holds at EVERY ISA tier. On
+  // scalar/sse the fallback is the two-rounding reference loop.
   const GemmBlocking ambient = gemm_blocking();
-  GemmBlocking fb_cfg;
-  fb_cfg.force_ref = true;
-  set_gemm_blocking(fb_cfg);
-  gemm(a, b, c_fb);
+  GemmBlocking ref_cfg;
+  ref_cfg.force_ref = true;
+  set_gemm_blocking(ref_cfg);
+  gemm(a, b, c_ref);  // warm
+  const double ref_s = median_seconds(reps, [&] { gemm(a, b, c_ref); });
   set_gemm_blocking(ambient);
-  gemm_ref(a, b, c_ref);  // warm
-  gemm(a, b, c_blk);
-  const bool bitwise =
-      std::memcmp(c_fb.data(), c_blk.data(),
-                  sizeof(float) * static_cast<std::size_t>(c_fb.numel())) == 0;
-
-  const double ref_s = median_seconds(reps, [&] { gemm_ref(a, b, c_ref); });
+  gemm(a, b, c_blk);  // warm
   const double blk_s = median_seconds(reps, [&] { gemm(a, b, c_blk); });
+  const bool bitwise =
+      std::memcmp(c_ref.data(), c_blk.data(),
+                  sizeof(float) * static_cast<std::size_t>(c_ref.numel())) == 0;
+
   const double flop = 2.0 * m * k * n;
   SweepRow row;
   row.m = m;

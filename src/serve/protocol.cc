@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace stepping::serve {
@@ -151,8 +152,16 @@ bool read_frame(int fd, std::vector<std::uint8_t>& payload,
   if (!recv_all(fd, prefix, sizeof(prefix))) return false;
   std::memcpy(&len, prefix, sizeof(len));
   if (len > max_payload) return false;
-  payload.resize(len);
-  return len == 0 || recv_all(fd, payload.data(), len);
+  // The buffer grows as the body arrives, so a length prefix the peer does
+  // not back with bytes costs at most one chunk, not `len`.
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  payload.clear();
+  while (payload.size() < len) {
+    const std::size_t at = payload.size();
+    payload.resize(at + std::min<std::size_t>(kChunk, len - at));
+    if (!recv_all(fd, payload.data() + at, payload.size() - at)) return false;
+  }
+  return true;
 }
 
 }  // namespace stepping::serve

@@ -85,7 +85,9 @@ bool decode_reply(const std::vector<std::uint8_t>& payload, WireReply& reply);
 bool write_frame(int fd, const std::vector<std::uint8_t>& payload);
 
 /// Read one frame into `payload`. Returns false on EOF, I/O error, or a
-/// length prefix beyond `max_payload`.
+/// length prefix beyond `max_payload`. `payload` grows as the body arrives,
+/// so a length prefix the peer does not back with bytes sizes it at most one
+/// 1 MiB chunk past the bytes that came.
 bool read_frame(int fd, std::vector<std::uint8_t>& payload,
                 std::size_t max_payload = kMaxFramePayload);
 

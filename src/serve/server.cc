@@ -14,6 +14,7 @@
 #include "tensor/gemm_isa.h"
 #include "tensor/ops.h"
 #include "util/env.h"
+#include "util/thread_pool.h"
 
 namespace stepping::serve {
 
@@ -121,8 +122,7 @@ std::string CounterSnapshot::to_string() const {
 }
 
 int Server::default_workers() {
-  const long env = env_or_int("STEPPING_SERVE_WORKERS", 0);
-  return env > 0 ? static_cast<int>(env) : 1;
+  return env_thread_count("STEPPING_SERVE_WORKERS", 1);
 }
 
 Server::Server(const Network& model, ServeConfig cfg)

@@ -252,7 +252,8 @@ class Server {
   /// Stop admitting, drain queued requests, join workers. Idempotent.
   void shutdown();
 
-  /// STEPPING_SERVE_WORKERS env var if set (> 0), else 1.
+  /// STEPPING_SERVE_WORKERS env var if set (> 0), else 1; at most
+  /// kMaxThreads (util/thread_pool.h).
   static int default_workers();
 
  private:

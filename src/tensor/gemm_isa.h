@@ -17,15 +17,15 @@
 // warning. The active tier is exported as the stepping_isa_tier gauge and as
 // the "isa" arg on gemm.blocked trace spans.
 //
-// Determinism contract (generalizes the STEPPING_GEMM_BLOCK contract):
-// outputs are BITWISE-STABLE PER TIER — for a fixed tier, every blocking
-// configuration and thread count produces identical bits, because the
-// per-element FP operation sequence is fixed within a tier. Across tiers
-// bits may differ: the FMA tiers (avx2, avx512) fuse each multiply-add into
-// one rounding where scalar/sse round twice. The scalar and sse tiers
-// replay the reference kernels' exact operation order and so reproduce the
-// pre-dispatch (PR 4/5) results bit for bit; they are the tiers the
-// blocked-vs-reference parity tests pin.
+// Determinism contract (generalizes the blocking contract of
+// tensor/gemm_kernel.h): outputs are BITWISE-STABLE PER TIER — for a fixed
+// tier, every blocking configuration and thread count produces identical
+// bits, because the per-element FP operation sequence is fixed within a
+// tier. Across tiers bits may differ: the FMA tiers (avx2, avx512) fuse each
+// multiply-add into one rounding where scalar/sse round twice. The scalar
+// and sse tiers replay the reference loops' exact operation order and so
+// give each other's bits; they are the tiers the blocked-vs-reference
+// parity tests pin.
 #pragma once
 
 #include <string>

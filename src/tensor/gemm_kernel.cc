@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <mutex>
-#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/gemm_isa.h"
 #include "tensor/gemm_microkernel.h"
 #include "util/arena.h"
-#include "util/env.h"
 #include "util/thread_pool.h"
 
 namespace stepping {
@@ -30,11 +27,6 @@ std::mutex& cfg_mutex() {
 GemmBlocking& cfg_slot() {
   static GemmBlocking cfg;
   return cfg;
-}
-
-bool& cfg_initialized() {
-  static bool init = false;
-  return init;
 }
 
 obs::Counter& blocked_dispatches() {
@@ -57,40 +49,14 @@ obs::Counter& packs_performed() {
 
 }  // namespace
 
-GemmBlocking env_gemm_blocking() {
-  GemmBlocking cfg;
-  std::string v = env_or("STEPPING_GEMM_BLOCK", "");
-  if (v.empty()) return cfg;
-  if (v == "ref" || v == "off" || v == "0") {
-    cfg.force_ref = true;
-    return cfg;
-  }
-  for (char& ch : v) {
-    if (ch == ',' || ch == 'X') ch = 'x';
-  }
-  int mc = 0, kc = 0, nc = 0;
-  if (std::sscanf(v.c_str(), "%dx%dx%d", &mc, &kc, &nc) == 3 && mc > 0 &&
-      kc > 0 && nc > 0) {
-    cfg.mc = mc;
-    cfg.kc = kc;
-    cfg.nc = nc;
-  }
-  return cfg;
-}
-
 GemmBlocking gemm_blocking() {
   std::lock_guard<std::mutex> lock(cfg_mutex());
-  if (!cfg_initialized()) {
-    cfg_slot() = env_gemm_blocking();
-    cfg_initialized() = true;
-  }
   return cfg_slot();
 }
 
 void set_gemm_blocking(const GemmBlocking& cfg) {
   std::lock_guard<std::mutex> lock(cfg_mutex());
   cfg_slot() = cfg;
-  cfg_initialized() = true;
 }
 
 bool gemm_uses_blocked(std::int64_t m, std::int64_t k, std::int64_t n,
@@ -100,193 +66,6 @@ bool gemm_uses_blocked(std::int64_t m, std::int64_t k, std::int64_t n,
   if (k < cfg.min_k) return false;
   return m * k * n >= cfg.min_macs;
 }
-
-// ---------------------------------------------------------------------------
-// Reference kernels — the PR-1 row-parallel loops on raw pointers. These
-// define the bitwise ground truth the blocked path must reproduce.
-// ---------------------------------------------------------------------------
-
-namespace gemmref {
-
-void gemm(const float* pa, const float* pb, float* pc, int m, int k, int n,
-          bool accumulate) {
-  if (!accumulate) std::fill(pc, pc + static_cast<std::size_t>(m) * n, 0.0f);
-  parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
-                    [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + static_cast<std::size_t>(i) * k;
-      float* crow = pc + static_cast<std::size_t>(i) * n;
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;  // masked weights are exactly zero
-        const float* brow = pb + static_cast<std::size_t>(p) * n;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-}
-
-void gemm_tn(const float* pat, const float* pb, float* pc, int m, int k, int n,
-             bool accumulate) {
-  if (!accumulate) std::fill(pc, pc + static_cast<std::size_t>(m) * n, 0.0f);
-  parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
-                    [&](std::int64_t i0, std::int64_t i1) {
-    for (int p = 0; p < k; ++p) {
-      const float* atrow = pat + static_cast<std::size_t>(p) * m;
-      const float* brow = pb + static_cast<std::size_t>(p) * n;
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float av = atrow[i];
-        if (av == 0.0f) continue;
-        float* crow = pc + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-}
-
-void gemm_nt(const float* pa, const float* pbt, float* pc, int m, int k, int n,
-             bool accumulate) {
-  if (!accumulate) std::fill(pc, pc + static_cast<std::size_t>(m) * n, 0.0f);
-  parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
-                    [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + static_cast<std::size_t>(i) * k;
-      float* crow = pc + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        const float* btrow = pbt + static_cast<std::size_t>(j) * k;
-        float acc = 0.0f;
-        for (int p = 0; p < k; ++p) acc += arow[p] * btrow[p];
-        crow[j] += acc;
-      }
-    }
-  });
-}
-
-void gemm_rows(const float* pa, const float* pb, float* pc, int m, int k,
-               int n, const unsigned char* row_active) {
-  parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
-                    [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      if (!row_active[i]) continue;
-      const float* arow = pa + static_cast<std::size_t>(i) * k;
-      float* crow = pc + static_cast<std::size_t>(i) * n;
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const float* brow = pb + static_cast<std::size_t>(p) * n;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-}
-
-void gemm_nt_cols(const float* pa, const float* pbt, float* pc, int m, int k,
-                  int n, const unsigned char* col_active) {
-  parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
-                    [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + static_cast<std::size_t>(i) * k;
-      float* crow = pc + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        if (!col_active[j]) continue;
-        const float* btrow = pbt + static_cast<std::size_t>(j) * k;
-        float acc = 0.0f;
-        for (int p = 0; p < k; ++p) acc += arow[p] * btrow[p];
-        crow[j] += acc;
-      }
-    }
-  });
-}
-
-void gemm_nt_rows_acc(const float* pa, const float* pbt, float* pc, int m,
-                      int k, int n, const unsigned char* row_active) {
-  parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
-                    [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      if (!row_active[i]) continue;
-      const float* arow = pa + static_cast<std::size_t>(i) * k;
-      float* crow = pc + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        const float* btrow = pbt + static_cast<std::size_t>(j) * k;
-        float acc = 0.0f;
-        for (int p = 0; p < k; ++p) acc += arow[p] * btrow[p];
-        crow[j] += acc;
-      }
-    }
-  });
-}
-
-void gemm_tn_rows(const float* pat, const float* pb, float* pc, int m, int k,
-                  int n, const unsigned char* k_active) {
-  std::fill(pc, pc + static_cast<std::size_t>(m) * n, 0.0f);
-  parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
-                    [&](std::int64_t i0, std::int64_t i1) {
-    for (int p = 0; p < k; ++p) {
-      if (!k_active[p]) continue;
-      const float* atrow = pat + static_cast<std::size_t>(p) * m;
-      const float* brow = pb + static_cast<std::size_t>(p) * n;
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float av = atrow[i];
-        if (av == 0.0f) continue;
-        float* crow = pc + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-}
-
-// The fused references replay the unfused sequence gemm -> bias -> relu
-// per element. Each element's op chain is independent and a float
-// store/load round trip is bit-exact, so fusing the chain is bitwise
-// identical to running the three passes back to back.
-
-void gemm_nt_cols_bias(const float* pa, const float* pbt, float* pc, int m,
-                       int k, int n, const unsigned char* col_active,
-                       const float* bias, bool relu) {
-  parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
-                    [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + static_cast<std::size_t>(i) * k;
-      float* crow = pc + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        if (!col_active[j]) continue;
-        const float* btrow = pbt + static_cast<std::size_t>(j) * k;
-        float acc = 0.0f;
-        for (int p = 0; p < k; ++p) acc += arow[p] * btrow[p];
-        float v = crow[j] + acc;
-        v += bias[j];
-        if (relu) v = v > 0.0f ? v : 0.0f;
-        crow[j] = v;
-      }
-    }
-  });
-}
-
-void gemm_rows_bias(const float* pa, const float* pb, float* pc, int m, int k,
-                    int n, const unsigned char* row_active, const float* bias,
-                    bool relu) {
-  parallel_for_cost(0, m, static_cast<std::int64_t>(k) * n,
-                    [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      if (!row_active[i]) continue;
-      const float* arow = pa + static_cast<std::size_t>(i) * k;
-      float* crow = pc + static_cast<std::size_t>(i) * n;
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const float* brow = pb + static_cast<std::size_t>(p) * n;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-      const float bi = bias[i];
-      for (int j = 0; j < n; ++j) crow[j] += bi;
-      if (relu) {
-        for (int j = 0; j < n; ++j) crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
-      }
-    }
-  });
-}
-
-}  // namespace gemmref
 
 // ---------------------------------------------------------------------------
 // Blocked path.
@@ -525,32 +304,6 @@ void gemm_nt(const float* a, const float* bt, float* c, int m, int k, int n,
   if (!accumulate) std::fill(c, c + static_cast<std::size_t>(m) * n, 0.0f);
   blocked_run<Fam::kDot, false, false, false, false>(
       a, bt, c, m, k, n, nullptr, nullptr, nullptr, cfg);
-}
-
-void gemm_rows(const float* a, const float* b, float* c, int m, int k, int n,
-               const unsigned char* row_active) {
-  const GemmBlocking cfg = gemm_blocking();
-  if (!gemm_uses_blocked(m, k, n, cfg)) {
-    ref_dispatches().inc();
-    microkernel::active_table().fb_gemm_rows(a, b, c, m, k, n, row_active);
-    return;
-  }
-  blocked_dispatches().inc();
-  blocked_run<Fam::kAxpy, false, true, false, false>(
-      a, b, c, m, k, n, row_active, nullptr, nullptr, cfg);
-}
-
-void gemm_nt_cols(const float* a, const float* bt, float* c, int m, int k,
-                  int n, const unsigned char* col_active) {
-  const GemmBlocking cfg = gemm_blocking();
-  if (!gemm_uses_blocked(m, k, n, cfg)) {
-    ref_dispatches().inc();
-    microkernel::active_table().fb_gemm_nt_cols(a, bt, c, m, k, n, col_active);
-    return;
-  }
-  blocked_dispatches().inc();
-  blocked_run<Fam::kDot, false, false, true, false>(
-      a, bt, c, m, k, n, nullptr, col_active, nullptr, cfg);
 }
 
 void gemm_nt_rows_acc(const float* a, const float* bt, float* c, int m, int k,

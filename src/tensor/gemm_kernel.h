@@ -1,4 +1,4 @@
-// Cache-blocked, panel-packed GEMM micro-kernel layer (ISSUE 4).
+// Cache-blocked, panel-packed GEMM micro-kernel layer.
 //
 // Raw-pointer kernels under the Tensor API in ops.h. Each public kernel
 // dispatches between
@@ -7,41 +7,40 @@
 //    one cache-line row per contraction step), KC-deep contraction chunks,
 //    MC-row groups that keep one B micro-panel L1-resident across
 //    consecutive MR x NR register tiles — and
-//  * the reference path (gemmref::*): the PR-1 row-parallel naive loops,
-//    used for shapes too small to amortize packing and kept as the bitwise
-//    ground truth for parity tests.
+//  * the fallback path: the active ISA tier's row-parallel reference loops
+//    (gemm_fallback_impl.h), used for shapes too small to amortize packing
+//    and, under GemmBlocking::force_ref, for every shape.
 //
-// Determinism contract (the repo-wide invariant from PR 1-3, generalized
-// per ISA tier in ISSUE 6): for every kernel, every block-size
-// configuration and every STEPPING_THREADS value, the blocked path's output
-// is BITWISE STABLE within the active ISA tier (tensor/gemm_isa.h). On the
-// scalar and sse tiers that output is additionally BITWISE IDENTICAL to the
-// reference kernels; the FMA tiers (avx2, avx512) fuse each multiply-add
-// into a single rounding, so their bits differ from the reference but are
-// equally stable within the tier.
+// Determinism contract (generalized per ISA tier in tensor/gemm_isa.h): for
+// every kernel, every block-size configuration and every STEPPING_THREADS
+// value, the output is BITWISE STABLE within the active ISA tier, whichever
+// path ran. On the scalar and sse tiers the fallback loops multiply and add
+// with two roundings, so those two tiers give identical bits; the FMA tiers
+// (avx2, avx512) fuse each multiply-add into a single rounding, so their
+// bits differ but are equally stable within the tier.
 // This holds by construction, because per output element C(i,j) all paths
 // apply the same floating-point operations in the same per-element order
 // (each element owns one accumulator lane; vector width never reorders a
 // single element's term sequence):
-//  * axpy family (gemm, gemm_tn, gemm_rows, gemm_tn_rows): the reference
-//    accumulates terms a(i,p) * b(p,j) directly into C in ascending-p
-//    order, skipping terms whose A operand is exactly zero (masked
-//    weights). The blocked path loads the C tile into registers, adds the
-//    chunk's terms in the same ascending-p order with the same zero skip,
-//    and stores — a store/load round trip between KC chunks preserves bits,
-//    so chunked updates replay the reference sequence exactly.
-//  * dot family (gemm_nt, gemm_nt_cols, gemm_nt_rows_acc): the reference
-//    forms acc = 0, adds terms in ascending-p order (no zero skip), then
-//    applies ONE C(i,j) += acc. The blocked path therefore never splits the
-//    contraction: accumulators start at zero, run the full k in registers
-//    (KC applies to the axpy family only), and C is touched once.
+//  * axpy family (gemm, gemm_tn, gemm_tn_rows, gemm_rows_bias): the
+//    reference accumulates terms a(i,p) * b(p,j) directly into C in
+//    ascending-p order, skipping terms whose A operand is exactly zero
+//    (masked weights). The blocked path loads the C tile into registers,
+//    adds the chunk's terms in the same ascending-p order with the same zero
+//    skip, and stores — a store/load round trip between KC chunks preserves
+//    bits, so chunked updates replay the reference sequence exactly.
+//  * dot family (gemm_nt, gemm_nt_rows_acc, gemm_nt_cols_bias): the
+//    reference forms acc = 0, adds terms in ascending-p order (no zero
+//    skip), then applies ONE C(i,j) += acc. The blocked path therefore never
+//    splits the contraction: accumulators start at zero, run the full k in
+//    registers (KC applies to the axpy family only), and C is touched once.
 // Row/column/contraction masks short-circuit identically to the reference:
 // skipped rows and columns are never loaded or stored.
 //
-// Block sizes come from STEPPING_GEMM_BLOCK ("MCxKCxNC", e.g. "64x256x256";
-// "ref" forces the reference path) or set_gemm_blocking(); defaults target
-// a ~256 KiB L2 share. Dispatch, packing and arena usage are instrumented
-// with stepping_gemm_* counters and kernel.gemm.* trace spans.
+// Block sizes are the GemmBlocking defaults (~256 KiB L2 share);
+// set_gemm_blocking() overrides them for tests. Dispatch, packing and arena
+// usage are instrumented with stepping_gemm_* counters and kernel.gemm.*
+// trace spans.
 //
 // Fused epilogues: *_bias kernels apply per-element bias-add (and optional
 // ReLU) inside the micro-kernel store, in the exact per-element op order of
@@ -61,10 +60,11 @@ struct GemmBlocking {
   int kc = 256;  ///< contraction chunk (axpy family; dot family runs full k)
   int nc = 1024;  ///< columns packed per pass (bounds the packed-panel bytes;
                   ///< wide so per-row term compaction is well amortized)
-  bool force_ref = false;     ///< route everything through gemmref::*
-  std::int64_t min_macs = 64 * 1024;  ///< below this m*k*n, use the reference
+  bool force_ref = false;     ///< route every shape to the tier's fallback
+                              ///< loops (tests compare the routes)
+  std::int64_t min_macs = 64 * 1024;  ///< below this m*k*n, use the fallback
                                       ///< path (packing would dominate)
-  int min_k = 32;  ///< below this contraction depth, use the reference path
+  int min_k = 32;  ///< below this contraction depth, use the fallback path
                    ///< (per-panel fixed costs outweigh the short dot chains)
 };
 
@@ -73,16 +73,12 @@ struct GemmBlocking {
 /// is per-tier — query gemm_panel_width() in tensor/gemm_isa.h.
 inline constexpr int kGemmMR = 4;
 
-/// Current configuration. First use parses STEPPING_GEMM_BLOCK.
+/// Current configuration: GemmBlocking{} until set_gemm_blocking().
 GemmBlocking gemm_blocking();
 
 /// Override the configuration (tests/benches). Not thread-safe against
 /// kernels in flight — call between phases, like set_global_threads.
 void set_gemm_blocking(const GemmBlocking& cfg);
-
-/// The STEPPING_GEMM_BLOCK-derived default (what gemm_blocking() returns
-/// until overridden).
-GemmBlocking env_gemm_blocking();
 
 /// True if (m, k, n) routes to the blocked path under cfg.
 bool gemm_uses_blocked(std::int64_t m, std::int64_t k, std::int64_t n,
@@ -106,15 +102,6 @@ void gemm_tn(const float* at, const float* b, float* c, int m, int k, int n,
 void gemm_nt(const float* a, const float* bt, float* c, int m, int k, int n,
              bool accumulate);
 
-/// gemm over rows with row_active[i] != 0 only; other C rows untouched
-/// (callers pass zeroed C).
-void gemm_rows(const float* a, const float* b, float* c, int m, int k, int n,
-               const unsigned char* row_active);
-
-/// gemm_nt over columns with col_active[j] != 0 only; others untouched.
-void gemm_nt_cols(const float* a, const float* bt, float* c, int m, int k,
-                  int n, const unsigned char* col_active);
-
 /// gemm_nt over rows with row_active[i] != 0, always accumulating into C.
 void gemm_nt_rows_acc(const float* a, const float* bt, float* c, int m, int k,
                       int n, const unsigned char* row_active);
@@ -127,16 +114,17 @@ void gemm_tn_rows(const float* at, const float* b, float* c, int m, int k,
 // Fused-epilogue kernels (bias-add + optional ReLU in the store).
 // ---------------------------------------------------------------------------
 
-/// gemm_nt_cols, then per active column j: C(i,j) += bias[j], and if `relu`
-/// C(i,j) = max(C(i,j), 0) — fused into the single C store, bitwise
-/// identical to the unfused sequence (inactive columns stay untouched; a
-/// zero-filled C then matches the reference's relu(0) == +0 bit for bit).
+/// gemm_nt over the columns with col_active[j] != 0, then per active column
+/// j: C(i,j) += bias[j], and if `relu` C(i,j) = max(C(i,j), 0) — fused into
+/// the single C store, bitwise identical to the unfused sequence. Inactive
+/// columns stay untouched.
 void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
                        int n, const unsigned char* col_active,
                        const float* bias, bool relu);
 
-/// gemm_rows, then per active row i: C(i,j) += bias[i] for every j, plus the
-/// optional ReLU (bias per output unit). Over an im2col matrix this is the
+/// gemm over the rows with row_active[i] != 0 (other C rows untouched), then
+/// per active row i: C(i,j) += bias[i] for every j, plus the optional ReLU
+/// (bias per output unit). Over an im2col matrix this is the
 /// explicit conv forward: no Conv2d forward calls it any more (they run
 /// conv2d_implicit in tensor/ops.h, which replays this kernel's per-element
 /// sequence off a padded input copy), but it stays the oracle that route is
@@ -144,36 +132,5 @@ void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
 void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,
                     int n, const unsigned char* row_active, const float* bias,
                     bool relu);
-
-// ---------------------------------------------------------------------------
-// Reference kernels: the pre-blocking row-parallel loops, verbatim. The
-// parity grid (tests/gemm_kernel_test.cc) and the bench_ops sweep assert
-// the blocked path against these byte for byte on the scalar/sse tiers;
-// the FMA tiers are instead asserted bitwise-stable within the tier.
-// ---------------------------------------------------------------------------
-namespace gemmref {
-
-void gemm(const float* a, const float* b, float* c, int m, int k, int n,
-          bool accumulate);
-void gemm_tn(const float* at, const float* b, float* c, int m, int k, int n,
-             bool accumulate);
-void gemm_nt(const float* a, const float* bt, float* c, int m, int k, int n,
-             bool accumulate);
-void gemm_rows(const float* a, const float* b, float* c, int m, int k, int n,
-               const unsigned char* row_active);
-void gemm_nt_cols(const float* a, const float* bt, float* c, int m, int k,
-                  int n, const unsigned char* col_active);
-void gemm_nt_rows_acc(const float* a, const float* bt, float* c, int m, int k,
-                      int n, const unsigned char* row_active);
-void gemm_tn_rows(const float* at, const float* b, float* c, int m, int k,
-                  int n, const unsigned char* k_active);
-void gemm_nt_cols_bias(const float* a, const float* bt, float* c, int m, int k,
-                       int n, const unsigned char* col_active,
-                       const float* bias, bool relu);
-void gemm_rows_bias(const float* a, const float* b, float* c, int m, int k,
-                    int n, const unsigned char* row_active, const float* bias,
-                    bool relu);
-
-}  // namespace gemmref
 
 }  // namespace stepping

@@ -37,13 +37,13 @@
 // instantiates with its own vector traits.
 //
 // The table also carries the tier's SMALL-SHAPE FALLBACK kernels (the
-// fb_* slots): shapes below the blocked path's dispatch gates run these
-// reference-structured loops, with the tier's own multiply-add semantics
-// (gemm_fallback_impl.h). Every dispatch route therefore yields the same
-// bits within a tier — values crossing the blocked/fallback routing
-// boundary (incremental executor deltas vs full forwards) stay exactly
-// reusable. The scalar and sse tiers alias gemmref::* here, preserving the
-// pre-dispatch behavior bit for bit.
+// fb_* slots): shapes below the blocked path's dispatch gates run the
+// reference loops of gemm_fallback_impl.h, instantiated with the tier's own
+// multiply-add. Every dispatch route therefore yields the same bits within
+// a tier — values crossing the blocked/fallback routing boundary
+// (incremental executor deltas vs full forwards) stay exactly reusable.
+// The scalar table's fb_* slots are the two-rounding reference loops the
+// scalar/sse parity tests compare against.
 #pragma once
 
 #include <cstddef>
@@ -89,8 +89,6 @@ struct KernelTable {
   FbGemmFn fb_gemm;
   FbGemmFn fb_gemm_tn;
   FbGemmFn fb_gemm_nt;
-  FbMaskFn fb_gemm_rows;
-  FbMaskFn fb_gemm_nt_cols;
   FbMaskFn fb_gemm_nt_rows_acc;
   FbMaskFn fb_gemm_tn_rows;
   FbBiasFn fb_gemm_nt_cols_bias;

@@ -53,8 +53,6 @@ const KernelTable kTable = {IsaTier::kAvx2,
                             &detail::fb_gemm<FusedMadd>,
                             &detail::fb_gemm_tn<FusedMadd>,
                             &detail::fb_gemm_nt<FusedMadd>,
-                            &detail::fb_gemm_rows<FusedMadd>,
-                            &detail::fb_gemm_nt_cols<FusedMadd>,
                             &detail::fb_gemm_nt_rows_acc<FusedMadd>,
                             &detail::fb_gemm_tn_rows<FusedMadd>,
                             &detail::fb_gemm_nt_cols_bias<FusedMadd>,

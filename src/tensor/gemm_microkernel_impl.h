@@ -166,7 +166,7 @@ inline void axpy_rows_panels(const float* vals, std::ptrdiff_t vstride,
 /// ascending-p order, and C is updated exactly once per element — the
 /// reference's single `crow[j] += acc` — so blocking matches bitwise. The
 /// dot family takes A untransposed and has no contraction mask (gemm_nt,
-/// gemm_nt_cols, gemm_nt_rows_acc), so `p` indexes A rows directly. Row
+/// gemm_nt_rows_acc, gemm_nt_cols_bias), so `p` indexes A rows directly. Row
 /// activity is fixed across the p loop, so its branch predicts perfectly —
 /// unlike the axpy family's data-dependent zero skip, no compaction needed.
 template <class V, int NR, bool RowMask, bool ColMask, bool Full>

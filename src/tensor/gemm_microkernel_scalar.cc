@@ -1,18 +1,26 @@
 // Scalar tier: one float per "vector", multiply then add as two separate
 // roundings (the TU is compiled with -ffp-contract=off so no FMA can be
-// fused in behind our back). This is the portable fallback and the bitwise
-// twin of the reference kernels — and of the sse tier, which performs the
-// identical per-element operation sequence four lanes at a time.
+// fused in behind our back). This is the portable fallback, and its fb_*
+// slots are the reference loops the blocked path is tested against; the
+// sse tier performs the identical per-element operation sequence four
+// lanes at a time.
 //
 // NR stays 8 so the packed-panel layout matches the sse tier exactly; the
 // two tiers differ only in how many lanes one instruction covers, which is
 // invisible to both bits and panel bytes.
+#include "tensor/gemm_fallback_impl.h"
 #include "tensor/gemm_microkernel.h"
 #include "tensor/gemm_microkernel_impl.h"
 
 namespace stepping::microkernel {
 
 namespace {
+
+/// Two-rounding multiply-add for the fallback loops, in the operand order
+/// of V1::fmadd (acc + a * b).
+struct SplitMadd {
+  static float madd(float a, float b, float c) { return c + a * b; }
+};
 
 struct V1 {
   static constexpr int kLanes = 1;
@@ -26,9 +34,7 @@ struct V1 {
 
 constexpr int kNr = 8;
 
-// Fallbacks alias gemmref: the reference kernels ARE the two-rounding
-// fallback instantiation, kept under their own name for tests. No
-// multi-row conv kernel (rows 1, axpy_rows null): two rows' pairs of
+// No multi-row conv kernel (rows 1, axpy_rows null): two rows' pairs of
 // panels are 32 scalar accumulators, and a LeNet climb ran 2.0-2.4x
 // slower with it than with one row per call.
 const KernelTable kTable = {IsaTier::kScalar,
@@ -38,15 +44,13 @@ const KernelTable kTable = {IsaTier::kScalar,
                             1,
                             nullptr,
                             &detail::dot_entry<V1, kNr>,
-                            &gemmref::gemm,
-                            &gemmref::gemm_tn,
-                            &gemmref::gemm_nt,
-                            &gemmref::gemm_rows,
-                            &gemmref::gemm_nt_cols,
-                            &gemmref::gemm_nt_rows_acc,
-                            &gemmref::gemm_tn_rows,
-                            &gemmref::gemm_nt_cols_bias,
-                            &gemmref::gemm_rows_bias};
+                            &detail::fb_gemm<SplitMadd>,
+                            &detail::fb_gemm_tn<SplitMadd>,
+                            &detail::fb_gemm_nt<SplitMadd>,
+                            &detail::fb_gemm_nt_rows_acc<SplitMadd>,
+                            &detail::fb_gemm_tn_rows<SplitMadd>,
+                            &detail::fb_gemm_nt_cols_bias<SplitMadd>,
+                            &detail::fb_gemm_rows_bias<SplitMadd>};
 
 }  // namespace
 

@@ -10,12 +10,19 @@
 // Compiled with -ffp-contract=off: on x86-64 that is a no-op (no FMA at
 // the SSE2 baseline), but it pins the two-rounding multiply-add on targets
 // whose baseline does carry fused ops.
+#include "tensor/gemm_fallback_impl.h"
 #include "tensor/gemm_microkernel.h"
 #include "tensor/gemm_microkernel_impl.h"
 
 namespace stepping::microkernel {
 
 namespace {
+
+/// Two-rounding multiply-add for the fallback loops, in the operand order
+/// of V4::fmadd (acc + a * b) — the scalar tier's SplitMadd.
+struct SplitMadd {
+  static float madd(float a, float b, float c) { return c + a * b; }
+};
 
 typedef float v4f __attribute__((vector_size(16)));
 
@@ -35,9 +42,7 @@ struct V4 {
 
 constexpr int kNr = 8;
 
-// Fallbacks alias gemmref: small shapes ran the reference loops before the
-// dispatch layer existed, and this tier preserves that bit for bit. No
-// multi-row conv kernel (rows 1, axpy_rows null): with two rows per call
+// No multi-row conv kernel (rows 1, axpy_rows null): with two rows per call
 // a LeNet climb took 0.99-1.04x the time of one row per call.
 const KernelTable kTable = {IsaTier::kSse,
                             "sse",
@@ -46,15 +51,13 @@ const KernelTable kTable = {IsaTier::kSse,
                             1,
                             nullptr,
                             &detail::dot_entry<V4, kNr>,
-                            &gemmref::gemm,
-                            &gemmref::gemm_tn,
-                            &gemmref::gemm_nt,
-                            &gemmref::gemm_rows,
-                            &gemmref::gemm_nt_cols,
-                            &gemmref::gemm_nt_rows_acc,
-                            &gemmref::gemm_tn_rows,
-                            &gemmref::gemm_nt_cols_bias,
-                            &gemmref::gemm_rows_bias};
+                            &detail::fb_gemm<SplitMadd>,
+                            &detail::fb_gemm_tn<SplitMadd>,
+                            &detail::fb_gemm_nt<SplitMadd>,
+                            &detail::fb_gemm_nt_rows_acc<SplitMadd>,
+                            &detail::fb_gemm_tn_rows<SplitMadd>,
+                            &detail::fb_gemm_nt_cols_bias<SplitMadd>,
+                            &detail::fb_gemm_rows_bias<SplitMadd>};
 
 }  // namespace
 

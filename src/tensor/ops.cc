@@ -15,7 +15,7 @@ namespace stepping {
 // ---------------------------------------------------------------------------
 // GEMM. The Tensor wrappers validate shapes and forward to the dispatch
 // layer in gemm_kernel.h, which routes between the cache-blocked
-// panel-packed path and the reference loops (kept below as *_ref).
+// panel-packed path and the ISA tier's fallback loops.
 //
 // All kernels are partitioned over output rows of C: each row is owned by
 // exactly one parallel_for chunk, and per output element the accumulation
@@ -48,24 +48,6 @@ void gemm_nt(const Tensor& a, const Tensor& bt, Tensor& c, bool accumulate) {
   const int m = a.dim(0), k = a.dim(1), n = bt.dim(0);
   assert(bt.dim(1) == k && c.dim(0) == m && c.dim(1) == n);
   gemm_nt(a.data(), bt.data(), c.data(), m, k, n, accumulate);
-}
-
-void gemm_rows(const Tensor& a, const Tensor& b, Tensor& c,
-               const unsigned char* row_active) {
-  STEPPING_TRACE_SCOPE_CAT("kernel", "gemm_rows");
-  assert(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
-  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  assert(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n);
-  gemm_rows(a.data(), b.data(), c.data(), m, k, n, row_active);
-}
-
-void gemm_nt_cols(const Tensor& a, const Tensor& bt, Tensor& c,
-                  const unsigned char* col_active) {
-  STEPPING_TRACE_SCOPE_CAT("kernel", "gemm_nt_cols");
-  assert(a.rank() == 2 && bt.rank() == 2 && c.rank() == 2);
-  const int m = a.dim(0), k = a.dim(1), n = bt.dim(0);
-  assert(bt.dim(1) == k && c.dim(0) == m && c.dim(1) == n);
-  gemm_nt_cols(a.data(), bt.data(), c.data(), m, k, n, col_active);
 }
 
 void gemm_nt_rows_acc(const Tensor& a, const Tensor& bt, Tensor& c,
@@ -106,75 +88,6 @@ void gemm_rows_bias(const Tensor& a, const Tensor& b, Tensor& c,
   assert(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n);
   gemm_rows_bias(a.data(), b.data(), c.data(), m, k, n, row_active, bias,
                  relu);
-}
-
-// ---------------------------------------------------------------------------
-// Reference kernels (Tensor wrappers over gemmref::*), for parity tests
-// and before/after benchmarking. Never dispatch to the blocked path.
-// ---------------------------------------------------------------------------
-
-void gemm_ref(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
-  assert(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
-  gemmref::gemm(a.data(), b.data(), c.data(), a.dim(0), a.dim(1), b.dim(1),
-                accumulate);
-}
-
-void gemm_tn_ref(const Tensor& at, const Tensor& b, Tensor& c,
-                 bool accumulate) {
-  assert(at.rank() == 2 && b.rank() == 2 && c.rank() == 2);
-  gemmref::gemm_tn(at.data(), b.data(), c.data(), at.dim(1), at.dim(0),
-                   b.dim(1), accumulate);
-}
-
-void gemm_nt_ref(const Tensor& a, const Tensor& bt, Tensor& c,
-                 bool accumulate) {
-  assert(a.rank() == 2 && bt.rank() == 2 && c.rank() == 2);
-  gemmref::gemm_nt(a.data(), bt.data(), c.data(), a.dim(0), a.dim(1),
-                   bt.dim(0), accumulate);
-}
-
-void gemm_rows_ref(const Tensor& a, const Tensor& b, Tensor& c,
-                   const unsigned char* row_active) {
-  assert(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
-  gemmref::gemm_rows(a.data(), b.data(), c.data(), a.dim(0), a.dim(1),
-                     b.dim(1), row_active);
-}
-
-void gemm_nt_cols_ref(const Tensor& a, const Tensor& bt, Tensor& c,
-                      const unsigned char* col_active) {
-  assert(a.rank() == 2 && bt.rank() == 2 && c.rank() == 2);
-  gemmref::gemm_nt_cols(a.data(), bt.data(), c.data(), a.dim(0), a.dim(1),
-                        bt.dim(0), col_active);
-}
-
-void gemm_nt_rows_acc_ref(const Tensor& a, const Tensor& bt, Tensor& c,
-                          const unsigned char* row_active) {
-  assert(a.rank() == 2 && bt.rank() == 2 && c.rank() == 2);
-  gemmref::gemm_nt_rows_acc(a.data(), bt.data(), c.data(), a.dim(0), a.dim(1),
-                            bt.dim(0), row_active);
-}
-
-void gemm_tn_rows_ref(const Tensor& at, const Tensor& b, Tensor& c,
-                      const unsigned char* k_active) {
-  assert(at.rank() == 2 && b.rank() == 2 && c.rank() == 2);
-  gemmref::gemm_tn_rows(at.data(), b.data(), c.data(), at.dim(1), at.dim(0),
-                        b.dim(1), k_active);
-}
-
-void gemm_nt_cols_bias_ref(const Tensor& a, const Tensor& bt, Tensor& c,
-                           const unsigned char* col_active, const float* bias,
-                           bool relu) {
-  assert(a.rank() == 2 && bt.rank() == 2 && c.rank() == 2);
-  gemmref::gemm_nt_cols_bias(a.data(), bt.data(), c.data(), a.dim(0), a.dim(1),
-                             bt.dim(0), col_active, bias, relu);
-}
-
-void gemm_rows_bias_ref(const Tensor& a, const Tensor& b, Tensor& c,
-                        const unsigned char* row_active, const float* bias,
-                        bool relu) {
-  assert(a.rank() == 2 && b.rank() == 2 && c.rank() == 2);
-  gemmref::gemm_rows_bias(a.data(), b.data(), c.data(), a.dim(0), a.dim(1),
-                          b.dim(1), row_active, bias, relu);
 }
 
 // ---------------------------------------------------------------------------

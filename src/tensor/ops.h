@@ -39,18 +39,6 @@ void gemm_tn(const Tensor& at, const Tensor& b, Tensor& c, bool accumulate = fal
 /// C(MxN) = A(MxK) * Bt^T where Bt is (N x K).
 void gemm_nt(const Tensor& a, const Tensor& bt, Tensor& c, bool accumulate = false);
 
-/// gemm computing only rows `i` of C with row_active[i] != 0; skipped rows
-/// are left untouched (callers pass a zero-initialized C). Used to evaluate
-/// only the units active in the executing subnet.
-void gemm_rows(const Tensor& a, const Tensor& b, Tensor& c,
-               const unsigned char* row_active);
-
-/// gemm_nt computing only columns `j` of C with col_active[j] != 0 (each
-/// column corresponds to one row of Bt, i.e. one output unit of a Dense
-/// layer). Skipped columns are left untouched.
-void gemm_nt_cols(const Tensor& a, const Tensor& bt, Tensor& c,
-                  const unsigned char* col_active);
-
 /// gemm_nt computing only rows `i` of C with row_active[i] != 0 (weight
 /// gradients of active units); always accumulates into C.
 void gemm_nt_rows_acc(const Tensor& a, const Tensor& bt, Tensor& c,
@@ -68,44 +56,20 @@ void gemm_tn_rows(const Tensor& at, const Tensor& b, Tensor& c,
 // passes.
 // ---------------------------------------------------------------------------
 
-/// gemm_nt_cols, then per active column j: C(i,j) += bias[j] (+ ReLU).
+/// gemm_nt computing only columns `j` of C with col_active[j] != 0 (each
+/// column corresponds to one row of Bt, i.e. one output unit of a Dense
+/// layer), then per active column j: C(i,j) += bias[j] (+ ReLU). Skipped
+/// columns are left untouched.
 void gemm_nt_cols_bias(const Tensor& a, const Tensor& bt, Tensor& c,
                        const unsigned char* col_active, const float* bias,
                        bool relu);
 
-/// gemm_rows, then per active row i: C(i,:) += bias[i] (+ ReLU).
+/// gemm computing only rows `i` of C with row_active[i] != 0, then per
+/// active row i: C(i,:) += bias[i] (+ ReLU). Skipped rows are left
+/// untouched.
 void gemm_rows_bias(const Tensor& a, const Tensor& b, Tensor& c,
                     const unsigned char* row_active, const float* bias,
                     bool relu);
-
-// ---------------------------------------------------------------------------
-// Reference GEMM kernels. Same contracts as the kernels above but always
-// running the pre-blocking row-parallel loops (gemmref::* in gemm_kernel.h),
-// regardless of STEPPING_GEMM_BLOCK. The blocked dispatch path is asserted
-// bitwise identical to these by tests/gemm_kernel_test.cc and the bench_ops
-// sweep; they also provide the "before" side of before/after benchmarks.
-// ---------------------------------------------------------------------------
-
-void gemm_ref(const Tensor& a, const Tensor& b, Tensor& c,
-              bool accumulate = false);
-void gemm_tn_ref(const Tensor& at, const Tensor& b, Tensor& c,
-                 bool accumulate = false);
-void gemm_nt_ref(const Tensor& a, const Tensor& bt, Tensor& c,
-                 bool accumulate = false);
-void gemm_rows_ref(const Tensor& a, const Tensor& b, Tensor& c,
-                   const unsigned char* row_active);
-void gemm_nt_cols_ref(const Tensor& a, const Tensor& bt, Tensor& c,
-                      const unsigned char* col_active);
-void gemm_nt_rows_acc_ref(const Tensor& a, const Tensor& bt, Tensor& c,
-                          const unsigned char* row_active);
-void gemm_tn_rows_ref(const Tensor& at, const Tensor& b, Tensor& c,
-                      const unsigned char* k_active);
-void gemm_nt_cols_bias_ref(const Tensor& a, const Tensor& bt, Tensor& c,
-                           const unsigned char* col_active, const float* bias,
-                           bool relu);
-void gemm_rows_bias_ref(const Tensor& a, const Tensor& b, Tensor& c,
-                        const unsigned char* row_active, const float* bias,
-                        bool relu);
 
 // ---------------------------------------------------------------------------
 // Convolution lowering.

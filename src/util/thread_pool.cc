@@ -10,6 +10,7 @@
 
 #include "obs/trace.h"
 #include "util/env.h"
+#include "util/log.h"
 
 namespace stepping {
 
@@ -165,11 +166,22 @@ void ThreadPool::set_global_threads(int threads) {
   global_published().store(global_slot().get(), std::memory_order_release);
 }
 
+int env_thread_count(const char* name, int fallback) {
+  const long env = env_or_int(name, 0);
+  if (env <= 0) return fallback;
+  if (env > kMaxThreads) {
+    LOG_WARN << name << "=" << env << " is above the maximum of "
+             << kMaxThreads << "; using " << kMaxThreads;
+    return kMaxThreads;
+  }
+  return static_cast<int>(env);
+}
+
 int ThreadPool::default_threads() {
-  const long env = env_or_int("STEPPING_THREADS", 0);
-  if (env > 0) return static_cast<int>(env);
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  const int fallback =
+      hw > 0 ? static_cast<int>(std::min<unsigned>(hw, kMaxThreads)) : 1;
+  return env_thread_count("STEPPING_THREADS", fallback);
 }
 
 void parallel_for(std::int64_t begin, std::int64_t end,

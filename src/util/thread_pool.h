@@ -16,7 +16,8 @@
 //    rethrown on the calling thread after all chunks finish.
 //
 // The global pool is sized from the STEPPING_THREADS environment variable,
-// falling back to std::thread::hardware_concurrency().
+// falling back to std::thread::hardware_concurrency(), and never above
+// kMaxThreads.
 #pragma once
 
 #include <condition_variable>
@@ -28,6 +29,15 @@
 #include <vector>
 
 namespace stepping {
+
+/// Upper bound on a thread or worker count taken from outside the program
+/// (STEPPING_THREADS, STEPPING_SERVE_WORKERS, `steppingnet serve --workers`).
+inline constexpr int kMaxThreads = 256;
+
+/// Thread or worker count from the env var `name`: unset, non-numeric or
+/// <= 0 gives `fallback`; a larger value than kMaxThreads, one too large
+/// for an int included, is cut to kMaxThreads with a warning.
+int env_thread_count(const char* name, int fallback);
 
 class ThreadPool {
  public:
@@ -57,7 +67,8 @@ class ThreadPool {
   /// (bench/test knob; callers must not hold kernels in flight).
   static void set_global_threads(int threads);
 
-  /// STEPPING_THREADS env var if set, otherwise hardware_concurrency().
+  /// STEPPING_THREADS env var if set, otherwise hardware_concurrency();
+  /// either way at most kMaxThreads (env_thread_count).
   static int default_threads();
 
  private:

@@ -16,7 +16,8 @@
 // The reference GEMM runs through the dispatcher, so the suite holds at any
 // ISA tier (the CI isa-matrix job re-runs it under each STEPPING_ISA pin);
 // on the tiers without FMA the reference is additionally asserted equal to
-// gemmref::gemm_rows_bias. The effective_weights() tests pin the refresh's
+// the scalar tier's two-rounding reference loop (its fb_gemm_rows_bias
+// slot). The effective_weights() tests pin the refresh's
 // bytes against a per-element loop for Conv2d, Dense and DepthwiseConv2d.
 #include <cmath>
 #include <cstring>
@@ -33,6 +34,7 @@
 #include "obs/metrics.h"
 #include "tensor/gemm_isa.h"
 #include "tensor/gemm_kernel.h"
+#include "tensor/gemm_microkernel.h"
 #include "tensor/ops.h"
 #include "util/thread_pool.h"
 
@@ -44,7 +46,7 @@ constexpr int kLevels = 4;
 class CompactLowering : public ::testing::Test {
  protected:
   void TearDown() override {
-    set_gemm_blocking(env_gemm_blocking());
+    set_gemm_blocking(GemmBlocking{});
     ThreadPool::set_global_threads(ThreadPool::default_threads());
   }
 };
@@ -161,10 +163,10 @@ struct ConvRig {
                      rows.data(), conv.bias().value.data(), false);
       if (!fma) {
         std::vector<float> ref(static_cast<std::size_t>(units) * spatial, 0.0f);
-        gemmref::gemm_rows_bias(w.data(), cols.data(), ref.data(), units,
-                                g.patch(), spatial, rows.data(),
-                                conv.bias().value.data(), false);
-        same_bytes(ref.data(), yi, ref.size(), "gemmref vs dispatcher");
+        microkernel::table_scalar()->fb_gemm_rows_bias(
+            w.data(), cols.data(), ref.data(), units, g.patch(), spatial,
+            rows.data(), conv.bias().value.data(), false);
+        same_bytes(ref.data(), yi, ref.size(), "reference loop vs dispatcher");
       }
     }
     return y;
@@ -234,7 +236,7 @@ void check_rig(ConvRig& rig, const std::string& tag) {
 }
 
 TEST_F(CompactLowering, ConvPathsMatchFullWidthReferenceOverGeometryGrid) {
-  const GemmBlocking blockings[] = {env_gemm_blocking(),
+  const GemmBlocking blockings[] = {GemmBlocking{},
                                     GemmBlocking{8, 16, 24, false, 0, 0}};
   unsigned seed = 1;
   for (const int threads : {1, 4}) {

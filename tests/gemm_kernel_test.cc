@@ -1,20 +1,25 @@
-// Parity grid for the blocked GEMM layer (ISSUE 4, tiered in ISSUE 6):
-// every kernel in the family must be BITWISE identical to its reference
-// loop on the non-FMA tiers (scalar, sse) for every block configuration,
-// every thread count, and shapes that are not multiples of the register
-// tile — and BITWISE STABLE within every supported ISA tier across the
-// same grid. This is the enforcement arm of the determinism contract
-// documented in gemm_kernel.h / gemm_isa.h.
+// Parity grid for the blocked GEMM layer: every kernel in the family must
+// be BITWISE identical to its reference loop (the tier's fallback, reached
+// through GemmBlocking::force_ref) on the non-FMA tiers (scalar, sse) for
+// every block configuration, every thread count, and shapes that are not
+// multiples of the register tile — and BITWISE STABLE within every
+// supported ISA tier across the same grid. This is the enforcement arm of
+// the determinism contract documented in gemm_kernel.h / gemm_isa.h.
 #include "tensor/gemm_kernel.h"
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "models/models.h"
+#include "nn/batchnorm.h"
+#include "nn/sgd.h"
+#include "nn/trainer.h"
 #include "obs/metrics.h"
 #include "tensor/gemm_isa.h"
 #include "tensor/ops.h"
@@ -23,12 +28,12 @@
 namespace stepping {
 namespace {
 
-/// Restores the env-derived blocking, ISA tier and default threads when a
-/// test exits.
+/// Restores the default blocking, the env-derived ISA tier and default
+/// threads when a test exits.
 class GemmBlockedParity : public ::testing::Test {
  protected:
   void TearDown() override {
-    set_gemm_blocking(env_gemm_blocking());
+    set_gemm_blocking(GemmBlocking{});
     set_isa_tier(env_isa_tier());
     ThreadPool::set_global_threads(ThreadPool::default_threads());
   }
@@ -90,63 +95,80 @@ struct Shape {
   int m, k, n;
 };
 
-/// Runs all seven kernels on one shape and compares against the *_ref
-/// wrappers element-for-element, byte-for-byte.
-void check_shape(const Shape& s, const std::string& ctx) {
+/// Names of run_family's outputs, in order.
+const char* const kFamilyNames[] = {
+    "gemm", "gemm acc", "gemm_tn", "gemm_nt", "gemm_rows_bias",
+    "gemm_rows_bias relu", "gemm_nt_cols_bias", "gemm_nt_cols_bias relu",
+    "gemm_nt_rows_acc", "gemm_tn_rows"};
+
+/// Every kernel (plus the accumulating flavor, and each fused epilogue with
+/// and without ReLU) on one shape through the dispatching path, outputs
+/// collected for cross-run comparison.
+std::vector<Tensor> run_family(const Shape& s) {
   const Tensor a = make_operand(s.m, s.k, 11);
   const Tensor b = make_operand(s.k, s.n, 22);
   const Tensor at = make_operand(s.k, s.m, 33);
   const Tensor bt = make_operand(s.n, s.k, 44);
+  const Tensor c0 = make_operand(s.m, s.n, 55);
+  const Tensor row_bias = make_operand(1, s.m, 66);
+  const Tensor col_bias = make_operand(1, s.n, 77);
   const auto row_mask = make_mask(s.m, 3, 1);
   const auto col_mask = make_mask(s.n, 2, 1);
   const auto k_mask = make_mask(s.k, 4, 1);
-  const std::string tag = ctx + " m=" + std::to_string(s.m) +
+
+  std::vector<Tensor> out;
+  Tensor c({s.m, s.n});
+  gemm(a, b, c);
+  out.push_back(c);
+  c = c0;
+  gemm(a, b, c, /*accumulate=*/true);
+  out.push_back(c);
+  gemm_tn(at, b, c);
+  out.push_back(c);
+  gemm_nt(a, bt, c);
+  out.push_back(c);
+  for (const bool relu : {false, true}) {
+    c.zero();
+    gemm_rows_bias(a, b, c, row_mask.data(), row_bias.data(), relu);
+    out.push_back(c);
+  }
+  for (const bool relu : {false, true}) {
+    c.zero();
+    gemm_nt_cols_bias(a, bt, c, col_mask.data(), col_bias.data(), relu);
+    out.push_back(c);
+  }
+  c = c0;
+  gemm_nt_rows_acc(a, bt, c, row_mask.data());
+  out.push_back(c);
+  gemm_tn_rows(at, b, c, k_mask.data());
+  out.push_back(c);
+  return out;
+}
+
+void expect_family_equal(const std::vector<Tensor>& want,
+                         const std::vector<Tensor>& got,
+                         const std::string& tag) {
+  ASSERT_EQ(want.size(), std::size(kFamilyNames));
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(want[i], got[i],
+                              std::string(kFamilyNames[i]) + " " + tag));
+  }
+}
+
+/// Runs the family on one shape through the reference loops (force_ref)
+/// and through the current blocking, and compares them byte for byte.
+void check_shape(const Shape& s, const std::string& ctx) {
+  const GemmBlocking cfg = gemm_blocking();
+  GemmBlocking ref_cfg;
+  ref_cfg.force_ref = true;
+  set_gemm_blocking(ref_cfg);
+  const std::vector<Tensor> want = run_family(s);
+  set_gemm_blocking(cfg);
+  expect_family_equal(want, run_family(s),
+                      ctx + " m=" + std::to_string(s.m) +
                           " k=" + std::to_string(s.k) +
-                          " n=" + std::to_string(s.n);
-
-  Tensor c_ref({s.m, s.n}), c_blk({s.m, s.n});
-
-  gemm_ref(a, b, c_ref);
-  gemm(a, b, c_blk);
-  EXPECT_TRUE(bitwise_equal(c_ref, c_blk, "gemm " + tag));
-
-  // Accumulating flavor on top of a nonzero C.
-  Tensor c0 = make_operand(s.m, s.n, 55);
-  c_ref = c0;
-  c_blk = c0;
-  gemm_ref(a, b, c_ref, /*accumulate=*/true);
-  gemm(a, b, c_blk, /*accumulate=*/true);
-  EXPECT_TRUE(bitwise_equal(c_ref, c_blk, "gemm acc " + tag));
-
-  gemm_tn_ref(at, b, c_ref);
-  gemm_tn(at, b, c_blk);
-  EXPECT_TRUE(bitwise_equal(c_ref, c_blk, "gemm_tn " + tag));
-
-  gemm_nt_ref(a, bt, c_ref);
-  gemm_nt(a, bt, c_blk);
-  EXPECT_TRUE(bitwise_equal(c_ref, c_blk, "gemm_nt " + tag));
-
-  c_ref.zero();
-  c_blk.zero();
-  gemm_rows_ref(a, b, c_ref, row_mask.data());
-  gemm_rows(a, b, c_blk, row_mask.data());
-  EXPECT_TRUE(bitwise_equal(c_ref, c_blk, "gemm_rows " + tag));
-
-  c_ref.zero();
-  c_blk.zero();
-  gemm_nt_cols_ref(a, bt, c_ref, col_mask.data());
-  gemm_nt_cols(a, bt, c_blk, col_mask.data());
-  EXPECT_TRUE(bitwise_equal(c_ref, c_blk, "gemm_nt_cols " + tag));
-
-  c_ref = c0;
-  c_blk = c0;
-  gemm_nt_rows_acc_ref(a, bt, c_ref, row_mask.data());
-  gemm_nt_rows_acc(a, bt, c_blk, row_mask.data());
-  EXPECT_TRUE(bitwise_equal(c_ref, c_blk, "gemm_nt_rows_acc " + tag));
-
-  gemm_tn_rows_ref(at, b, c_ref, k_mask.data());
-  gemm_tn_rows(at, b, c_blk, k_mask.data());
-  EXPECT_TRUE(bitwise_equal(c_ref, c_blk, "gemm_tn_rows " + tag));
+                          " n=" + std::to_string(s.n));
 }
 
 const Shape kOddShapes[] = {
@@ -183,43 +205,6 @@ TEST_F(GemmBlockedParity, GridOverBlockingsThreadsAndOddShapes) {
   }
 }
 
-/// All seven kernels (plus the accumulating flavor) on one shape through
-/// the dispatching path, outputs collected for cross-run comparison.
-std::vector<Tensor> run_family(const Shape& s) {
-  const Tensor a = make_operand(s.m, s.k, 11);
-  const Tensor b = make_operand(s.k, s.n, 22);
-  const Tensor at = make_operand(s.k, s.m, 33);
-  const Tensor bt = make_operand(s.n, s.k, 44);
-  const Tensor c0 = make_operand(s.m, s.n, 55);
-  const auto row_mask = make_mask(s.m, 3, 1);
-  const auto col_mask = make_mask(s.n, 2, 1);
-  const auto k_mask = make_mask(s.k, 4, 1);
-
-  std::vector<Tensor> out;
-  Tensor c({s.m, s.n});
-  gemm(a, b, c);
-  out.push_back(c);
-  c = c0;
-  gemm(a, b, c, /*accumulate=*/true);
-  out.push_back(c);
-  gemm_tn(at, b, c);
-  out.push_back(c);
-  gemm_nt(a, bt, c);
-  out.push_back(c);
-  c.zero();
-  gemm_rows(a, b, c, row_mask.data());
-  out.push_back(c);
-  c.zero();
-  gemm_nt_cols(a, bt, c, col_mask.data());
-  out.push_back(c);
-  c = c0;
-  gemm_nt_rows_acc(a, bt, c, row_mask.data());
-  out.push_back(c);
-  gemm_tn_rows(at, b, c, k_mask.data());
-  out.push_back(c);
-  return out;
-}
-
 TEST_F(GemmBlockedParity, TierSweepBitwiseStableWithinEachTier) {
   // Within one ISA tier, bits must not move for ANY blocking or thread
   // count — including the FMA tiers, whose values differ from the
@@ -237,18 +222,13 @@ TEST_F(GemmBlockedParity, TierSweepBitwiseStableWithinEachTier) {
         set_gemm_blocking(cfg);
         for (const int threads : {1, 2, 4}) {
           ThreadPool::set_global_threads(threads);
-          const std::vector<Tensor> got = run_family(s);
-          ASSERT_EQ(base.size(), got.size());
-          for (std::size_t i = 0; i < base.size(); ++i) {
-            EXPECT_TRUE(bitwise_equal(
-                base[i], got[i],
-                "tier=" + tname + " kernel#" + std::to_string(i) + " m=" +
-                    std::to_string(s.m) + " k=" + std::to_string(s.k) +
-                    " n=" + std::to_string(s.n) + " blocking=" +
-                    std::to_string(cfg.mc) + "x" + std::to_string(cfg.kc) +
-                    "x" + std::to_string(cfg.nc) +
-                    " threads=" + std::to_string(threads)));
-          }
+          expect_family_equal(
+              base, run_family(s),
+              "tier=" + tname + " m=" + std::to_string(s.m) +
+                  " k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
+                  " blocking=" + std::to_string(cfg.mc) + "x" +
+                  std::to_string(cfg.kc) + "x" + std::to_string(cfg.nc) +
+                  " threads=" + std::to_string(threads));
         }
       }
     }
@@ -270,15 +250,10 @@ TEST_F(GemmBlockedParity, FallbackMatchesBlockedBitwiseAtEveryTier) {
       set_gemm_blocking(ref_cfg);
       const std::vector<Tensor> via_fallback = run_family(s);
       set_gemm_blocking(kBlockingGrid[2]);  // forced blocked, panel pairs
-      const std::vector<Tensor> via_blocked = run_family(s);
-      ASSERT_EQ(via_fallback.size(), via_blocked.size());
-      for (std::size_t i = 0; i < via_fallback.size(); ++i) {
-        EXPECT_TRUE(bitwise_equal(
-            via_fallback[i], via_blocked[i],
-            "tier=" + tname + " kernel#" + std::to_string(i) +
-                " m=" + std::to_string(s.m) + " k=" + std::to_string(s.k) +
-                " n=" + std::to_string(s.n)));
-      }
+      expect_family_equal(via_fallback, run_family(s),
+                          "tier=" + tname + " m=" + std::to_string(s.m) +
+                              " k=" + std::to_string(s.k) +
+                              " n=" + std::to_string(s.n));
     }
   }
 }
@@ -343,9 +318,12 @@ TEST_F(GemmBlockedParity, IsaTierSelectionParsesAndClamps) {
 }
 
 TEST_F(GemmBlockedParity, ForceRefRoutesEverythingToReference) {
-  // check_shape compares against gemmref, which only the non-FMA tiers'
-  // fallbacks alias; the counter assertions are tier-independent.
+  // A shape the default blocking sends to the blocked path: under force_ref
+  // every kernel takes the tier's fallback loops instead, and the two
+  // routes agree byte for byte. The counter assertions are tier-independent.
   set_isa_tier(widest_nonfma_tier());
+  const Shape s{64, 64, 64};
+  ASSERT_TRUE(gemm_uses_blocked(s.m, s.k, s.n, GemmBlocking{}));
   GemmBlocking cfg;
   cfg.force_ref = true;
   set_gemm_blocking(cfg);
@@ -355,9 +333,12 @@ TEST_F(GemmBlockedParity, ForceRefRoutesEverythingToReference) {
       obs::Registry::global().counter("stepping_gemm_ref_total");
   const std::uint64_t blocked_before = blocked.value();
   const std::uint64_t ref_before = ref.value();
-  check_shape({64, 64, 64}, "force_ref");
+  const std::vector<Tensor> via_ref = run_family(s);
   EXPECT_EQ(blocked.value(), blocked_before);
-  EXPECT_GT(ref.value(), ref_before);
+  EXPECT_EQ(ref.value(), ref_before + via_ref.size());
+  set_gemm_blocking(GemmBlocking{});
+  expect_family_equal(via_ref, run_family(s), "force_ref vs blocked");
+  EXPECT_GT(blocked.value(), blocked_before);
 }
 
 TEST_F(GemmBlockedParity, DispatchCountersTrackBlockedCalls) {
@@ -389,21 +370,89 @@ TEST_F(GemmBlockedParity, SmallShapesFallBackToReference) {
   check_shape({2, 3, 2}, "fallback");
 }
 
-TEST_F(GemmBlockedParity, EnvParsingAcceptsSizesAndRefKeyword) {
-  // env_gemm_blocking reads the ambient STEPPING_GEMM_BLOCK which isn't set
-  // in tests; the parse itself is covered via set_gemm_blocking round trips
-  // plus the documented default.
+TEST_F(GemmBlockedParity, DefaultBlockingAndOverrideRoundTrip) {
+  // Without an override the dispatcher runs the documented defaults, and
+  // set_gemm_blocking round-trips every field.
   const GemmBlocking dflt;
   EXPECT_EQ(dflt.mc, 64);
   EXPECT_EQ(dflt.kc, 256);
   EXPECT_EQ(dflt.nc, 1024);
   EXPECT_FALSE(dflt.force_ref);
-  GemmBlocking cfg{7, 9, 24, false, 0, 0};
+  const GemmBlocking cur = gemm_blocking();
+  EXPECT_EQ(cur.mc, dflt.mc);
+  EXPECT_EQ(cur.kc, dflt.kc);
+  EXPECT_EQ(cur.nc, dflt.nc);
+  EXPECT_EQ(cur.force_ref, dflt.force_ref);
+  EXPECT_EQ(cur.min_macs, dflt.min_macs);
+  EXPECT_EQ(cur.min_k, dflt.min_k);
+  GemmBlocking cfg{7, 9, 24, true, 5, 3};
   set_gemm_blocking(cfg);
   const GemmBlocking got = gemm_blocking();
   EXPECT_EQ(got.mc, 7);
   EXPECT_EQ(got.kc, 9);
   EXPECT_EQ(got.nc, 24);
+  EXPECT_TRUE(got.force_ref);
+  EXPECT_EQ(got.min_macs, 5);
+  EXPECT_EQ(got.min_k, 3);
+}
+
+/// Every parameter value and BatchNorm running statistic of `net`, in layer
+/// order.
+std::vector<Tensor> trained_state(Network& net) {
+  std::vector<Tensor> out;
+  for (Param* p : net.params()) out.push_back(p->value);
+  for (Layer* l : net.layer_ptrs()) {
+    if (const auto* bn = dynamic_cast<const BatchNorm2d*>(l)) {
+      out.push_back(bn->running_mean());
+      out.push_back(bn->running_var());
+    }
+  }
+  return out;
+}
+
+/// Three SGD steps (training forward, softmax cross-entropy, backward,
+/// update) of a freshly built model at width 0.25 on one batch of four.
+std::vector<Tensor> train_three_steps(const std::string& model) {
+  const ModelConfig mc{.classes = 10, .width_mult = 0.25, .seed = 3};
+  Network net = build_model(model, mc);
+  Rng rng(9);
+  Tensor x({4, 3, 32, 32});
+  fill_normal(x, 0.0f, 1.0f, rng);
+  const std::vector<int> labels = {1, 7, 3, 0};
+  Sgd sgd({.lr = 0.05, .momentum = 0.9, .weight_decay = 5e-4});
+  SubnetContext ctx;
+  ctx.training = true;
+  for (int step = 0; step < 3; ++step) train_batch(net, sgd, x, labels, ctx);
+  return trained_state(net);
+}
+
+TEST_F(GemmBlockedParity, TrainingStepsMatchUnderForcedFallback) {
+  // End to end, the route a GEMM takes must not move a trained bit: the
+  // same steps through the default blocking (which sends the conv
+  // backward's GEMMs to the blocked path) and with every GEMM forced onto
+  // the tier's fallback loops leave every parameter and BatchNorm
+  // statistic memcmp-equal.
+  obs::Counter& blocked =
+      obs::Registry::global().counter("stepping_gemm_blocked_total");
+  for (const IsaTier tier : supported_tiers()) {
+    set_isa_tier(tier);
+    for (const std::string model : {"lenet3c1l", "lenet5"}) {
+      const std::string tag = model + " tier=" + isa_tier_name(tier);
+      set_gemm_blocking(GemmBlocking{});
+      const std::uint64_t blocked_before = blocked.value();
+      const std::vector<Tensor> via_default = train_three_steps(model);
+      EXPECT_GT(blocked.value(), blocked_before) << tag;
+      GemmBlocking ref_cfg;
+      ref_cfg.force_ref = true;
+      set_gemm_blocking(ref_cfg);
+      const std::vector<Tensor> via_fallback = train_three_steps(model);
+      ASSERT_EQ(via_default.size(), via_fallback.size()) << tag;
+      for (std::size_t i = 0; i < via_default.size(); ++i) {
+        EXPECT_TRUE(bitwise_equal(via_default[i], via_fallback[i],
+                                  tag + " state#" + std::to_string(i)));
+      }
+    }
+  }
 }
 
 }  // namespace

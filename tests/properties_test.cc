@@ -208,8 +208,11 @@ TEST_P(MaskedGemm, GemmRowsEqualsGemmWithZeroedRows) {
   std::vector<unsigned char> active(static_cast<std::size_t>(m));
   for (auto& v : active) v = rng.bernoulli(0.6) ? 1 : 0;
 
+  std::vector<float> bias(static_cast<std::size_t>(m));
+  for (auto& v : bias) v = static_cast<float>(rng.normal(0.0, 1.0));
+
   Tensor c_masked({m, n});
-  gemm_rows(a, b, c_masked, active.data());
+  gemm_rows_bias(a, b, c_masked, active.data(), bias.data(), /*relu=*/false);
 
   Tensor a_zeroed = a;
   for (int i = 0; i < m; ++i) {
@@ -219,8 +222,13 @@ TEST_P(MaskedGemm, GemmRowsEqualsGemmWithZeroedRows) {
   }
   Tensor c_full({m, n});
   gemm(a_zeroed, b, c_full);
-  for (std::int64_t i = 0; i < c_full.numel(); ++i) {
-    EXPECT_EQ(c_masked[i], c_full[i]);
+  for (int i = 0; i < m; ++i) {
+    const bool on = active[static_cast<std::size_t>(i)] != 0;
+    for (int j = 0; j < n; ++j) {
+      EXPECT_EQ(c_masked.at(i, j),
+                on ? c_full.at(i, j) + bias[static_cast<std::size_t>(i)]
+                   : c_full.at(i, j));
+    }
   }
 }
 
@@ -233,15 +241,20 @@ TEST_P(MaskedGemm, GemmNtColsEqualsGemmNtWithZeroedRows) {
   std::vector<unsigned char> active(static_cast<std::size_t>(n));
   for (auto& v : active) v = rng.bernoulli(0.6) ? 1 : 0;
 
+  std::vector<float> bias(static_cast<std::size_t>(n));
+  for (auto& v : bias) v = static_cast<float>(rng.normal(0.0, 1.0));
+
   Tensor c_masked({m, n});
-  gemm_nt_cols(a, bt, c_masked, active.data());
+  gemm_nt_cols_bias(a, bt, c_masked, active.data(), bias.data(),
+                    /*relu=*/false);
 
   Tensor c_full({m, n});
   gemm_nt(a, bt, c_full);
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       if (active[static_cast<std::size_t>(j)]) {
-        EXPECT_EQ(c_masked.at(i, j), c_full.at(i, j));
+        EXPECT_EQ(c_masked.at(i, j),
+                  c_full.at(i, j) + bias[static_cast<std::size_t>(j)]);
       } else {
         EXPECT_EQ(c_masked.at(i, j), 0.0f);
       }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -21,6 +22,7 @@
 #include "serve/planner.h"
 #include "serve/server.h"
 #include "tensor/ops.h"
+#include "util/thread_pool.h"
 
 namespace stepping::serve {
 namespace {
@@ -425,6 +427,80 @@ TEST(ServeServer, MetricsJsonReflectsRegistryAndReuseSavings) {
 }
 
 // ---------------------------------------------------------------------------
+// Accounting: what each request is told it cost adds up to what the server
+// counted, over every way a request stops refining.
+// ---------------------------------------------------------------------------
+
+TEST(ServeAccounting, PerRequestCountsSumToServerCounters) {
+  Network net = nested_net();
+  for (const bool reuse : {true, false}) {
+    ServeConfig cfg = base_config(/*workers=*/2, reuse);
+    cfg.stream = 1;
+    cfg.admit = AdmitPolicy::kOff;
+    cfg.confidence_threshold = 0.3;
+    Server server(net, cfg);
+    const Planner& planner = server.planner();
+    const double deadlines_ms[] = {0.0, 0.2, 1.5, 50.0};
+    // Two camera streams: each round moves a few pixels of the last frame.
+    Tensor frames[2] = {random_input(700), random_input(701)};
+    std::vector<ServedResult> results;
+    for (int round = 0; round < 4; ++round) {
+      std::vector<std::future<ServedResult>> futures;
+      for (int s = 0; s < 2; ++s) {
+        Tensor& frame = frames[s];
+        if (round > 0) frame.at(0, s, 3 * round, 2 * round + s) += 1.0f;
+        Request req;
+        req.input = frame;
+        req.stream_id = static_cast<std::uint64_t>(s + 1);
+        req.deadline_ms = deadlines_ms[(round + s) % 4];
+        futures.push_back(server.submit(std::move(req)));
+      }
+      for (int i = 0; i < 8; ++i) {
+        Request req;
+        req.input = random_input(800 + static_cast<std::uint64_t>(round * 8 + i));
+        req.deadline_ms = deadlines_ms[i % 4];
+        req.mac_budget =
+            i % 3 == 0 ? 0 : budget_for_exit(planner, 1 + (i + round) % 3, reuse);
+        futures.push_back(server.submit(std::move(req)));
+      }
+      for (auto& f : futures) results.push_back(f.get());
+    }
+
+    std::uint64_t macs = 0;
+    std::uint64_t steps = 0;
+    for (const ServedResult& r : results) {
+      macs += static_cast<std::uint64_t>(r.macs);
+      steps += r.steps.size();
+    }
+    const CounterSnapshot snap = server.counters();
+    const std::string tag = reuse ? "reuse" : "no reuse";
+    EXPECT_EQ(snap.completed, results.size()) << tag;
+    EXPECT_EQ(snap.failed, 0u) << tag;
+    EXPECT_EQ(macs, server.metrics().counter("serve_macs_total").value())
+        << tag;
+    EXPECT_EQ(steps, server.metrics().counter("serve_pass_rows_total").value())
+        << tag;
+    EXPECT_EQ(snap.pass_rows, steps) << tag;
+    EXPECT_EQ(std::accumulate(snap.exits_per_subnet.begin(),
+                              snap.exits_per_subnet.end(), std::uint64_t{0}),
+              snap.completed)
+        << tag;
+    EXPECT_EQ(std::accumulate(snap.step_passes_per_subnet.begin(),
+                              snap.step_passes_per_subnet.end(),
+                              std::uint64_t{0}),
+              snap.passes)
+        << tag;
+    // The mix took both serving routes and stopped at more than one level.
+    EXPECT_EQ(server.metrics().counter("serve_stream_frames_total").value(),
+              8u)
+        << tag;
+    int exit_levels = 0;
+    for (const std::uint64_t e : snap.exits_per_subnet) exit_levels += e > 0;
+    EXPECT_GE(exit_levels, 2) << tag;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // One served precision: every ServeConfig::precision serves the fp32 ladder.
 // ---------------------------------------------------------------------------
 
@@ -474,6 +550,27 @@ TEST(ServeQuant, EveryPrecisionServesTheFp32Ladder) {
     // No int8 operand was packed, at start-up or while serving.
     EXPECT_EQ(packs.value(), packs_before);
   }
+}
+
+// A count from STEPPING_SERVE_WORKERS is bounded like STEPPING_THREADS:
+// at most kMaxThreads workers (and network replicas), and no wrap through
+// the int conversion. Only the resolver runs; no server is built.
+TEST(ServeServer, DefaultWorkersBoundsTheEnvCount) {
+  const char* saved = std::getenv("STEPPING_SERVE_WORKERS");
+  const std::string saved_val = saved ? saved : "";
+  const struct {
+    const char* value;
+    int want;
+  } cases[] = {{"0", 1},          {"-5", 1},          {"3", 3},
+               {"256", 256},      {"257", 256},       {"100000", 256},
+               {"2147483648", 256}, {"4294967297", 256}};
+  for (const auto& c : cases) {
+    ::setenv("STEPPING_SERVE_WORKERS", c.value, 1);
+    EXPECT_EQ(Server::default_workers(), c.want) << c.value;
+  }
+  ::unsetenv("STEPPING_SERVE_WORKERS");
+  EXPECT_EQ(Server::default_workers(), 1);
+  if (saved) ::setenv("STEPPING_SERVE_WORKERS", saved_val.c_str(), 1);
 }
 
 TEST(ServeServer, ThreeDInputIsNormalized) {

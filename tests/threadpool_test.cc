@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -128,6 +129,35 @@ TEST(ThreadPool, GlobalPoolResizes) {
   ThreadPool::set_global_threads(ThreadPool::default_threads());
 }
 
+// A count from STEPPING_THREADS is bounded: however large, it asks for at
+// most kMaxThreads threads, and none wraps through the int conversion.
+// Only the resolver runs; no pool of that size is built.
+TEST(ThreadPool, DefaultThreadsBoundsTheEnvCount) {
+  const char* saved = std::getenv("STEPPING_THREADS");
+  const std::string saved_val = saved ? saved : "";
+  ::unsetenv("STEPPING_THREADS");
+  const int hw_default = ThreadPool::default_threads();
+  EXPECT_GE(hw_default, 1);
+  EXPECT_LE(hw_default, kMaxThreads);
+  const struct {
+    const char* value;
+    int want;
+  } cases[] = {{"0", hw_default},     {"-5", hw_default},
+               {"3", 3},              {"256", 256},
+               {"257", 256},          {"100000", 256},
+               {"2147483648", 256},   {"4294967297", 256},
+               {"99999999999999999999999", 256}};
+  for (const auto& c : cases) {
+    ::setenv("STEPPING_THREADS", c.value, 1);
+    EXPECT_EQ(ThreadPool::default_threads(), c.want) << c.value;
+  }
+  if (saved) {
+    ::setenv("STEPPING_THREADS", saved_val.c_str(), 1);
+  } else {
+    ::unsetenv("STEPPING_THREADS");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bitwise parity: every parallel kernel vs its serial execution.
 // ---------------------------------------------------------------------------
@@ -196,6 +226,8 @@ TEST_F(ParallelKernelParity, GemmFamilyMatchesSerialBitwise) {
     const auto row_mask = random_mask(m, rng);
     const auto col_mask = random_mask(n, rng);
     const auto k_mask = random_mask(k, rng);
+    const Tensor row_bias = random_tensor({m}, rng);
+    const Tensor col_bias = random_tensor({n}, rng);
 
     check_parity("gemm", c0,
                  [&](Tensor& c) { gemm(a, b, c, /*accumulate=*/true); });
@@ -203,10 +235,12 @@ TEST_F(ParallelKernelParity, GemmFamilyMatchesSerialBitwise) {
                  [&](Tensor& c) { gemm_tn(at, b, c, /*accumulate=*/true); });
     check_parity("gemm_nt", c0,
                  [&](Tensor& c) { gemm_nt(a, bt, c, /*accumulate=*/true); });
-    check_parity("gemm_rows", c0,
-                 [&](Tensor& c) { gemm_rows(a, b, c, row_mask.data()); });
-    check_parity("gemm_nt_cols", c0,
-                 [&](Tensor& c) { gemm_nt_cols(a, bt, c, col_mask.data()); });
+    check_parity("gemm_rows_bias", c0, [&](Tensor& c) {
+      gemm_rows_bias(a, b, c, row_mask.data(), row_bias.data(), true);
+    });
+    check_parity("gemm_nt_cols_bias", c0, [&](Tensor& c) {
+      gemm_nt_cols_bias(a, bt, c, col_mask.data(), col_bias.data(), true);
+    });
     check_parity("gemm_nt_rows_acc", c0, [&](Tensor& c) {
       gemm_nt_rows_acc(a, bt, c, row_mask.data());
     });
@@ -222,9 +256,10 @@ TEST_F(ParallelKernelParity, MaskedRowsAreLeftUntouchedUnderParallelism) {
   const Tensor b = random_tensor({k, n}, rng);
   const auto mask = random_mask(m, rng);
   const Tensor sentinel = random_tensor({m, n}, rng);
+  const Tensor bias = random_tensor({m}, rng);
   ThreadPool::set_global_threads(4);
   Tensor c = sentinel;
-  gemm_rows(a, b, c, mask.data());
+  gemm_rows_bias(a, b, c, mask.data(), bias.data(), /*relu=*/false);
   for (int i = 0; i < m; ++i) {
     if (mask[static_cast<std::size_t>(i)]) continue;
     ASSERT_EQ(0, std::memcmp(c.data() + static_cast<std::size_t>(i) * n,

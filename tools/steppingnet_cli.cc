@@ -39,6 +39,7 @@
 #include "util/cli.h"
 #include "util/log.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 using namespace stepping;
 
@@ -71,7 +72,7 @@ eval / info / latency / serve:
 
 serve:
   --port P            TCP port on 127.0.0.1, 0 = ephemeral (default 0)
-  --workers N         worker threads, 0 = STEPPING_SERVE_WORKERS/1 (default 0)
+  --workers N         worker threads, 0..256, 0 = STEPPING_SERVE_WORKERS/1 (default 0)
   --batch B           micro-batch size per worker       (default 4)
   --confidence T      early-exit top-1 gate, 0 = off    (default 0)
   --mac-budget M      default per-request MAC budget, 0 = unlimited
@@ -335,13 +336,19 @@ int cmd_serve(const CliArgs& args) {
     LOG_ERROR << "--precision is an eval flag; serve always serves fp32";
     return 2;
   }
+  const long workers = args.get_int("workers", 0);
+  if (workers < 0 || workers > kMaxThreads) {
+    LOG_ERROR << "--workers must be 0.." << kMaxThreads << " (got "
+              << workers << ")";
+    return 2;
+  }
   const CommonConfig c = common_config(args);
   Network net;
   if (const int rc = load_model(args, c, net)) return rc;
 
   serve::ServeConfig cfg;
   cfg.max_subnet = c.subnets;
-  cfg.num_workers = static_cast<int>(args.get_int("workers", 0));
+  cfg.num_workers = static_cast<int>(workers);
   cfg.max_batch = static_cast<int>(args.get_int("batch", 4));
   cfg.confidence_threshold = args.get_double("confidence", 0.0);
   cfg.default_mac_budget = args.get_int("mac-budget", 0);
