@@ -14,9 +14,14 @@
 // paths report, and wall-clock per-frame latency is measured for each. A
 // final section drives the serve path (STEPPING_STREAM=exact semantics via
 // ServeConfig::stream) with the same scenes to time the end-to-end frame
-// loop. Results go to BENCH_stream.json; the summary line prints
+// loop. Every stream's frame is submitted at once, so a worker serves the
+// frames it pops together as one batched delta pass, each stream with its
+// own dirty rectangle; each served frame's logits are memcmp'd against a
+// direct forward and its MACs must equal the stream path's for the same
+// (stream, frame). Results go to BENCH_stream.json; the summary line prints
 // `bitwise=ok` for CI to grep, and the process exits non-zero if bitwise
-// parity fails or the MAC reduction falls below the 30% acceptance gate.
+// parity (either path's) fails or the MAC reduction falls below the 30%
+// acceptance gate.
 //
 // Honours STEPPING_SCALE (quick|full|paper) for stream/frame counts.
 #include <algorithm>
@@ -146,6 +151,9 @@ int run(const StreamBenchConfig& c) {
     states.push_back(std::make_unique<stream::StreamState>());
   }
   const std::int64_t full_frame_macs = subnet_macs(net, level);
+  // The stream path's MACs per (frame, stream), which the serve path must
+  // match frame for frame.
+  std::vector<std::int64_t> stream_macs;
   for (int f = 0; f < frames; ++f) {
     for (int s = 0; s < streams; ++s) {
       const Tensor x = scene_frame(bases[static_cast<std::size_t>(s)],
@@ -163,6 +171,7 @@ int run(const StreamBenchConfig& c) {
           net, *states[static_cast<std::size_t>(s)], x, level, scfg, sig);
       stream_stats.frame_ms.push_back(ts.milliseconds());
       stream_stats.total_macs += r.macs;
+      stream_macs.push_back(r.macs);
       ++stream_stats.frames;
       dirty_tiles += r.dirty_tiles;
       total_tiles += r.total_tiles;
@@ -182,7 +191,6 @@ int run(const StreamBenchConfig& c) {
           ? 100.0 * (1.0 - stream_stats.macs_per_frame() /
                                full_stats.macs_per_frame())
           : 0.0;
-  const bool bitwise_ok = mismatches == 0;
   std::printf(
       "full    macs/frame=%.0f  p50=%.3fms p99=%.3fms\n",
       full_stats.macs_per_frame(), percentile(full_stats.frame_ms, 0.50),
@@ -202,6 +210,7 @@ int run(const StreamBenchConfig& c) {
   // one stream are submitted in order (one in flight per stream).
   double serve_p50 = 0.0, serve_p99 = 0.0;
   std::uint64_t serve_saved = 0;
+  long serve_mismatches = 0;
   {
     serve::ServeConfig cfg;
     cfg.max_subnet = c.subnets;
@@ -220,17 +229,36 @@ int run(const StreamBenchConfig& c) {
         req.stream_id = static_cast<std::uint64_t>(s + 1);
         futs.push_back(server.submit(std::move(req)));
       }
-      for (auto& fu : futs) ms.push_back(fu.get().final_ms);
+      for (int s = 0; s < streams; ++s) {
+        const serve::ServedResult res =
+            futs[static_cast<std::size_t>(s)].get();
+        ms.push_back(res.final_ms);
+        SubnetContext ctx;
+        ctx.subnet_id = res.exit_subnet;
+        const Tensor direct = ref.forward(
+            scene_frame(bases[static_cast<std::size_t>(s)], c.patch, f + s),
+            ctx);
+        if (res.exit_subnet != level || res.logits.shape() != direct.shape() ||
+            std::memcmp(res.logits.data(), direct.data(),
+                        sizeof(float) *
+                            static_cast<std::size_t>(direct.numel())) != 0 ||
+            res.macs != stream_macs[static_cast<std::size_t>(f * streams + s)]) {
+          ++serve_mismatches;
+        }
+      }
     }
     server.shutdown();
     serve_p50 = percentile(ms, 0.50);
     serve_p99 = percentile(ms, 0.99);
     serve_saved =
         server.metrics().counter("serve_stream_macs_saved_total").value();
-    std::printf("serve   frames=%zu  p50=%.3fms p99=%.3fms  macs_saved=%llu\n",
-                ms.size(), serve_p50, serve_p99,
-                static_cast<unsigned long long>(serve_saved));
+    std::printf(
+        "serve   frames=%zu  p50=%.3fms p99=%.3fms  macs_saved=%llu  "
+        "mismatches=%ld\n",
+        ms.size(), serve_p50, serve_p99,
+        static_cast<unsigned long long>(serve_saved), serve_mismatches);
   }
+  const bool bitwise_ok = mismatches == 0 && serve_mismatches == 0;
 
   if (std::FILE* f = std::fopen("BENCH_stream.json", "w")) {
     std::fprintf(
@@ -262,10 +290,12 @@ int run(const StreamBenchConfig& c) {
     std::printf("wrote BENCH_stream.json\n");
   }
 
-  // The acceptance gate (ISSUE 10): exact mode must be bitwise identical
-  // AND cut at least 30% of MACs/frame on the drifting-scene workload.
+  // The acceptance gate: exact mode must be bitwise identical, on the
+  // stream path and on every served frame, AND cut at least 30% of
+  // MACs/frame on the drifting-scene workload.
   std::printf("stream summary: reduction=%.1f%% mismatches=%ld bitwise=%s\n",
-              reduction, mismatches, bitwise_ok ? "ok" : "FAIL");
+              reduction, mismatches + serve_mismatches,
+              bitwise_ok ? "ok" : "FAIL");
   if (!bitwise_ok) return 1;
   if (reduction < 30.0) {
     std::fprintf(stderr, "bench_stream: reduction %.1f%% below the 30%% gate\n",

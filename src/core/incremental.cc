@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 #include "core/macs.h"
@@ -84,38 +85,96 @@ SpatialRegion diff_tiles(const std::vector<std::uint64_t>& prev,
   return r.clipped(h, w);
 }
 
-/// The delta pass at st.level for the new input x, whose dirty input region
-/// is `region`. Region tracking stops at the first flat output (Flatten /
-/// Dense): from there the whole activation counts as dirty. Returns the
-/// analytic MACs executed.
-std::int64_t delta_pass(Network& net, LadderState& st, const Tensor& x,
-                        SpatialRegion region) {
+/// A row of a delta pass: its state, its new input, the input's dirty
+/// region, and the result its analytic MACs are added to.
+struct DeltaRow {
+  LadderState* st = nullptr;
+  const Tensor* x = nullptr;
+  SpatialRegion region;
+  LadderResult* res = nullptr;
+};
+
+/// The one-image tensors `part(row)` of every row, stacked along dim 0.
+template <class Part>
+Tensor stack_rows(std::span<DeltaRow> rows, Part part) {
+  const Tensor& first = part(rows.front());
+  std::vector<int> shape = first.shape();
+  shape[0] = static_cast<int>(rows.size());
+  Tensor out(shape);
+  const std::size_t n = static_cast<std::size_t>(first.numel());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::memcpy(out.data() + r * n, part(rows[r]).data(), sizeof(float) * n);
+  }
+  return out;
+}
+
+/// The delta pass at `level` (every row's cached level) for the rows' new
+/// inputs. Each row tracks its own dirty region through the stages, so it
+/// computes, and is charged, exactly what a pass over it alone would.
+/// Region tracking stops at the first flat output (Flatten / Dense): from
+/// there the whole activation counts as dirty. One row runs in place on its
+/// state; several run stacked and are written back after the last stage.
+void delta_pass(Network& net, std::span<DeltaRow> rows, int level) {
   SubnetContext ctx;
-  ctx.subnet_id = st.level;
+  ctx.subnet_id = level;
   ctx.training = false;
-  std::int64_t macs = 0;
+  const std::size_t b = rows.size();
+  std::vector<Tensor> stacked;
+  std::vector<Tensor>& outs = b == 1 ? rows[0].st->layer_outputs : stacked;
+  Tensor xs;
+  if (b > 1) {
+    stacked.resize(rows[0].st->layer_outputs.size());
+    xs = stack_rows(rows, [](const DeltaRow& r) -> const Tensor& { return *r.x; });
+  }
+  const Tensor& x = b == 1 ? *rows[0].x : xs;
+  std::vector<SpatialRegion> regions(b);
+  for (std::size_t r = 0; r < b; ++r) regions[r] = rows[r].region;
   bool tracked = true;
   for (const Stage& stage : net.stages()) {
     const IOSpec& spec = stage.out_spec();
-    const Tensor& in = stage.first() == 0 ? x : st.layer_outputs[stage.first() - 1];
-    Tensor& out = st.layer_outputs[stage.last()];
+    const Tensor& in = stage.first() == 0 ? x : outs[stage.first() - 1];
+    Tensor& out = outs[stage.last()];
     MaskedLayer* masked = stage.masked();
+    bool cover = true;
     if (tracked) {
-      region = stage.propagate_dirty_region(region).clipped(spec.h, spec.w);
+      for (SpatialRegion& r : regions) {
+        r = stage.propagate_dirty_region(r).clipped(spec.h, spec.w);
+        cover = cover && r.covers(spec.h, spec.w);
+      }
     }
-    if (tracked && stage.supports_spatial_delta() &&
-        !region.covers(spec.h, spec.w)) {
-      out = stage.forward_delta(in, out, region, ctx);
+    if (tracked && stage.supports_spatial_delta() && !cover) {
+      if (b > 1) {
+        out = stack_rows(rows, [&](const DeltaRow& r) -> const Tensor& {
+          return r.st->layer_outputs[stage.last()];
+        });
+      }
+      out = stage.forward_delta(in, std::move(out), regions, ctx);
       // Active weights x recomputed conv positions (the full layer is
-      // active_weights x out_h*out_w == subnet_macs).
-      macs += stage.delta_macs(region, st.level);
+      // active_weights x out_h*out_w == subnet_macs); a row whose region
+      // covers the plane is charged the full pass a lone row runs.
+      for (std::size_t r = 0; r < b; ++r) {
+        rows[r].res->macs += regions[r].covers(spec.h, spec.w)
+                                 ? masked->subnet_macs(level)
+                                 : stage.delta_macs(regions[r], level);
+      }
     } else {
       out = stage.forward(in, ctx);
-      if (masked) macs += masked->subnet_macs(st.level);
+      if (masked) {
+        for (DeltaRow& r : rows) r.res->macs += masked->subnet_macs(level);
+      }
     }
     if (spec.flat) tracked = false;
   }
-  return macs;
+  if (b == 1) return;
+  for (std::size_t i = 0; i < stacked.size(); ++i) {
+    if (stacked[i].empty()) continue;  // a layer inside a stage
+    const std::size_t n = static_cast<std::size_t>(stacked[i].numel()) / b;
+    for (std::size_t r = 0; r < b; ++r) {
+      Tensor& dst = rows[r].st->layer_outputs[i];
+      assert(static_cast<std::size_t>(dst.numel()) == n);
+      std::memcpy(dst.data(), stacked[i].data() + r * n, sizeof(float) * n);
+    }
+  }
 }
 
 /// Mask the cached ladder down to `level` and recompute the head (and any
@@ -172,42 +231,74 @@ void LadderState::reset() { *this = LadderState(); }
 LadderResult advance(Network& net, LadderState& st, const Tensor& x,
                      int level, int tile,
                      const std::vector<std::uint64_t>& signature) {
-  assert(level >= 1 && x.rank() == 4 && !net.layers().empty());
-  std::vector<std::uint64_t> tiles;
-  tile_fingerprints(x, tile, tiles);
+  const LadderRow row{&st, &x};
+  return std::move(advance_rows(net, {&row, 1}, level, tile, signature)[0]);
+}
 
-  LadderResult res;
-  res.full_macs = subnet_macs(net, level);
-  res.total_tiles = static_cast<int>(tiles.size());
-  res.cold = st.level == 0 || st.signature != signature ||
-             st.in_shape != x.shape() || st.tile != tile;
-  const int h = x.dim(2), w = x.dim(3);
-  const SpatialRegion dirty =
-      res.cold ? SpatialRegion::full(h, w)
-               : diff_tiles(st.tiles, tiles, tile, h, w, &res.dirty_tiles);
+std::vector<LadderResult> advance_rows(
+    Network& net, std::span<const LadderRow> rows, int level, int tile,
+    const std::vector<std::uint64_t>& signature) {
+  assert(level >= 1 && !net.layers().empty());
+  // No state is touched before every grid is built (a bad tile edge throws).
+  const std::size_t n = rows.size();
+  std::vector<LadderResult> res(n);
+  std::vector<std::vector<std::uint64_t>> tiles(n);
+  std::vector<SpatialRegion> dirty(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const LadderState& st = *rows[i].st;
+    const Tensor& x = *rows[i].x;
+    assert(x.rank() == 4);
+    tile_fingerprints(x, tile, tiles[i]);
+    res[i].full_macs = subnet_macs(net, level);
+    res[i].total_tiles = static_cast<int>(tiles[i].size());
+    res[i].cold = st.level == 0 || st.signature != signature ||
+                  st.in_shape != x.shape() || st.tile != tile;
+    const int h = x.dim(2), w = x.dim(3);
+    dirty[i] = res[i].cold ? SpatialRegion::full(h, w)
+                           : diff_tiles(st.tiles, tiles[i], tile, h, w,
+                                        &res[i].dirty_tiles);
+  }
+  // Rows cached at `level` whose one image changed in part share one delta
+  // pass, after the others have run alone.
+  std::vector<DeltaRow> pass;
   try {
-    if (dirty.covers(h, w)) {
-      ladder_step(net, x, st.layer_outputs, 0, level);
-      res.macs = res.full_macs;
-    } else {
-      if (!dirty.empty()) res.macs += delta_pass(net, st, x, dirty);
+    for (std::size_t i = 0; i < n; ++i) {
+      LadderState& st = *rows[i].st;
+      const Tensor& x = *rows[i].x;
+      if (dirty[i].covers(x.dim(2), x.dim(3))) {
+        ladder_step(net, x, st.layer_outputs, 0, level);
+        res[i].macs = res[i].full_macs;
+        continue;
+      }
+      if (!dirty[i].empty()) {
+        DeltaRow row{&st, &x, dirty[i], &res[i]};
+        if (st.level == level && (n == 1 || x.dim(0) == 1)) {
+          pass.push_back(row);
+          continue;
+        }
+        delta_pass(net, {&row, 1}, st.level);
+      }
       if (level > st.level) {
         ladder_step(net, x, st.layer_outputs, st.level, level);
-        res.macs += ladder_step_macs(net, st.level, level);
+        res[i].macs += ladder_step_macs(net, st.level, level);
       } else if (level < st.level) {
-        res.macs += mask_down(net, st, x, level);
+        res[i].macs += mask_down(net, st, x, level);
       }
     }
+    if (!pass.empty()) delta_pass(net, pass, level);
   } catch (...) {
-    st.reset();
+    for (const LadderRow& r : rows) r.st->reset();
     throw;
   }
-  st.level = level;
-  st.in_shape = x.shape();
-  st.tile = tile;
-  st.tiles = std::move(tiles);
-  st.signature = signature;
-  res.logits = st.layer_outputs.back();
+  for (std::size_t i = 0; i < n; ++i) {
+    LadderState& st = *rows[i].st;
+    st.level = level;
+    st.in_shape = rows[i].x->shape();
+    st.tile = tile;
+    st.tiles = std::move(tiles[i]);
+    st.signature = signature;
+    res[i].logits = st.layer_outputs.back();
+  }
   return res;
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/network.h"
@@ -99,9 +100,30 @@ struct LadderResult {
 /// callers whose weights never change may compute it once. A tile < 1
 /// throws std::invalid_argument before `st` is touched; if anything later
 /// throws, `st` is left empty, so a half-updated ladder is never reused.
+/// This is advance_rows()'s one-row call.
 LadderResult advance(Network& net, LadderState& st, const Tensor& x,
                      int level, int tile,
                      const std::vector<std::uint64_t>& signature);
+
+/// One row of advance_rows(): a ladder state and its next input.
+struct LadderRow {
+  LadderState* st = nullptr;
+  const Tensor* x = nullptr;
+};
+
+/// advance(net, *row.st, *row.x, level, tile, signature) for every row
+/// (distinct states), with ONE batched delta pass for the rows whose state
+/// is usable and cached at exactly `level` and whose one image changed in
+/// part. Each such row keeps its own dirty rectangle through every stage,
+/// so it computes exactly the positions, and is charged exactly the MACs,
+/// of advance() on it alone. Every other row runs on its own first. So each
+/// result, and each state afterwards, is bitwise what advance() on that row
+/// alone gives. No state is touched before every row's tiles are
+/// fingerprinted; if anything later throws, every state in `rows` is reset
+/// (the next call rebuilds it cold) and the exception propagates.
+std::vector<LadderResult> advance_rows(
+    Network& net, std::span<const LadderRow> rows, int level, int tile,
+    const std::vector<std::uint64_t>& signature);
 
 /// Evaluates subnets on the SAME input in any order, computing at each step
 /// up only the units the new subnet adds (plus the always-recomputed head)

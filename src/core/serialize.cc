@@ -191,6 +191,10 @@ bool load_network(Network& net, std::istream& in) {
   } catch (const Truncated&) {
     return false;
   }
+  // save_network writes nothing after the last record.
+  if (in.peek() != std::istream::traits_type::eof()) {
+    throw std::runtime_error("load_network: bytes after the last layer record");
+  }
 
   for (const StagedLayer& s : staged) {
     if (MaskedLayer* m = s.masked) {

@@ -22,7 +22,8 @@ bool save_network(Network& net, const std::string& path);
 
 /// Load into `net`, which must have been built with the same topology
 /// (layer kinds, unit counts, weight shapes). Throws std::runtime_error on
-/// format/topology mismatch or a unit subnet id below 1; returns false on
+/// format/topology mismatch, a unit subnet id below 1, or any byte after
+/// the last layer's record (the stream must end there); returns false on
 /// I/O failure, a truncated file included. The whole file is parsed and
 /// checked before anything is written, so on either failure `net` (every
 /// parameter and its version, assignment, mask and BatchNorm statistic) is

@@ -54,7 +54,8 @@ Tensor Conv2d::forward_relu(const Tensor& x, const SubnetContext& ctx) {
 }
 
 void Conv2d::forward_rows(const Tensor& x, const unsigned char* rows,
-                          int subnet_id, const SpatialRegion& region,
+                          int subnet_id,
+                          std::span<const SpatialRegion> regions,
                           const ConvEpilogue& epi, float* y) {
   const std::vector<int>& channels = readable_in_units(subnet_id);
   const int ld = static_cast<int>(channels.size()) * kernel_ * kernel_;
@@ -65,7 +66,7 @@ void Conv2d::forward_rows(const Tensor& x, const unsigned char* rows,
   float* a = ws.alloc_floats(static_cast<std::size_t>(units_) * ld);
   gather_weights(rows, &channels, a);
   conv2d_implicit(x.data(), x.dim(0), geom_, channels, a, rows,
-                  bias_.value.data(), epi, region, y);
+                  bias_.value.data(), epi, regions, y);
 }
 
 Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
@@ -95,8 +96,9 @@ Tensor Conv2d::forward_impl(const Tensor& x, const SubnetContext& ctx,
   }
   ConvEpilogue epi;
   epi.relu = relu;
+  const SpatialRegion full = SpatialRegion::full(oh, ow);
   forward_rows(x, active_flags(ctx.subnet_id).data(), ctx.subnet_id,
-               SpatialRegion::full(oh, ow), epi, y.data());
+               {&full, 1}, epi, y.data());
 
   if (ctx.training) {
     x_cache_ = x;
@@ -179,8 +181,8 @@ Tensor Conv2d::forward_delta(const Tensor& x, const Tensor& cached_y,
   // bits a full pass would put there.
   Tensor y = cached_y;
   if (reg.empty()) return y;  // nothing dirty reaches this layer
-  forward_rows(x, active_flags(ctx.subnet_id).data(), ctx.subnet_id, reg, {},
-               y.data());
+  forward_rows(x, active_flags(ctx.subnet_id).data(), ctx.subnet_id, {&reg, 1},
+               {}, y.data());
   return y;
 }
 
@@ -195,8 +197,9 @@ Tensor Conv2d::forward_step(const Tensor& x, const Tensor& cached_y,
   // SAME route forward() uses, so step-up follows the active ISA tier's
   // multiply-add semantics and stays bit-identical to a from-scratch
   // evaluation. Reused units are skipped untouched.
+  const SpatialRegion full = SpatialRegion::full(geom_.out_h(), geom_.out_w());
   forward_rows(x, step_flags(from_subnet, ctx.subnet_id).data(), ctx.subnet_id,
-               SpatialRegion::full(geom_.out_h(), geom_.out_w()), {}, y.data());
+               {&full, 1}, {}, y.data());
   mask_inactive_units(y, *out_assign_, 1, ctx.subnet_id);
   return y;
 }

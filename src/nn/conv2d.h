@@ -60,13 +60,14 @@ class Conv2d final : public MaskedLayer {
   /// The fp32 route of every forward and of a fused stage: writes
   /// epi(W * x + bias) (conv2d_implicit) over the units flagged in `rows`
   /// and the input channels subnet `subnet_id` can read, at the output
-  /// positions of `region` (clipped; widened to whole windows when `epi`
-  /// pools), into y: (n, units, out_h, out_w), or the pooled plane when
-  /// `epi` pools. Units not flagged and positions outside the region are
-  /// untouched. Inference only.
+  /// positions of each image's region (one per image, or one for every
+  /// image; clipped, widened to whole windows when `epi` pools), into y:
+  /// (n, units, out_h, out_w), or the pooled plane when `epi` pools. Units
+  /// not flagged and positions outside the regions are untouched. Inference
+  /// only.
   void forward_rows(const Tensor& x, const unsigned char* rows, int subnet_id,
-                    const SpatialRegion& region, const ConvEpilogue& epi,
-                    float* y);
+                    std::span<const SpatialRegion> regions,
+                    const ConvEpilogue& epi, float* y);
 
  private:
   Tensor forward_impl(const Tensor& x, const SubnetContext& ctx, bool relu);

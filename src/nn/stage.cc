@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -12,11 +13,24 @@
 
 namespace stepping {
 
+namespace {
+
+/// True for an fp32 inference pass: not training, calibrating or int8.
+bool fp32_inference(const SubnetContext& ctx) {
+  return !ctx.training && ctx.calib_record == nullptr &&
+         !(ctx.precision == quant::Precision::kInt8 && ctx.calibration != nullptr);
+}
+
+}  // namespace
+
 Stage::Stage(std::size_t first, std::vector<Layer*> layers)
     : first_(first),
       layers_(std::move(layers)),
       masked_(dynamic_cast<MaskedLayer*>(layers_.front())) {
-  if (layers_.size() == 1) return;
+  if (layers_.size() == 1) {
+    conv_ = dynamic_cast<Conv2d*>(layers_[0]);
+    return;
+  }
   if ((dense_ = dynamic_cast<Dense*>(layers_[0])) != nullptr) {
     assert(layers_.size() == 2 && dynamic_cast<ReLU*>(layers_[1]));
     return;
@@ -31,9 +45,7 @@ Stage::Stage(std::size_t first, std::vector<Layer*> layers)
 }
 
 bool Stage::runs_fused(const SubnetContext& ctx) const {
-  return layers_.size() > 1 && !masked_->is_head() && !ctx.training &&
-         ctx.calib_record == nullptr &&
-         !(ctx.precision == quant::Precision::kInt8 && ctx.calibration != nullptr);
+  return layers_.size() > 1 && !masked_->is_head() && fp32_inference(ctx);
 }
 
 SpatialRegion Stage::conv_region(const SpatialRegion& out) const {
@@ -41,7 +53,7 @@ SpatialRegion Stage::conv_region(const SpatialRegion& out) const {
 }
 
 void Stage::run_conv(const Tensor& x, const unsigned char* rows, int level,
-                     const SpatialRegion& region, float* y) const {
+                     std::span<const SpatialRegion> regions, float* y) const {
   ConvEpilogue epi;
   epi.relu = relu_;
   epi.pool = pool_;
@@ -54,7 +66,7 @@ void Stage::run_conv(const Tensor& x, const unsigned char* rows, int level,
     epi.bn_gamma = bn_->gamma().data();
     epi.bn_beta = bn_->beta().data();
   }
-  conv_->forward_rows(x, rows, level, region, epi, y);
+  conv_->forward_rows(x, rows, level, regions, epi, y);
 }
 
 Tensor Stage::forward(const Tensor& x, const SubnetContext& ctx) const {
@@ -69,8 +81,9 @@ Tensor Stage::forward(const Tensor& x, const SubnetContext& ctx) const {
   const IOSpec& s = out_spec();
   Tensor y({x.dim(0), s.units, s.h, s.w});  // inactive units stay zero
   const Conv2dGeometry& g = conv_->geometry();
+  const SpatialRegion full = SpatialRegion::full(g.out_h(), g.out_w());
   run_conv(x, conv_->step_flags(0, ctx.subnet_id).data(), ctx.subnet_id,
-           SpatialRegion::full(g.out_h(), g.out_w()), y.data());
+           {&full, 1}, y.data());
   return y;
 }
 
@@ -86,8 +99,9 @@ Tensor Stage::forward_step(const Tensor& x, const Tensor& cached, int from,
     dense_->forward_levels(x, from, level, /*relu=*/true, y);
   } else {
     const Conv2dGeometry& g = conv_->geometry();
-    run_conv(x, conv_->step_flags(from, level).data(), level,
-             SpatialRegion::full(g.out_h(), g.out_w()), y.data());
+    const SpatialRegion full = SpatialRegion::full(g.out_h(), g.out_w());
+    run_conv(x, conv_->step_flags(from, level).data(), level, {&full, 1},
+             y.data());
   }
   const IOSpec& s = out_spec();
   mask_inactive_units(y, *s.assignment, s.features_per_unit, level);
@@ -107,25 +121,28 @@ bool Stage::supports_spatial_delta() const {
   return conv_ != nullptr && !conv_->is_head();
 }
 
-Tensor Stage::forward_delta(const Tensor& x, const Tensor& cached,
-                            const SpatialRegion& out_region,
+Tensor Stage::forward_delta(const Tensor& x, Tensor cached,
+                            std::span<const SpatialRegion> out_regions,
                             const SubnetContext& ctx) const {
-  if (layers_.size() == 1) {
-    return layers_[0]->forward_delta(x, cached, out_region, ctx);
-  }
-  const IOSpec& s = out_spec();
-  const SpatialRegion reg = out_region.clipped(s.h, s.w);
-  if (conv_ == nullptr || cached.empty() || !runs_fused(ctx) ||
-      reg.covers(s.h, s.w)) {
+  // Anything but a body conv in an fp32 inference pass recomputes in full.
+  if (conv_ == nullptr || conv_->is_head() || cached.empty() ||
+      !fp32_inference(ctx)) {
     return forward(x, ctx);
   }
-  // Clean windows keep the previous input's bits; the dirty ones are
-  // recomputed in place through the same pass forward() runs.
-  Tensor y = cached;
-  if (reg.empty()) return y;
+  const IOSpec& s = out_spec();
+  std::vector<SpatialRegion> conv_regs;
+  bool cover = true;
+  for (const SpatialRegion& r : out_regions) {
+    const SpatialRegion reg = r.clipped(s.h, s.w);
+    cover = cover && reg.covers(s.h, s.w);
+    conv_regs.push_back(conv_region(reg));
+  }
+  if (cover) return forward(x, ctx);
+  // Clean windows keep the previous inputs' bits; each image's dirty ones
+  // are recomputed in place (inactive units hold forward()'s zeros).
   run_conv(x, conv_->step_flags(0, ctx.subnet_id).data(), ctx.subnet_id,
-           conv_region(reg), y.data());
-  return y;
+           conv_regs, cached.data());
+  return cached;
 }
 
 std::int64_t Stage::delta_macs(const SpatialRegion& out_region,

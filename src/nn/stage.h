@@ -71,11 +71,15 @@ class Stage {
   /// single layer whose own forward_delta does.
   bool supports_spatial_delta() const;
 
-  /// Layer::forward_delta for the stage: recomputes only `out_region` of
-  /// the stage's output (from propagate_dirty_region), reusing `cached` —
-  /// its output for the previous input at the same level — elsewhere.
-  Tensor forward_delta(const Tensor& x, const Tensor& cached,
-                       const SpatialRegion& out_region,
+  /// Layer::forward_delta for the stage, per image: recomputes only each
+  /// image's region of the stage's output (from propagate_dirty_region),
+  /// reusing `cached` — its output for each previous input at the same
+  /// level — elsewhere. `out_regions` holds one region per image of x, or
+  /// one that every image uses; an image whose region is empty keeps its
+  /// cached output. `cached` is taken by value so a caller that moves it in
+  /// pays no copy.
+  Tensor forward_delta(const Tensor& x, Tensor cached,
+                       std::span<const SpatialRegion> out_regions,
                        const SubnetContext& ctx) const;
 
   /// Analytic MACs forward_delta(out_region) executes at subnet `level`:
@@ -87,16 +91,17 @@ class Stage {
   /// True when this pass runs as one fused call.
   bool runs_fused(const SubnetContext& ctx) const;
   /// The fused conv pass over the units flagged in `rows`, at the conv
-  /// output positions of `conv_region`, into the stage output y.
+  /// output positions of each image's region (one per image, or one for
+  /// every image), into the stage output y.
   void run_conv(const Tensor& x, const unsigned char* rows, int level,
-                const SpatialRegion& conv_region, float* y) const;
+                std::span<const SpatialRegion> conv_regions, float* y) const;
   /// The conv output positions under stage output region `out`.
   SpatialRegion conv_region(const SpatialRegion& out) const;
 
   std::size_t first_;
   std::vector<Layer*> layers_;
   MaskedLayer* masked_;        ///< layers_[0] if it is masked, else null
-  Conv2d* conv_ = nullptr;     ///< set for a conv stage
+  Conv2d* conv_ = nullptr;     ///< set for a conv stage, fused or alone
   Dense* dense_ = nullptr;     ///< set for a dense stage
   BatchNorm2d* bn_ = nullptr;  ///< the conv stage's BN, if any
   bool relu_ = false;

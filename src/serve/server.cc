@@ -423,151 +423,175 @@ std::string Server::flight_summary() const {
 std::size_t Server::peel_stream_jobs(Network& net, std::vector<Job>& jobs,
                                      std::size_t worker_id) {
   if (!stream_cfg_.enabled) return 0;
-  std::size_t served = 0;
+  std::vector<Job> frames;
   std::size_t keep = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (jobs[j].stream_id != 0) {
-      try {
-        process_stream_job(net, jobs[j], worker_id);
-      } catch (...) {
-        fail_job(jobs[j], std::current_exception());
-      }
-      ++served;
+      frames.push_back(std::move(jobs[j]));
     } else {
       if (keep != j) jobs[keep] = std::move(jobs[j]);
       ++keep;
     }
   }
   jobs.resize(keep);
-  return served;
+
+  // Plan each frame's level like a batch-of-one admission (the degrade cap
+  // still applies), then form passes of one planned level and distinct
+  // streams: a frame joins the first such pass after every pass holding an
+  // earlier frame of its stream, so a stream's frames still run in order.
+  const double plan_ms = now_ms();
+  std::vector<std::vector<Job*>> passes;
+  for (Job& job : frames) {
+    const double remaining = job.deadline_abs_ms > 0.0
+                                 ? job.deadline_abs_ms - plan_ms
+                                 : kNoDeadline;
+    int target = planner_->target_level(remaining, 1);
+    if (job.admit_target > 0) target = std::min(target, job.admit_target);
+    job.target = std::max(1, target);
+    std::size_t p = 0;
+    for (std::size_t q = 0; q < passes.size(); ++q) {
+      for (const Job* f : passes[q]) p = f->stream_id == job.stream_id ? q + 1 : p;
+    }
+    while (p < passes.size() && passes[p].front()->target != job.target) ++p;
+    if (p == passes.size()) passes.emplace_back();
+    passes[p].push_back(&job);
+  }
+  for (std::vector<Job*>& pass : passes) {
+    // Stream-id order is the order a pass takes its streams' locks in.
+    std::sort(pass.begin(), pass.end(), [](const Job* a, const Job* b) {
+      return a->stream_id < b->stream_id;
+    });
+    try {
+      process_stream_pass(net, pass, worker_id);
+    } catch (...) {
+      const std::exception_ptr err = std::current_exception();
+      for (Job* job : pass) fail_job(*job, err);
+    }
+  }
+  return frames.size();
 }
 
-void Server::process_stream_job(Network& net, Job& job,
-                                std::size_t worker_id) {
-  obs::TraceScope frame_span("serve.stream_frame", "serve");
+void Server::process_stream_pass(Network& net, const std::vector<Job*>& frames,
+                                 std::size_t worker_id) {
+  obs::TraceScope pass_span("serve.stream_frame", "serve");
+  const std::size_t b = frames.size();
+  const int target = frames.front()->target;
   const double start_ms = now_ms();
-  flight_.event(job.flight, obs::FlightEventKind::kAdmit, start_ms,
-                static_cast<std::int64_t>(worker_id));
-
-  // Plan the frame's level from the remaining deadline, like a batch-of-one
-  // admission; the admission-control degrade cap still applies.
-  const double remaining = job.deadline_abs_ms > 0.0
-                               ? job.deadline_abs_ms - start_ms
-                               : kNoDeadline;
-  int target = planner_->target_level(remaining, 1);
-  if (job.admit_target > 0) target = std::min(target, job.admit_target);
-  target = std::max(1, target);
-  flight_.set_batch(job.flight, next_batch_id_.fetch_add(1), 1, target,
-                    isa_tier_int_);
-
-  bool hit = false;
-  std::shared_ptr<stream::StreamState> state =
-      stream_cache_->acquire(job.stream_id, &hit);
-  stream::StreamResult r;
+  const std::uint64_t batch_id = next_batch_id_.fetch_add(1);
+  std::vector<std::shared_ptr<stream::StreamState>> states;
+  std::vector<LadderRow> rows;
+  std::uint64_t hits = 0;
+  for (Job* job : frames) {
+    flight_.event(job->flight, obs::FlightEventKind::kAdmit, start_ms,
+                  static_cast<std::int64_t>(worker_id));
+    if (b > 1) {
+      flight_.event(job->flight, obs::FlightEventKind::kBatchJoin, start_ms,
+                    static_cast<std::int64_t>(batch_id),
+                    static_cast<std::int64_t>(b));
+    }
+    flight_.set_batch(job->flight, batch_id, static_cast<int>(b), target,
+                      isa_tier_int_);
+    bool hit = false;
+    states.push_back(stream_cache_->acquire(job->stream_id, &hit));
+    hits += hit ? 1 : 0;
+    rows.push_back({states.back().get(), &job->input});
+  }
+  std::vector<stream::StreamResult> results;
   {
-    // Frames of ONE stream serialize here; different streams (and the
-    // batched ladder on other workers) proceed concurrently. Each worker's
-    // replica is bitwise-identical (clone()), so whichever worker picks up
-    // the next frame can reuse this one's state.
-    std::lock_guard<std::mutex> lock(state->mu);
-    flight_.event(job.flight, obs::FlightEventKind::kStepStart, now_ms(),
-                  target, isa_tier_int_);
-    // A throw leaves the state empty: the stream's next frame rebuilds cold.
-    r = stream::stream_delta_forward(net, *state, job.input, target,
-                                     stream_cfg_, stream_sig_);
+    // Frames of ONE stream serialize on its state's lock; other streams and
+    // the ladder proceed concurrently. A pass takes its locks in stream-id
+    // order, so two workers never wait on each other. Replicas are bitwise
+    // identical (clone()), so any worker can reuse a stream's state.
+    std::vector<std::unique_lock<std::mutex>> locks;
+    for (const auto& st : states) locks.emplace_back(st->mu);
+    const double step_ms = now_ms();
+    for (Job* job : frames) {
+      flight_.event(job->flight, obs::FlightEventKind::kStepStart, step_ms,
+                    target, isa_tier_int_);
+    }
+    // A throw resets every state in the pass: each stream's next frame
+    // rebuilds cold.
+    results = stream::stream_delta_batch(net, rows, target, stream_cfg_,
+                                         stream_sig_);
   }
   const double now = now_ms();
-  frame_span.arg("stream_id", static_cast<std::int64_t>(job.stream_id));
-  frame_span.arg("level", target);
-  frame_span.arg("dirty_tiles", r.dirty_tiles);
-  frame_span.arg("macs", r.macs);
 
-  Tensor probs;
-  softmax_rows(r.logits, probs);
-  const int classes = r.logits.dim(1);
-  double top1 = 0.0;
-  for (int k = 0; k < classes; ++k) {
-    top1 = std::max(top1, static_cast<double>(probs.at(0, k)));
-  }
-
-  const std::int64_t saved = r.full_macs - r.macs;
-  flight_.event(job.flight, obs::FlightEventKind::kStepEnd, now, target,
-                r.macs, conf_ppm(top1));
-  flight_.set_level(job.flight, target,
-                    planner_->stream_delta_ms(
-                        target, r.cold ? 1.0
-                                       : (r.total_tiles > 0
-                                              ? static_cast<double>(
-                                                    r.dirty_tiles) /
-                                                    r.total_tiles
-                                              : 0.0)),
-                    now - start_ms, r.macs);
-  flight_.event(job.flight, obs::FlightEventKind::kStreamFrame, now,
-                static_cast<std::int64_t>(job.stream_id), r.dirty_tiles,
-                target);
-  flight_.event(job.flight, obs::FlightEventKind::kDeltaReuse, now,
-                saved > 0 ? saved : 0, r.macs, r.cold ? 0 : 1);
-
-  const double first_ms = now - job.submit_ms;
-  const bool missed =
-      job.deadline_abs_ms > 0.0 && now > job.deadline_abs_ms;
+  // Every frame's on_step runs before any frame is published; a throw in
+  // one fails the whole pass, as in process_level_batch.
   const obs::HaltReason why = target >= cfg_.max_subnet
                                   ? obs::HaltReason::kMaxLevel
                                   : obs::HaltReason::kTarget;
-  flight_.event(job.flight, obs::FlightEventKind::kHalt, now,
-                static_cast<std::int64_t>(why), target);
+  std::int64_t macs = 0, saved = 0, dirty = 0, cold = 0;
+  std::uint64_t misses = 0;
+  for (std::size_t i = 0; i < b; ++i) {
+    Job& job = *frames[i];
+    const stream::StreamResult& r = results[i];
+    Tensor probs;
+    softmax_rows(r.logits, probs);
+    job.confidence = 0.0;
+    for (int k = 0; k < r.logits.dim(1); ++k) {
+      job.confidence = std::max(job.confidence, static_cast<double>(probs.at(0, k)));
+    }
+    const std::int64_t frame_saved = std::max<std::int64_t>(0, r.full_macs - r.macs);
+    job.macs = r.macs;
+    job.queue_ms = start_ms - job.submit_ms;
+    job.first_ms = now - job.submit_ms;
+    macs += r.macs;
+    saved += frame_saved;
+    dirty += r.dirty_tiles;
+    cold += r.cold ? 1 : 0;
+    misses += job.deadline_abs_ms > 0.0 && now > job.deadline_abs_ms ? 1 : 0;
+    const double dirty_share =
+        r.cold ? 1.0 : static_cast<double>(r.dirty_tiles) / r.total_tiles;
+    flight_.event(job.flight, obs::FlightEventKind::kStepEnd, now, target,
+                  r.macs, conf_ppm(job.confidence));
+    flight_.set_level(job.flight, target,
+                      planner_->stream_delta_ms(target, dirty_share),
+                      now - start_ms, r.macs);
+    flight_.event(job.flight, obs::FlightEventKind::kStreamFrame, now,
+                  static_cast<std::int64_t>(job.stream_id), r.dirty_tiles,
+                  target);
+    flight_.event(job.flight, obs::FlightEventKind::kDeltaReuse, now,
+                  frame_saved, r.macs, r.cold ? 0 : 1);
+    flight_.event(job.flight, obs::FlightEventKind::kHalt, now,
+                  static_cast<std::int64_t>(why), target);
 
-  StepUpdate update;
-  update.subnet = target;
-  update.at_ms = first_ms;
-  update.macs = r.macs;
-  update.confidence = top1;
-  update.final = true;
-  job.steps.push_back(update);
-  if (job.on_step) job.on_step(update);
-
-  // Counters BEFORE the promise, completed first — the same snapshot
-  // contract as the batched pass.
-  m_.completed->inc();
-  if (missed) m_.deadline_misses->inc();
-  m_.exits[static_cast<std::size_t>(target - 1)]->inc();
-  m_.batches->inc();
-  m_.batched_inputs->inc();
-  m_.total_macs->inc(static_cast<std::uint64_t>(r.macs));
-  m_.stream_frames->inc();
-  if (hit) {
-    m_.stream_hits->inc();
-  } else {
-    m_.stream_misses->inc();
+    job.steps.push_back({.subnet = target, .at_ms = job.first_ms,
+                         .macs = r.macs, .confidence = job.confidence,
+                         .final = true});
+    if (job.on_step) job.on_step(job.steps.back());
   }
-  m_.stream_dirty_tiles->inc(static_cast<std::uint64_t>(r.dirty_tiles));
-  if (saved > 0) m_.stream_macs_saved->inc(static_cast<std::uint64_t>(saved));
-  if (r.cold) m_.stream_cold->inc();
+  pass_span.arg("frames", static_cast<std::int64_t>(b));
+  pass_span.arg("level", target);
+  pass_span.arg("dirty_tiles", dirty);
+  pass_span.arg("macs", macs);
+
+  // Counters BEFORE the promises, completed first — the same snapshot
+  // contract as the batched ladder pass. The pass counts once, and its
+  // frames as its rows.
+  m_.completed->inc(b);
+  m_.deadline_misses->inc(misses);
+  m_.exits[static_cast<std::size_t>(target - 1)]->inc(b);
+  m_.batches->inc();
+  m_.batched_inputs->inc(b);
+  m_.total_macs->inc(static_cast<std::uint64_t>(macs));
+  m_.stream_frames->inc(b);
+  m_.stream_hits->inc(hits);
+  m_.stream_misses->inc(b - hits);
+  m_.stream_dirty_tiles->inc(static_cast<std::uint64_t>(dirty));
+  m_.stream_macs_saved->inc(static_cast<std::uint64_t>(saved));
+  m_.stream_cold->inc(static_cast<std::uint64_t>(cold));
   m_.step_passes[static_cast<std::size_t>(target - 1)]->inc();
   m_.passes->inc();
-  m_.pass_rows->inc();
+  m_.pass_rows->inc(b);
   m_.level_ms[static_cast<std::size_t>(target - 1)]->observe(now - start_ms);
 
-  ServedResult res;
-  res.logits = std::move(r.logits);
-  res.exit_subnet = target;
-  res.confidence = top1;
-  res.macs = r.macs;
-  res.deadline_missed = missed;
-  res.queue_ms = start_ms - job.submit_ms;
-  res.first_result_ms = first_ms;
-  res.final_ms = first_ms;
-  m_.queue_ms->observe(res.queue_ms);
-  m_.first_result_ms->observe(res.first_result_ms);
-  m_.final_ms->observe(res.final_ms);
-  const double publish_ms = now_ms();
-  slo_.record(publish_ms, missed);
-  flight_.event(job.flight, obs::FlightEventKind::kFinalPublish, publish_ms,
-                target, missed ? 1 : 0);
-  flight_.finish(job.flight, target, why, missed, res.queue_ms, first_ms,
-                 first_ms);
-  res.steps = std::move(job.steps);
-  job.promise.set_value(std::move(res));
+  for (std::size_t i = 0; i < b; ++i) {
+    Job& job = *frames[i];
+    publish(job, std::move(results[i].logits), target, why,
+            job.deadline_abs_ms > 0.0 && now > job.deadline_abs_ms,
+            job.first_ms, now_ms());
+  }
 }
 
 void Server::fail_job(Job& job, const std::exception_ptr& err) {
@@ -593,8 +617,9 @@ void Server::worker_main(std::size_t worker_id) {
     if (!got) break;
     obs::trace_counter("serve.queue_depth",
                        static_cast<std::int64_t>(runq_.depth()));
-    // Stream frames ride the same queue but are served solo by the delta
-    // path; the run-queue's in-flight accounting still expects them back.
+    // Stream frames ride the same queue but are served by the delta path,
+    // the frames of distinct streams together; the run-queue's in-flight
+    // accounting still expects them back.
     const std::size_t streamed = peel_stream_jobs(net, batch, worker_id);
     if (streamed != 0) runq_.retire(streamed);
     if (!batch.empty()) process_level_batch(net, batch, worker_id);
@@ -686,13 +711,23 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
     // outputs of the source batches into fresh batch tensors first — the
     // state migration that lets rows from different earlier batches (and
     // different workers) share this GEMM. The entries of layers inside a
-    // fused stage are empty and stay so.
+    // fused stage are empty and stay so. A cohort whose rows are exactly
+    // the rows of one earlier pass, in order, and that no other job still
+    // shares, steps that pass's state in place instead.
     obs::TraceScope step_span(step_span_name(level), "serve");
     const double level_start = now_ms();
     Tensor y;
     if (cfg_.reuse) {
-      acts = std::make_shared<std::vector<Tensor>>();
-      if (from > 0) {
+      const std::shared_ptr<std::vector<Tensor>>& prev = jobs.front().acts;
+      bool in_place = from > 0 && prev.use_count() == b;
+      for (int j = 0; in_place && j < b; ++j) {
+        in_place = jobs[j].acts == prev && jobs[j].acts_row == j;
+      }
+      for (std::size_t i = 0; in_place && i < prev->size(); ++i) {
+        in_place = (*prev)[i].empty() || (*prev)[i].dim(0) == b;
+      }
+      acts = in_place ? prev : std::make_shared<std::vector<Tensor>>();
+      if (from > 0 && !in_place) {
         STEPPING_TRACE_SCOPE_CAT("serve", "serve.form");
         const std::size_t nlayers = jobs.front().acts->size();
         acts->resize(nlayers);
@@ -801,14 +836,10 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
                   : obs::HaltReason::kDeadline;
       }
 
-      StepUpdate update;
-      update.subnet = level;
-      update.at_ms = now - job.submit_ms;
-      update.macs = job.macs;
-      update.confidence = top1;
-      update.final = stop;
-      job.steps.push_back(update);
-      if (job.on_step) job.on_step(update);
+      job.steps.push_back({.subnet = level, .at_ms = now - job.submit_ms,
+                           .macs = job.macs, .confidence = top1,
+                           .final = stop});
+      if (job.on_step) job.on_step(job.steps.back());
 
       if (stop) {
         Done d;
@@ -873,28 +904,33 @@ void Server::process_level_batch(Network& net, std::vector<Job>& jobs,
   STEPPING_TRACE_SCOPE_CAT("serve", "serve.publish");
   const double publish_ms = now_ms();
   for (Done& d : done) {
-    Job& job = jobs[d.j];
-    ServedResult res;
-    res.logits = std::move(d.logits);
-    res.exit_subnet = level;
-    res.confidence = job.confidence;
-    res.macs = job.macs;
-    res.deadline_missed = d.missed;
-    res.queue_ms = job.queue_ms;
-    res.first_result_ms = job.first_ms;
-    res.final_ms = d.final_ms;
-    m_.queue_ms->observe(res.queue_ms);
-    m_.first_result_ms->observe(res.first_result_ms);
-    m_.final_ms->observe(res.final_ms);
-    slo_.record(publish_ms, d.missed);
-    flight_.event(job.flight, obs::FlightEventKind::kFinalPublish, publish_ms,
-                  level, d.missed ? 1 : 0);
-    flight_.finish(job.flight, level, d.halt, d.missed, res.queue_ms,
-                   job.first_ms, d.final_ms);
-    res.steps = std::move(job.steps);
-    job.promise.set_value(std::move(res));
+    publish(jobs[d.j], std::move(d.logits), level, d.halt, d.missed,
+            d.final_ms, publish_ms);
   }
   runq_.retire(done.size());
+}
+
+void Server::publish(Job& job, Tensor logits, int level, obs::HaltReason halt,
+                     bool missed, double final_ms, double publish_ms) {
+  ServedResult res;
+  res.logits = std::move(logits);
+  res.exit_subnet = level;
+  res.confidence = job.confidence;
+  res.macs = job.macs;
+  res.deadline_missed = missed;
+  res.queue_ms = job.queue_ms;
+  res.first_result_ms = job.first_ms;
+  res.final_ms = final_ms;
+  m_.queue_ms->observe(res.queue_ms);
+  m_.first_result_ms->observe(res.first_result_ms);
+  m_.final_ms->observe(res.final_ms);
+  slo_.record(publish_ms, missed);
+  flight_.event(job.flight, obs::FlightEventKind::kFinalPublish, publish_ms,
+                level, missed ? 1 : 0);
+  flight_.finish(job.flight, level, halt, missed, res.queue_ms, job.first_ms,
+                 final_ms);
+  res.steps = std::move(job.steps);
+  job.promise.set_value(std::move(res));
 }
 
 }  // namespace stepping::serve

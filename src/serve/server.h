@@ -262,15 +262,26 @@ class Server {
   void worker_main(std::size_t worker_id);
   void process_level_batch(Network& net, std::vector<Job>& jobs,
                            std::size_t worker_id);
-  /// Streaming path (ISSUE 10): serve one stream frame solo through the
-  /// per-stream delta executor (jobs with stream_id != 0 when cfg_.stream
-  /// is on).
-  void process_stream_job(Network& net, Job& job, std::size_t worker_id);
-  /// Split a popped batch: stream jobs (when enabled) are served by
-  /// process_stream_job and removed from `jobs`; the rest stay for the
-  /// batched ladder. Returns the number of stream jobs served.
+  /// Streaming path: serve `frames` (distinct streams in stream-id order,
+  /// the order their states are locked in; one planned level) as one
+  /// stream_delta_batch call. Every on_step runs before any frame is
+  /// published. The pass counts once in serve_passes_total,
+  /// serve_batches_total and the level's step passes, its frames as its
+  /// rows, and its frames' flight records share one batch id.
+  void process_stream_pass(Network& net, const std::vector<Job*>& frames,
+                           std::size_t worker_id);
+  /// Split a popped batch: stream jobs (when enabled) are planned, grouped
+  /// into passes of distinct streams at one planned level (a stream's later
+  /// frame rides a later pass), served by process_stream_pass and removed
+  /// from `jobs`; the rest stay for the batched ladder. Returns the number
+  /// of stream jobs served.
   std::size_t peel_stream_jobs(Network& net, std::vector<Job>& jobs,
                                std::size_t worker_id);
+  /// Resolve `job`'s future with its answer at `level`: the latency
+  /// histograms, SLO sample and flight record close first. The caller has
+  /// bumped the counters.
+  void publish(Job& job, Tensor logits, int level, obs::HaltReason halt,
+               bool missed, double final_ms, double publish_ms);
   /// Resolve `job`'s future with `err`: a throw inside its pass (kFailed).
   void fail_job(Job& job, const std::exception_ptr& err);
   /// Ladder execution mode for planner predictions under this config.

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -129,6 +130,10 @@ void TcpServer::handle_connection(int fd) {
       // exit_subnet == 0.
     }
     if (!write_frame(fd, encode_reply(reply))) break;
+  }
+  {  // Once closed, the fd's number may name a socket stop() must not touch.
+    std::lock_guard<std::mutex> lock(conn_mutex_);
+    conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
   }
   ::close(fd);
 }

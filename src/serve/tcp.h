@@ -46,7 +46,7 @@ class TcpServer {
   std::atomic<bool> stop_{false};
   std::mutex conn_mutex_;
   std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::vector<int> conn_fds_;  ///< open connections; a handler erases its own
 };
 
 /// Minimal blocking client (tests, bench_serve, examples).

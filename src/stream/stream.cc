@@ -93,12 +93,21 @@ StreamResult stream_delta_forward(Network& net, StreamState& st,
                                   const Tensor& x, int level,
                                   const StreamConfig& cfg,
                                   const std::vector<std::uint64_t>& signature) {
+  const LadderRow row{&st, &x};
+  return std::move(stream_delta_batch(net, {&row, 1}, level, cfg, signature)[0]);
+}
+
+std::vector<StreamResult> stream_delta_batch(
+    Network& net, std::span<const LadderRow> frames, int level,
+    const StreamConfig& cfg, const std::vector<std::uint64_t>& signature) {
   obs::TraceScope span("stream.delta", "stream");
-  StreamResult res = advance(net, st, x, level, cfg.tile, signature);
+  std::vector<StreamResult> res =
+      advance_rows(net, frames, level, cfg.tile, signature);
+  std::int64_t macs = 0;
+  for (const StreamResult& r : res) macs += r.macs;
   span.arg("level", level);
-  span.arg("dirty_tiles", res.dirty_tiles);
-  span.arg("macs", res.macs);
-  span.arg("cold", res.cold ? 1 : 0);
+  span.arg("frames", static_cast<std::int64_t>(res.size()));
+  span.arg("macs", macs);
   return res;
 }
 

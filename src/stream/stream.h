@@ -3,13 +3,15 @@
 // A video/sensor stream presents near-duplicate inputs frame after frame.
 // This module keeps each stream's previous-frame ladder (a LadderState: the
 // cached output of every inference stage, at some subnet level) in a keyed
-// LRU cache and drives it through advance() (core/incremental.h), which
-// fingerprints the new frame per spatial tile and recomputes only the dirty
-// tiles plus each convolution's receptive-field halo through the conv stack
-// (Stage::propagate_dirty_region / forward_delta, nn/stage.h). A fused conv
-// stage widens that region to whole pool windows and recomputes them with
-// BN, ReLU and the pool in one pass. The result is BITWISE identical to a
-// full forward pass at the same subnet level:
+// LRU cache and drives it through advance_rows() (core/incremental.h),
+// which fingerprints the new frame per spatial tile and recomputes only the
+// dirty tiles plus each convolution's receptive-field halo through the conv
+// stack (Stage::propagate_dirty_region / forward_delta, nn/stage.h). A fused
+// conv stage widens that region to whole pool windows and recomputes them
+// with BN, ReLU and the pool in one pass. Several streams' frames run as
+// one batched delta pass (stream_delta_batch), each with its own dirty
+// rectangle, so each costs exactly what its one-frame pass would. The
+// result is BITWISE identical to a full forward pass at the same level:
 //  * a stage output position whose receptive field reads only clean input
 //    keeps its cached bits (they ARE what a full pass would produce);
 //  * recomputed positions go through the same implicit-GEMM conv and
@@ -105,10 +107,18 @@ class StreamStateCache {
 using StreamResult = LadderResult;
 
 /// advance(net, st, x, level, cfg.tile, signature) under a "stream.delta"
-/// trace span. Caller holds st.mu.
+/// trace span: stream_delta_batch's one-frame call. Caller holds st.mu.
 StreamResult stream_delta_forward(Network& net, StreamState& st,
                                   const Tensor& x, int level,
                                   const StreamConfig& cfg,
                                   const std::vector<std::uint64_t>& signature);
+
+/// The frames of several streams, one per state, as one batched delta pass:
+/// advance_rows(net, frames, level, cfg.tile, signature) under one
+/// "stream.delta" trace span. Each result equals stream_delta_forward's for
+/// that frame alone. Caller holds every state's mu.
+std::vector<StreamResult> stream_delta_batch(
+    Network& net, std::span<const LadderRow> frames, int level,
+    const StreamConfig& cfg, const std::vector<std::uint64_t>& signature);
 
 }  // namespace stepping::stream

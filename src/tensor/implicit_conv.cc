@@ -41,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -143,14 +144,13 @@ void bn_relu_rows(float* rows, int ld, int rh, int rw, float mean, float inv,
 void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
                      const std::vector<int>& channels, const float* w,
                      const unsigned char* rows, const float* bias,
-                     const ConvEpilogue& epi, const SpatialRegion& region,
-                     float* y) {
+                     const ConvEpilogue& epi,
+                     std::span<const SpatialRegion> regions, float* y) {
   STEPPING_TRACE_SCOPE_CAT("kernel", "conv2d_implicit");
   const int pk = epi.pool;
   assert(pk >= 1 && g.out_h() % pk == 0 && g.out_w() % pk == 0);
-  SpatialRegion reg = region.clipped(g.out_h(), g.out_w());
-  if (pk > 1) reg = reg.pool_aligned(pk);
-  if (n <= 0 || reg.empty()) return;
+  assert(regions.size() == 1 || regions.size() == static_cast<std::size_t>(n));
+  if (n <= 0) return;
   const bool bn = epi.bn_mean != nullptr;
   const microkernel::KernelTable& kt = microkernel::active_table();
   const int nr = kt.nr;
@@ -165,18 +165,33 @@ void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
   const int yw = g.out_w() / pk;  // y's row length (pooled when pk > 1)
   const std::int64_t out_plane = static_cast<std::int64_t>(g.out_h() / pk) * yw;
 
-  // The region's outputs are the flat columns from its first output to its
-  // last, run in chunks of two panels; the columns between its rows are
-  // computed and dropped.
-  const int rh = reg.height(), rw = reg.width();
-  const int jbase = reg.r0 * wq + reg.c0;
-  const int span = (rh - 1) * wq + rw;
+  // Each image's region (clipped; widened to whole pool windows) is the
+  // flat columns from its first output to its last, [jbase, jbase + span),
+  // run in chunks of two panels; the columns between its rows are computed
+  // and dropped. An empty region has span 0 and its image is skipped.
+  struct Window {
+    SpatialRegion reg;
+    int jbase, span;
+  };
+  ArenaScope ws;
+  auto* win = static_cast<Window*>(
+      ws.alloc(sizeof(Window) * static_cast<std::size_t>(n)));
+  int max_span = 0;
+  for (int i = 0; i < n; ++i) {
+    SpatialRegion reg =
+        regions[regions.size() == 1 ? 0 : static_cast<std::size_t>(i)]
+            .clipped(g.out_h(), g.out_w());
+    if (pk > 1 && !reg.empty()) reg = reg.pool_aligned(pk);
+    win[i] = reg.empty() ? Window{} : Window{reg, reg.r0 * wq + reg.c0,
+                                             (reg.height() - 1) * wq + reg.width()};
+    max_span = std::max(max_span, win[i].span);
+  }
+  if (max_span == 0) return;
   const int chunk = 2 * nr;
 
   const int group = static_cast<int>(
       std::clamp<std::int64_t>(kGroupFloats / std::max<std::int64_t>(img, 1),
                                1, n));
-  ArenaScope ws;
   // The kernel's last call reads up to 2*NR - 1 floats past the last
   // column it stores; keep them inside the buffer (arena memory is not
   // poisoned, so an overrun would go unnoticed) and zeroed.
@@ -203,14 +218,16 @@ void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
   for (int i0 = 0; i0 < n; i0 += group) {
     const int count = std::min(group, n - i0);
     copy_padded(x + i0 * in_img, count, g, channels, hq, wq, buf);
-    parallel_for_cost(0, nrows, static_cast<std::int64_t>(ld) * span * count,
+    std::int64_t spans = 0;  // columns one row computes over the group
+    for (int i = 0; i < count; ++i) spans += win[i0 + i].span;
+    parallel_for_cost(0, nrows, static_cast<std::int64_t>(ld) * spans,
                       [&](std::int64_t l0, std::int64_t l1) {
       ArenaScope ts(Arena::this_thread());
       // rpc term slots of ld entries each, and one staging row per slot.
       float* vals = ts.alloc_floats(static_cast<std::size_t>(rpc) * ld);
       int* offs = static_cast<int*>(
           ts.alloc(sizeof(int) * static_cast<std::size_t>(rpc) * ld));
-      float* stage = ts.alloc_floats(static_cast<std::size_t>(rpc) * span);
+      float* stage = ts.alloc_floats(static_cast<std::size_t>(rpc) * max_span);
       int nnz[kMaxRows];
       float row_bias[kMaxRows];
       // Row list[l]'s nonzero weights as (value, offset) terms in slot s.
@@ -241,9 +258,11 @@ void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
         }
         return true;
       };
-      // The rest of the epilogue for unit u's staging row of image i, then
-      // write-back.
+      // The rest of the epilogue for unit u's staging row of image i over
+      // its window, then write-back.
       const auto finish = [&](int u, float* row, int i) {
+        const SpatialRegion& reg = win[i0 + i].reg;
+        const int rh = reg.height(), rw = reg.width();
         if (bn) {
           bn_relu_rows(row, wq, rh, rw, epi.bn_mean[u], epi.bn_inv_std[u],
                        epi.bn_gamma[u], epi.bn_beta[u], epi.relu);
@@ -278,7 +297,9 @@ void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
           row_bias[s] = bias[list[l + s]];
         }
         for (int i = 0; i < count; ++i) {
-          const float* src = buf + i * img + jbase;
+          const int span = win[i0 + i].span;
+          if (span == 0) continue;
+          const float* src = buf + i * img + win[i0 + i].jbase;
           std::fill(stage, stage + static_cast<std::ptrdiff_t>(rows_here) * span,
                     0.0f);
           for (int j = 0; j < span; j += chunk) {

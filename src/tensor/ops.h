@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -159,12 +160,14 @@ struct ConvEpilogue {
 /// in_w) batch x and each row u with rows[u] != 0, computes
 ///   z(i, u, r, c) = epi(bias[u] + sum_p w(u, p) * cols(p, r, c)),
 /// cols being the im2col matrix of the listed channels, at the output
-/// positions (r, c) of `region` (clipped to the conv plane; empty writes
-/// nothing), and stores it into y. Without a pool y is the (n, out_c,
-/// out_h, out_w) conv plane. With a pool of k, the region is first widened
-/// to whole pool windows (SpatialRegion::pool_aligned), and y is the (n,
-/// out_c, out_h / k, out_w / k) pooled plane, of which only the windows in
-/// the region are written. Other rows and positions are not touched. The
+/// positions (r, c) of image i's region, and stores it into y. `regions`
+/// holds one region per image, or a single one that every image uses; each
+/// is clipped to the conv plane, and an empty one writes nothing for its
+/// image. Without a pool y is the (n, out_c, out_h, out_w) conv plane.
+/// With a pool of k, each non-empty region is first widened to whole pool
+/// windows (SpatialRegion::pool_aligned), and y is the (n, out_c, out_h /
+/// k, out_w / k) pooled plane, of which only the windows in the region are
+/// written. Other rows and positions are not touched. The
 /// contraction runs over the listed input channels `channels` (ascending
 /// ids): w holds row u at w + u * ld, ld = channels.size() * kernel^2, in
 /// (channel, kh, kw) order. Rows not flagged are never read.
@@ -179,7 +182,9 @@ struct ConvEpilogue {
 /// consecutive flagged rows whose terms have the same offsets run
 /// KernelTable::rows at a time through it (axpy_rows), which loads each
 /// term's input vectors once for all of them; shorter runs and rows with
-/// other patterns run one at a time. Per output element that is exactly
+/// other patterns run one at a time; rows are grouped and compacted once
+/// per call, then run over each image's own region. Per output element
+/// that is exactly
 /// the sequence
 /// im2col + gemm_rows_bias runs: ascending p, terms with a zero weight
 /// skipped, the tier's multiply-add, then bias (then ReLU, with no BN),
@@ -192,8 +197,17 @@ struct ConvEpilogue {
 void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
                      const std::vector<int>& channels, const float* w,
                      const unsigned char* rows, const float* bias,
-                     const ConvEpilogue& epi, const SpatialRegion& region,
-                     float* y);
+                     const ConvEpilogue& epi,
+                     std::span<const SpatialRegion> regions, float* y);
+
+/// conv2d_implicit with one region for every image.
+inline void conv2d_implicit(const float* x, int n, const Conv2dGeometry& g,
+                            const std::vector<int>& channels, const float* w,
+                            const unsigned char* rows, const float* bias,
+                            const ConvEpilogue& epi, const SpatialRegion& region,
+                            float* y) {
+  conv2d_implicit(x, n, g, channels, w, rows, bias, epi, {&region, 1}, y);
+}
 
 /// col2im scatter-add, inverse of im2col (for input gradients).
 void col2im(const float* cols, const Conv2dGeometry& g, float* x);

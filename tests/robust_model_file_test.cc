@@ -12,10 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
@@ -215,6 +219,47 @@ TEST(RobustModelFile, CountsAreCheckedBeforeAnyRead) {
     EXPECT_EQ(static_cast<std::size_t>(in.tellg()), f.begin + 4) << what;
     EXPECT_TRUE(snapshot(b) == before) << what;
   }
+}
+
+TEST(RobustModelFile, BytesAfterTheLastRecordAreRefused) {
+  Network a = nested_net(1);
+  const std::string bytes = saved_bytes(a);
+  for (const std::size_t extra : {std::size_t{1}, std::size_t{28}}) {
+    Network b = nested_net(2);
+    const std::string before = snapshot(b);
+    std::stringstream in(bytes + std::string(extra, '\x5a'));
+    EXPECT_THROW(load_network(b, in), std::runtime_error) << extra << " bytes";
+    EXPECT_TRUE(snapshot(b) == before) << extra << " bytes";
+  }
+}
+
+// `steppingnet info` exits non-zero on a model file with 28 bytes after its
+// last record, and zero on the same file without them.
+TEST(RobustModelFile, CliInfoRefusesBytesAfterTheLastRecord) {
+  // The network the CLI builds from its default flags.
+  ModelConfig mc;
+  mc.classes = 10;
+  mc.expansion = 1.8;
+  mc.width_mult = 0.25;
+  mc.seed = 42 + 7;
+  Network net = build_model("lenet3c1l", mc);
+  const std::string good = ::testing::TempDir() + "robust_cli_model.bin";
+  const std::string junk = ::testing::TempDir() + "robust_cli_junk.bin";
+  ASSERT_TRUE(save_network(net, good));
+  {
+    std::ofstream f(junk, std::ios::binary);
+    f << saved_bytes(net) << std::string(28, 'j');
+  }
+  const auto info = [](const std::string& path) {
+    const std::string cmd =
+        std::string(STEPPING_CLI) + " info --in " + path + " > /dev/null 2>&1";
+    const int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  };
+  EXPECT_EQ(info(good), 0);
+  EXPECT_NE(info(junk), 0);
+  std::remove(good.c_str());
+  std::remove(junk.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@
 // with synthetic clocks and depths, no timers involved.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -323,6 +326,65 @@ TEST(ServeReform, PassCountersAttributeEveryLiveRowExactlyOnce) {
   EXPECT_GE(s.pass_occupancy(), 1.0);
   EXPECT_LE(s.pass_occupancy(), 4.0);
   EXPECT_GE(s.batches, 4u);  // admission micro-batches, max_batch = 4
+}
+
+// A cohort holding exactly the rows of one earlier pass steps that pass's
+// state in place; the first rows of a pass whose other rows halted restack
+// it. Either way every answer is bitwise a direct forward's.
+TEST(ServeReform, CohortStepsInPlaceOnlyWhenItHoldsTheWholeEarlierPass) {
+  Network net = nested_net();
+  Network ref = net.clone();
+  Server server(net, reform_config(/*workers=*/1, /*max_batch=*/4));
+  const std::int64_t exit_at_one = budget_for_exit(server.planner(), 1);
+  for (const int halting : {0, 2}) {
+    // The only worker parks in a blocker's final callback, so the four
+    // requests queue together and ride one level-1 pass.
+    std::mutex mu;
+    std::condition_variable cv;
+    bool parked = false, released = false;
+    Request blocker;
+    blocker.input = random_input(600);
+    blocker.mac_budget = exit_at_one;
+    blocker.on_step = [&](const StepUpdate& u) {
+      if (!u.final) return;
+      std::unique_lock<std::mutex> lock(mu);
+      parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    };
+    std::future<ServedResult> blocked = server.submit(std::move(blocker));
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60), [&] { return parked; }));
+    }
+    std::vector<Tensor> xs;
+    std::vector<std::future<ServedResult>> futs;
+    for (int i = 0; i < 4; ++i) {
+      Request req;
+      req.input = random_input(610 + static_cast<std::uint64_t>(10 * halting + i));
+      xs.push_back(req.input);
+      // The last `halting` rows stop at level 1, the rest climb to level 3.
+      if (i >= 4 - halting) req.mac_budget = exit_at_one;
+      futs.push_back(server.submit(std::move(req)));
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+    EXPECT_EQ(blocked.get().exit_subnet, 1);
+    for (int i = 0; i < 4; ++i) {
+      const ServedResult res = futs[static_cast<std::size_t>(i)].get();
+      EXPECT_EQ(res.exit_subnet, i >= 4 - halting ? 1 : 3) << halting << " " << i;
+      SubnetContext ctx;
+      ctx.subnet_id = res.exit_subnet;
+      const Tensor direct = ref.forward(xs[static_cast<std::size_t>(i)], ctx);
+      ASSERT_EQ(res.logits.shape(), direct.shape());
+      EXPECT_EQ(0, std::memcmp(res.logits.data(), direct.data(),
+                               sizeof(float) * static_cast<std::size_t>(direct.numel())))
+          << "halting=" << halting << " row " << i;
+    }
+  }
 }
 
 TEST(ServeReform, TimelineRecordsBatchRejoinOnlyUnderReformation) {

@@ -213,6 +213,69 @@ TEST(ServeRobust, StreamFrameFaultRestartsTheStreamCold) {
   EXPECT_EQ(server.counters().failed, 1u);
   expect_balanced(server);
   server.shutdown();
+
+  // A fault in a pass of three frames: the frames of three warm streams
+  // queue together behind the only worker, parked in a plain request's
+  // final callback, and the fault fires in their batched delta pass. Every
+  // frame of the pass fails, and every stream in it rebuilds cold.
+  ServeConfig batch_cfg = robust_config(/*max_batch=*/4);
+  batch_cfg.stream = 1;
+  Server batched(net, batch_cfg);
+  const auto send_to = [&batched](const Tensor& x, std::uint64_t stream_id) {
+    Request req;
+    req.input = x;
+    req.stream_id = stream_id;
+    return batched.submit(std::move(req));
+  };
+  Tensor frames[3] = {random_input(40), random_input(41), random_input(42)};
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    expect_direct(ref, frames[s], send_to(frames[s], s + 1).get());
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false, released = false;
+  Request plain;
+  plain.input = random_input(43);
+  plain.on_step = [&](const StepUpdate& u) {
+    if (!u.final) return;
+    std::unique_lock<std::mutex> lock(mu);
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  };
+  std::future<ServedResult> plain_fut = batched.submit(std::move(plain));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60), [&] { return parked; }))
+        << "the worker never reached the callback";
+  }
+  std::vector<std::future<ServedResult>> faulty;
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    perturb_patch(frames[s], 4 + 6 * static_cast<int>(s), 3, 0.5f);
+    faulty.push_back(send_to(frames[s], s + 1));
+  }
+  g_fault = true;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  EXPECT_EQ(plain_fut.get().exit_subnet, 3);
+  for (auto& f : faulty) EXPECT_THROW(f.get(), std::runtime_error);
+  g_fault = false;
+  EXPECT_EQ(batched.counters().failed, 3u);
+
+  const std::uint64_t cold_before =
+      batched.metrics().counter("serve_stream_cold_total").value();
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    perturb_patch(frames[s], 20, 4 + 6 * static_cast<int>(s), 0.5f);
+    expect_direct(ref, frames[s], send_to(frames[s], s + 1).get());
+  }
+  EXPECT_EQ(batched.metrics().counter("serve_stream_cold_total").value(),
+            cold_before + 3)
+      << "every stream of the failed pass must rebuild cold";
+  expect_balanced(batched);
+  batched.shutdown();
 }
 
 TEST(ServeRobust, ShutdownUnderLoadResolvesEveryFutureAndJoinsTheWorkers) {

@@ -2,6 +2,7 @@
 // multi-client smoke test against an in-process server — replies must carry
 // logits bitwise-identical to a direct forward of the exit subnet.
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -401,6 +403,84 @@ TEST(ServeTcp, StopUnblocksRunWithoutClients) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   tcp.stop();
   loop.join();  // must not hang
+}
+
+// Bug pin: a connection's handler closed its fd but left it in the set that
+// stop() shuts down, so stop() shut down whatever socket had since been
+// given that number.
+TEST(ServeTcp, StopLeavesASocketThatReusedAClosedConnectionsFdAlone) {
+  Network net = nested_net();
+  ServeConfig cfg;
+  cfg.max_subnet = 3;
+  cfg.num_workers = 1;
+  Server server(net, cfg);
+  TcpServer tcp(server, /*port=*/0);
+  ASSERT_GT(tcp.port(), 0);
+  std::thread loop([&] { tcp.run(); });
+
+  // A client connects and is served; the server's end of the connection is
+  // the socket whose peer is the client's port.
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(tcp.port()));
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_TRUE(write_frame(client, infer_frame(3, 32, 32, 3 * 32 * 32)));
+  std::vector<std::uint8_t> reply;
+  ASSERT_TRUE(read_frame(client, reply));
+  sockaddr_in local{};
+  socklen_t len = sizeof(local);
+  ASSERT_EQ(::getsockname(client, reinterpret_cast<sockaddr*>(&local), &len), 0);
+  int server_end = -1;
+  for (int fd = 0; fd < 1024 && server_end < 0; ++fd) {
+    sockaddr_in peer{};
+    socklen_t plen = sizeof(peer);
+    if (fd != client &&
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &plen) == 0 &&
+        peer.sin_family == AF_INET && peer.sin_port == local.sin_port) {
+      server_end = fd;
+    }
+  }
+  ASSERT_GE(server_end, 0);
+
+  // The client disconnects, and the handler closes its end.
+  ::close(client);
+  for (int i = 0; i < 60000 && ::fcntl(server_end, F_GETFD) != -1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(::fcntl(server_end, F_GETFD), -1) << "the handler kept its fd";
+
+  // A socketpair made now takes that fd number (the lowest free ones go
+  // first); any pair before it is kept open so the search moves on.
+  std::vector<int> fds;
+  int pair[2] = {-1, -1};
+  for (int i = 0; i < 64 && pair[0] < 0; ++i) {
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    fds.push_back(sv[0]);
+    fds.push_back(sv[1]);
+    if (sv[0] == server_end || sv[1] == server_end) {
+      pair[0] = sv[0];
+      pair[1] = sv[1];
+    }
+  }
+  ASSERT_GE(pair[0], 0) << "no socketpair reused fd " << server_end;
+
+  tcp.stop();
+  loop.join();
+  // Both ends of the pair still pass a byte each way.
+  for (const int from : {0, 1}) {
+    const char out = static_cast<char>('a' + from);
+    char in = 0;
+    EXPECT_EQ(::send(pair[from], &out, 1, MSG_NOSIGNAL), 1) << "end " << from;
+    EXPECT_EQ(::recv(pair[1 - from], &in, 1, MSG_DONTWAIT), 1) << "end " << from;
+    EXPECT_EQ(in, out);
+  }
+  for (const int fd : fds) ::close(fd);
+  server.shutdown();
 }
 
 }  // namespace

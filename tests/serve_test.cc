@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <future>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -498,6 +501,75 @@ TEST(ServeAccounting, PerRequestCountsSumToServerCounters) {
     for (const std::uint64_t e : snap.exits_per_subnet) exit_levels += e > 0;
     EXPECT_GE(exit_levels, 2) << tag;
   }
+
+  // Three camera streams whose frames queue together behind the only
+  // worker, parked in a plain request's level-1 callback, ride one batched
+  // frame pass per round; the sums above still hold, and the frames' flight
+  // records share a batch of more than one.
+  ServeConfig cfg = base_config(/*workers=*/1);
+  cfg.stream = 1;
+  cfg.admit = AdmitPolicy::kOff;
+  cfg.flight.ring = 64;
+  cfg.flight.retain_stragglers = 64;
+  Server server(net, cfg);
+  Tensor frames[3] = {random_input(710), random_input(711), random_input(712)};
+  std::vector<ServedResult> results;
+  for (int round = 0; round < 3; ++round) {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool parked = false, released = false;
+    Request plain;
+    plain.input = random_input(900 + static_cast<std::uint64_t>(round));
+    plain.on_step = [&](const StepUpdate& u) {
+      if (u.subnet != 1) return;
+      std::unique_lock<std::mutex> lock(mu);
+      parked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return released; });
+    };
+    std::vector<std::future<ServedResult>> futures;
+    futures.push_back(server.submit(std::move(plain)));
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60), [&] { return parked; }))
+          << "the worker never reached the callback";
+    }
+    for (int s = 0; s < 3; ++s) {
+      Tensor& frame = frames[s];
+      if (round > 0) frame.at(0, s, 4 * round + 5 * s, 3 * round + 2 * s) += 1.0f;
+      Request req;
+      req.input = frame;
+      req.stream_id = static_cast<std::uint64_t>(s + 1);
+      futures.push_back(server.submit(std::move(req)));
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+    for (auto& f : futures) results.push_back(f.get());
+  }
+  std::uint64_t macs = 0, steps = 0;
+  for (const ServedResult& r : results) {
+    macs += static_cast<std::uint64_t>(r.macs);
+    steps += r.steps.size();
+  }
+  const CounterSnapshot snap = server.counters();
+  EXPECT_EQ(snap.completed, results.size());
+  EXPECT_EQ(macs, server.metrics().counter("serve_macs_total").value());
+  EXPECT_EQ(snap.pass_rows, steps);
+  EXPECT_EQ(std::accumulate(snap.step_passes_per_subnet.begin(),
+                            snap.step_passes_per_subnet.end(), std::uint64_t{0}),
+            snap.passes);
+  EXPECT_EQ(snap.batched_inputs, snap.completed);
+  EXPECT_EQ(server.metrics().counter("serve_stream_frames_total").value(), 9u);
+  int batched_frames = 0;
+  for (const obs::FlightData& d : server.flight().retained_stragglers()) {
+    if (d.batch_size > 1) ++batched_frames;
+  }
+  EXPECT_GE(batched_frames, 1) << "no frames rode one pass together";
+  // Each round's three frames took one pass: 3 plain passes + 1 frame pass.
+  EXPECT_EQ(snap.passes, 12u);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,12 +11,15 @@
 #include <cstring>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "models/models.h"
 #include "serve/server.h"
 #include "stream/stream.h"
+#include "tensor/gemm_isa.h"
 #include "tensor/ops.h"
+#include "util/thread_pool.h"
 
 namespace stepping {
 namespace {
@@ -313,6 +316,265 @@ TEST(StreamDelta, TileBelowOneThrowsAndLeavesStateUnchanged) {
   const stream::StreamResult r = stream_delta_forward(net, st, frame, 2, cfg, sig);
   EXPECT_FALSE(r.cold);
   EXPECT_EQ(r.macs, 0);
+}
+
+// ---------------------------------------------------------------------------
+// StreamBatch: the frames of several streams as one batched delta pass
+// (advance_rows / stream_delta_batch). Every row keeps its own dirty
+// rectangle, so each frame's logits, MACs, tile counts and state afterwards
+// are memcmp-equal to the one-row call's (advance), and its logits to a
+// direct forward — on every compiled ISA tier, at 1 and 3 threads.
+// ---------------------------------------------------------------------------
+
+/// Restores the ISA tier and thread count a test changed.
+class IsaSweep : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    set_isa_tier(env_isa_tier());
+    ThreadPool::set_global_threads(ThreadPool::default_threads());
+  }
+
+  /// Runs `body(tag)` at every compiled tier up to the detected one, at 1
+  /// and 3 threads.
+  template <class Body>
+  void for_each_tier_and_threads(Body body) {
+    for (int t = 0; t <= static_cast<int>(detected_isa_tier()); ++t) {
+      const IsaTier tier = static_cast<IsaTier>(t);
+      if (!isa_tier_compiled(tier)) continue;
+      set_isa_tier(tier);
+      for (const int threads : {1, 3}) {
+        ThreadPool::set_global_threads(threads);
+        body(std::string(isa_tier_name(tier)) + " threads=" +
+             std::to_string(threads));
+      }
+    }
+  }
+};
+
+using StreamBatch = IsaSweep;
+
+void expect_same_state(const LadderState& got, const LadderState& want,
+                       const std::string& tag) {
+  EXPECT_EQ(got.level, want.level) << tag;
+  EXPECT_EQ(got.in_shape, want.in_shape) << tag;
+  EXPECT_EQ(got.tile, want.tile) << tag;
+  EXPECT_EQ(got.tiles, want.tiles) << tag;
+  EXPECT_EQ(got.signature, want.signature) << tag;
+  ASSERT_EQ(got.layer_outputs.size(), want.layer_outputs.size()) << tag;
+  for (std::size_t i = 0; i < want.layer_outputs.size(); ++i) {
+    expect_bitwise(got.layer_outputs[i], want.layer_outputs[i],
+                   (tag + " layer output " + std::to_string(i)).c_str());
+  }
+}
+
+/// How a stream's next frame differs from its last one, or what its state
+/// holds before the pass.
+enum class Change {
+  kPatchA,      ///< a 5x5 patch near the top-left moves
+  kPatchB,      ///< a 6x6 patch near the bottom-right moves
+  kIdentical,   ///< the same frame again
+  kFullPlane,   ///< every pixel changes
+  kCold,        ///< the stream's first frame
+  kOtherLevel,  ///< state cached one level below the pass's
+};
+
+/// One batched pass over streams with the given changes, at `level`,
+/// checked row by row against one-row advance() calls on copies of the same
+/// states and against a direct forward.
+void check_batch(Network& net, const std::vector<Change>& changes, int level,
+                 const std::string& tag) {
+  const int tile = 8;
+  const auto sig = network_signature(net);
+  const std::size_t b = changes.size();
+  std::vector<LadderState> batched(b);
+  std::vector<Tensor> next(b);
+  for (std::size_t k = 0; k < b; ++k) {
+    const Tensor base = random_frame(500 + k);
+    next[k] = base;
+    if (changes[k] != Change::kCold) {
+      const int warm = changes[k] == Change::kOtherLevel ? level - 1 : level;
+      advance(net, batched[k], base, warm, tile, sig);
+    }
+    switch (changes[k]) {
+      case Change::kPatchA:
+        perturb_patch(next[k], 2, 3, 5, 5, 0.75f);
+        break;
+      case Change::kPatchB:
+        perturb_patch(next[k], 21, 17, 6, 6, -0.5f);
+        break;
+      case Change::kFullPlane:
+      case Change::kOtherLevel:
+        perturb_patch(next[k], 0, 0, 32, 32, 0.125f);
+        break;
+      case Change::kIdentical:
+      case Change::kCold:
+        break;
+    }
+  }
+  std::vector<LadderState> solo = batched;
+  std::vector<LadderRow> rows(b);
+  for (std::size_t k = 0; k < b; ++k) rows[k] = {&batched[k], &next[k]};
+  const std::vector<LadderResult> got = advance_rows(net, rows, level, tile, sig);
+  ASSERT_EQ(got.size(), b) << tag;
+  for (std::size_t k = 0; k < b; ++k) {
+    const std::string row = tag + " row " + std::to_string(k);
+    const LadderResult want = advance(net, solo[k], next[k], level, tile, sig);
+    expect_bitwise(got[k].logits, want.logits, (row + " vs one-row").c_str());
+    expect_bitwise(got[k].logits, direct_forward(net, next[k], level),
+                   (row + " vs direct").c_str());
+    EXPECT_EQ(got[k].macs, want.macs) << row;
+    EXPECT_EQ(got[k].full_macs, want.full_macs) << row;
+    EXPECT_EQ(got[k].dirty_tiles, want.dirty_tiles) << row;
+    EXPECT_EQ(got[k].total_tiles, want.total_tiles) << row;
+    EXPECT_EQ(got[k].cold, want.cold) << row;
+    expect_same_state(batched[k], solo[k], row);
+    if (changes[k] == Change::kIdentical) {
+      EXPECT_EQ(got[k].macs, 0) << row;
+    }
+    if (changes[k] == Change::kPatchA || changes[k] == Change::kPatchB) {
+      EXPECT_GT(got[k].macs, 0) << row;
+      EXPECT_LT(got[k].macs, got[k].full_macs) << row;
+    }
+  }
+}
+
+TEST_F(StreamBatch, RowsMatchOneRowPassesAndDirectForward) {
+  Network net = nested_net();
+  using C = Change;
+  const std::vector<std::vector<Change>> cases = {
+      {C::kPatchA, C::kPatchB},
+      {C::kPatchB, C::kIdentical, C::kFullPlane},
+      {C::kPatchA, C::kCold, C::kPatchB, C::kIdentical},
+      {C::kFullPlane, C::kPatchA, C::kOtherLevel, C::kPatchB},
+  };
+  for_each_tier_and_threads([&](const std::string& tag) {
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      for (const int level : {2, 3}) {
+        check_batch(net, cases[c], level,
+                    tag + " case " + std::to_string(c) + " level " +
+                        std::to_string(level));
+      }
+    }
+  });
+}
+
+TEST_F(StreamBatch, StreamDeltaBatchServesEachFrameAsItsOwnCall) {
+  Network net = nested_net();
+  stream::StreamConfig cfg;
+  const auto sig = stream::network_signature(net);
+  for_each_tier_and_threads([&](const std::string& tag) {
+    // Three streams stepped together, their copies alone. Stream 2 joins a
+    // frame late, so its first frame is cold while the others run deltas,
+    // and the streams' patches move by different offsets.
+    stream::StreamState states[3];
+    LadderState solo[3];
+    Tensor frames[3] = {random_frame(61), random_frame(62), random_frame(63)};
+    for (int f = 0; f < 4; ++f) {
+      std::vector<LadderRow> rows;
+      std::vector<int> ids;
+      for (int s = 0; s < 3; ++s) {
+        if (s == 2 && f == 0) continue;
+        if (f > 0) {
+          perturb_patch(frames[s], 3 * f + 4 * s, 2 * f + 5 * s, 4, 5, 0.3f);
+        }
+        rows.push_back({&states[s], &frames[s]});
+        ids.push_back(s);
+      }
+      const std::vector<stream::StreamResult> got =
+          stream::stream_delta_batch(net, rows, 3, cfg, sig);
+      ASSERT_EQ(got.size(), rows.size());
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        const int s = ids[k];
+        const std::string row = tag + " frame " + std::to_string(f) +
+                                " stream " + std::to_string(s);
+        const LadderResult want =
+            advance(net, solo[s], frames[s], 3, cfg.tile, sig);
+        expect_bitwise(got[k].logits, want.logits, row.c_str());
+        EXPECT_EQ(got[k].macs, want.macs) << row;
+        EXPECT_EQ(got[k].cold, want.cold) << row;
+        expect_same_state(states[s], solo[s], row);
+      }
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// conv2d_implicit with one region per image: memcmp-equal to one call per
+// image, for empty regions, full planes, and pooled and BN epilogues.
+// ---------------------------------------------------------------------------
+
+using StreamConvRegion = IsaSweep;
+
+TEST_F(StreamConvRegion, PerImageRegionsMatchOneCallPerImage) {
+  constexpr int kUnits = 10;
+  constexpr int kImages = 4;
+  // Conv-plane regions, one per image; the last set is all empty.
+  const std::vector<std::vector<SpatialRegion>> sets = {
+      {{0, 0, 0, 0}, {0, 99, 0, 99}, {1, 4, 2, 5}, {3, 5, 0, 3}},
+      {{2, 3, 1, 2}, {5, 5, 1, 3}, {0, 2, 0, 8}, {-3, 40, 3, 4}},
+      {{0, 99, 0, 99}, {0, 99, 0, 99}, {4, 6, 2, 4}, {0, 1, 0, 1}},
+      {{0, 0, 0, 0}, {2, 2, 0, 4}, {3, 3, 3, 3}, {1, 1, 0, 0}},
+  };
+  for_each_tier_and_threads([&](const std::string& tag) {
+    unsigned seed = 1;
+    for (const int kernel : {3, 5}) {
+      for (const int stride : {1, 2}) {
+        for (const int pool : {1, 2}) {
+          for (const bool bn : {false, true}) {
+            const Conv2dGeometry g{/*in_c=*/3, /*in_h=*/12, /*in_w=*/8, kUnits,
+                                   kernel, stride, kernel / 2};
+            Rng rng(seed++);
+            Tensor x({kImages, g.in_c, g.in_h, g.in_w});
+            fill_normal(x, 0.0f, 1.0f, rng);
+            Tensor w({kUnits, g.patch()});
+            fill_normal(w, 0.0f, 1.0f, rng);
+            w.at(4, 3) = 0.0f;  // breaks the multi-row run it sits in
+            Tensor bias({kUnits});
+            fill_normal(bias, 0.0f, 0.5f, rng);
+            Tensor bn_stats({4, kUnits});  // mean, inv_std, gamma, beta
+            fill_normal(bn_stats, 0.5f, 0.25f, rng);
+            std::vector<unsigned char> rows(kUnits, 1);
+            rows[1] = rows[7] = 0;
+            const std::vector<int> channels = {0, 1, 2};
+            ConvEpilogue epi;
+            epi.pool = pool;
+            epi.relu = true;
+            if (bn) {
+              epi.bn_mean = bn_stats.data();
+              epi.bn_inv_std = bn_stats.data() + kUnits;
+              epi.bn_gamma = bn_stats.data() + 2 * kUnits;
+              epi.bn_beta = bn_stats.data() + 3 * kUnits;
+            }
+            const int oh = g.out_h() / pool, ow = g.out_w() / pool;
+            const std::int64_t in_img =
+                static_cast<std::int64_t>(g.in_c) * g.in_h * g.in_w;
+            const std::int64_t out_img =
+                static_cast<std::int64_t>(kUnits) * oh * ow;
+            for (std::size_t r = 0; r < sets.size(); ++r) {
+              Tensor got({kImages, kUnits, oh, ow});
+              got.fill(-7.0f);  // untouched positions keep the sentinel
+              Tensor want = got;
+              conv2d_implicit(x.data(), kImages, g, channels, w.data(),
+                              rows.data(), bias.data(), epi, sets[r],
+                              got.data());
+              for (int i = 0; i < kImages; ++i) {
+                conv2d_implicit(x.data() + i * in_img, 1, g, channels,
+                                w.data(), rows.data(), bias.data(), epi,
+                                sets[r][static_cast<std::size_t>(i)],
+                                want.data() + i * out_img);
+              }
+              expect_bitwise(got, want,
+                             (tag + " k=" + std::to_string(kernel) +
+                              " s=" + std::to_string(stride) + " pool=" +
+                              std::to_string(pool) + " bn=" +
+                              std::to_string(bn) + " set " + std::to_string(r))
+                                 .c_str());
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
